@@ -29,17 +29,8 @@ def qzeros(rows: int, cols: int) -> QMat:
     return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
 
 
-def qadd(a: QMat, b: QMat) -> QMat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def qsub(a: QMat, b: QMat) -> QMat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def qscale(a: QMat, c) -> QMat:
-    c = Fraction(c)
-    return tuple(tuple(x * c for x in row) for row in a)
 
 
 def qmul(a: QMat, b: QMat) -> QMat:
@@ -55,10 +46,6 @@ def qmul(a: QMat, b: QMat) -> QMat:
 
 def qmat_vec(a: QMat, v: QVec) -> QVec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def qtranspose(a: QMat) -> QMat:
-    return tuple(zip(*a)) if a else ()
 
 
 def is_zero_mat(a: QMat) -> bool:

@@ -32,7 +32,7 @@ from .torus import (
     GroupElement,
     act,
     compose_cocharacters,
-    jkv_certify,
+    jkv_certifier,
     jkv_decompose,
     lambda_min,
     limit,
@@ -65,19 +65,13 @@ class VerificationReport:
         return not self.failures
 
 
-def _box_cochars(rank: int, box: int):
-    import itertools
-
-    return list(itertools.product(range(-box, box + 1), repeat=rank))
-
-
 def _suite_limits(cfg: FuzzConfig, report: VerificationReport):
     """Dual-implementation agreement for limit existence and value."""
     rng = cfg.rng()
     for idx in range(cfg.count):
         rep, gamma = oracles.sample_torus_instance(rng, cfg)
         bad = None
-        for lam in _box_cochars(rep.rank, cfg.box):
+        for lam in torus._box_iter(rep.rank, cfg.box):
             a = limit(lam, gamma)
             b = oracles.oracle_limit(lam, gamma)
             if a != b:
@@ -170,14 +164,13 @@ def _suite_jkv_survey(cfg: FuzzConfig, report: VerificationReport):
             clause = "constructive decomposition failed its own certificate"
         else:
             survey = limit_survey(rep, gamma, cfg.box)
-            certified_any = False
+            certify = jkv_certifier(rep, gamma)
             for e in survey.semisimple_entries():
                 s = e.value
                 n = vec_sub(gamma, s)
-                rep_ok = jkv_certify(rep, gamma, s, n, e.cocharacter)
+                rep_ok = certify(s, n, e.cocharacter)
                 if not rep_ok.ok:
                     continue
-                certified_any = True
                 g = same_orbit(rep, s, dec.s)
                 if g is None or act(rep, g, s) != dec.s:
                     clause = f"certified semisimple part not in the orbit at {e.cocharacter}"

@@ -30,7 +30,7 @@ from .polytope import (
     origin_in_relint,
 )
 from .rationals import DEFAULT_FACTOR_BOUND, factorize_fraction
-from .ratlinalg import QMat, qdet, qmat, qmat_vec
+from .ratlinalg import QMat, qdet, qmat, qmat_vec, qmul
 from . import intlinalg
 
 
@@ -133,14 +133,9 @@ def _validate_finite_group(rep: TorusRep):
                 raise ValueError("lattice actions do not respect the table")
             for chi in weights:
                 mid = mat_vec(gj.lattice, chi)
-                lhs = qmat(_qmul(gi.blocks[mid], gj.blocks[chi]))
+                lhs = qmul(gi.blocks[mid], gj.blocks[chi])
                 if lhs != qmat(gk.blocks[chi]):
                     raise ValueError("block maps do not respect the table")
-
-
-def _qmul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 @dataclass
@@ -359,6 +354,15 @@ def is_nilpotent(v: RepVector, fixed: WeightSet) -> tuple[bool, IntVec | None]:
 
 @dataclass
 class JkvReport:
+    """Clause verdicts of one decomposition check.
+
+    nilpotent_witness is a cocharacter vanishing on supp s and >= 1 on
+    supp n: the checked lam itself when it qualifies, otherwise the one
+    `is_nilpotent` finds, and None when n is not nilpotent relative to
+    supp s.  stabilizer_checks pairs each finite element stabilizing gamma
+    with whether it stabilizes s.
+    """
+
     ok: bool
     clauses: dict[str, bool]
     nilpotent_witness: IntVec | None
@@ -432,58 +436,80 @@ def solve_multiplicative(
     return a
 
 
-def same_orbit(rep: TorusRep, v: RepVector, v2: RepVector) -> GroupElement | None:
-    """A group element carrying v to v2, verified by `act`, or None.
+def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
+    """Every group element carrying v to target that some finite element
+    admits, one per finite element (identity first), each verified by `act`.
 
-    Tries every finite-group element (identity first); per weight the two
-    components must be parallel, and the resulting ratio system is solved
-    multiplicatively over the rationals.
+    Per weight the moved and target components must be parallel, and the
+    resulting ratio system is solved multiplicatively over the rationals.
     """
-    validate_vector(rep, v)
-    validate_vector(rep, v2)
     if rep.finite is None:
         order = [None]
     else:
         ident = rep.finite.identity
         order = [ident] + [i for i in range(len(rep.finite.elements)) if i != ident]
-    tgt_support = support(v2)
+    ones = (Fraction(1),) * rep.rank
+    tgt_support = support(target)
     for idx in order:
-        moved = act(rep, GroupElement((Fraction(1),) * rep.rank, idx), v)
+        moved = act(rep, GroupElement(ones, idx), v)
         if support(moved) != tgt_support:
             continue
-        ratios = _component_ratios(moved, v2)
+        ratios = _component_ratios(moved, target)
         if ratios is None:
             continue
         a = solve_multiplicative(rep.rank, ratios)
         if a is None:
             continue
         g = GroupElement(a, idx)
-        assert act(rep, g, v) == v2
-        return g
-    return None
+        assert act(rep, g, v) == target
+        yield g
 
 
-def _finite_stabilizer_transfer(rep: TorusRep, gamma: RepVector, s: RepVector):
-    """For every finite element stabilizing gamma jointly with some torus
-    element, check that the same element stabilizes s."""
-    checks: list[tuple[int, bool]] = []
-    if rep.finite is None:
-        return True, checks
-    ones = (Fraction(1),) * rep.rank
-    for idx in range(len(rep.finite.elements)):
-        moved = act(rep, GroupElement(ones, idx), gamma)
-        if support(moved) != support(gamma):
-            continue
-        ratios = _component_ratios(moved, gamma)
-        if ratios is None:
-            continue
-        a = solve_multiplicative(rep.rank, ratios)
-        if a is None:
-            continue
-        g = GroupElement(a, idx)
-        assert act(rep, g, gamma) == gamma
-        checks.append((idx, act(rep, g, s) == s))
-    return all(ok for _, ok in checks), checks
+def same_orbit(rep: TorusRep, v: RepVector, v2: RepVector) -> GroupElement | None:
+    """A group element carrying v to v2, verified by `act`, or None.
+
+    Tries every finite-group element, identity first.
+    """
+    validate_vector(rep, v)
+    validate_vector(rep, v2)
+    return next(_transfers(rep, v, v2), None)
+
+
+def jkv_certifier(rep: TorusRep, gamma: RepVector):
+    """The per-clause checker of decompositions (s, n, lam) of gamma.
+
+    Validates gamma and finds, once, every finite element that stabilizes
+    gamma jointly with some torus element; the returned certify(s, n, lam)
+    checks that each of them also stabilizes s.  A lam that vanishes on
+    supp s and pairs to >= 1 with every weight of supp n is itself the
+    nilpotency witness; only otherwise does the LP of `is_nilpotent` run.
+    """
+    validate_vector(rep, gamma)
+    supp_gamma = set(gamma.components)
+    stabilizers = []
+    if rep.finite is not None:
+        stabilizers = sorted(_transfers(rep, gamma, gamma), key=lambda g: g.finite_index)
+
+    def certify(s: RepVector, n: RepVector, lam: IntVec) -> JkvReport:
+        validate_vector(rep, s)
+        validate_vector(rep, n)
+        clauses: dict[str, bool] = {}
+        clauses["sum"] = vec_add(s, n) == gamma
+        clauses["semisimple"] = is_semisimple(s).semisimple
+        supp_s = support(s)
+        clauses["fixes_s"] = all(pairing(lam, chi) == 0 for chi in supp_s.points)
+        clauses["limit"] = limit(lam, gamma) == s
+        clauses["support"] = set(supp_s.points) <= supp_gamma
+        if clauses["fixes_s"] and all(pairing(lam, chi) >= 1 for chi in n.components):
+            nilp, witness = True, lam
+        else:
+            nilp, witness = is_nilpotent(n, supp_s)
+        clauses["nilpotent"] = nilp
+        checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
+        clauses["stabilizer"] = clauses["support"] and all(ok for _, ok in checks)
+        return JkvReport(all(clauses.values()), clauses, witness, checks)
+
+    return certify
 
 
 def jkv_certify(
@@ -494,21 +520,7 @@ def jkv_certify(
     lam: IntVec,
 ) -> JkvReport:
     """Per-clause check that (s, n, lam) is a valid decomposition of gamma."""
-    validate_vector(rep, gamma)
-    validate_vector(rep, s)
-    validate_vector(rep, n)
-    clauses: dict[str, bool] = {}
-    clauses["sum"] = vec_add(s, n) == gamma
-    clauses["semisimple"] = is_semisimple(s).semisimple
-    supp_s = support(s)
-    clauses["fixes_s"] = all(pairing(lam, chi) == 0 for chi in supp_s.points)
-    clauses["limit"] = limit(lam, gamma) == s
-    clauses["support"] = set(supp_s.points) <= set(support(gamma).points)
-    nilp, witness = is_nilpotent(n, supp_s)
-    clauses["nilpotent"] = nilp
-    stab_ok, stab_checks = _finite_stabilizer_transfer(rep, gamma, s)
-    clauses["stabilizer"] = clauses["support"] and stab_ok
-    return JkvReport(all(clauses.values()), clauses, witness, stab_checks)
+    return jkv_certifier(rep, gamma)(s, n, lam)
 
 
 def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:

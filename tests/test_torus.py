@@ -20,6 +20,7 @@ from jkvkit.torus import (
     group_mul,
     is_nilpotent,
     is_semisimple,
+    jkv_certifier,
     jkv_certify,
     jkv_decompose,
     lambda_min,
@@ -180,6 +181,80 @@ def test_jkv_certify_rejects_bad_decomposition():
     assert rept.clauses["limit"] is False
     good = jkv_certify(rep, g, g, zero_vector(1), (0,))
     assert good.ok
+
+
+def test_certifier_uses_lam_as_witness_without_lp(monkeypatch):
+    import jkvkit.polytope as polytope
+
+    rep = rep1()
+    g = rv(1, {(0,): (F(2),), (1,): (F(3),)})
+    s, n = rv(1, {(0,): (F(2),)}), rv(1, {(1,): (F(3),)})
+    is_semisimple(s)  # warm the relint cache: only the nilpotency LP is left
+    calls = []
+    original = polytope.solve_lp
+    monkeypatch.setattr(polytope, "solve_lp", lambda *a, **k: calls.append(a) or original(*a, **k))
+    report = jkv_certifier(rep, g)(s, n, (2,))
+    assert report.ok and report.nilpotent_witness == (2,)
+    assert calls == []
+
+
+def test_certifier_falls_back_to_the_lp():
+    rep = rep1()
+    g = rv(1, {(0,): (F(2),), (1,): (F(3),)})
+    s, n = rv(1, {(0,): (F(2),)}), rv(1, {(1,): (F(3),)})
+    certify = jkv_certifier(rep, g)
+    for lam in ((0,), (-1,)):
+        report = certify(s, n, lam)
+        assert not report.ok
+        assert (report.clauses["nilpotent"], report.nilpotent_witness) == is_nilpotent(n, support(s))
+    # n = 0 with lam fixing s: lam is the witness
+    report = certify(g, zero_vector(1), (0,))
+    assert report.clauses["nilpotent"] and report.nilpotent_witness == (0,)
+    # n not nilpotent relative to supp s: no witness at all
+    s2 = rv(1, {(0,): (F(2),), (1,): (F(1),)})
+    report = certify(s2, rv(1, {(1,): (F(2),)}), (0,))
+    assert report.clauses["nilpotent"] is False and report.nilpotent_witness is None
+    assert is_nilpotent(rv(1, {(1,): (F(2),)}), support(s2)) == (False, None)
+
+
+def test_certifier_checks_every_stabilizer_of_gamma():
+    rep = swap_rep()
+    g = rv(2, {(1, 0): (F(2),), (0, 1): (F(2),)})
+    certify = jkv_certifier(rep, g)
+    full = certify(g, zero_vector(2), (0, 0))
+    assert full.clauses["stabilizer"] and full.stabilizer_checks == [(0, True), (1, True)]
+    half = certify(rv(2, {(1, 0): (F(2),)}), rv(2, {(0, 1): (F(2),)}), (1, 0))
+    assert half.stabilizer_checks == [(0, True), (1, False)]
+    assert not half.clauses["stabilizer"]
+    # no torus part makes the swap fix this gamma: a1 = 1 but a1^2 = 1/2
+    weights = ((1, 0), (0, 1), (2, 0), (0, 2))
+    one = ((F(1),),)
+    ident = FiniteElement(((1, 0), (0, 1)), {chi: one for chi in weights})
+    swap = FiniteElement(((0, 1), (1, 0)), {chi: one for chi in weights})
+    rep2 = TorusRep(2, tuple((chi, 1) for chi in weights), FiniteGroup((ident, swap), ((0, 1), (1, 0))))
+    g2 = rv(2, {(1, 0): (F(1),), (0, 1): (F(1),), (2, 0): (F(1),), (0, 2): (F(2),)})
+    assert jkv_certifier(rep2, g2)(g2, zero_vector(2), (0, 0)).stabilizer_checks == [(0, True)]
+
+
+def test_certifier_equals_jkv_certify_on_finite_group_instances():
+    import random
+
+    from jkvkit import oracles
+    from jkvkit.oracles import FuzzConfig
+
+    cfg = FuzzConfig(max_rank=3)
+    rng = random.Random(3)
+    seen = 0
+    while seen < 6:
+        rep, gamma = oracles.sample_torus_instance(rng, cfg)
+        if rep.finite is None:
+            continue
+        seen += 1
+        certify = jkv_certifier(rep, gamma)
+        for e in limit_survey(rep, gamma, 2).semisimple_entries():
+            n = vec_sub(gamma, e.value)
+            for lam in (e.cocharacter, (0,) * rep.rank):
+                assert certify(e.value, n, lam) == jkv_certify(rep, gamma, e.value, n, lam)
 
 
 def test_lambda_min_examples():
