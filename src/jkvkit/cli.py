@@ -19,6 +19,7 @@ from .gln import NonSplitError
 from .oracles import FuzzConfig
 from .polytope import WeightSet
 from .rationals import UnfactoredError, format_rational
+from .ratlinalg import qinverse, qmul, qsub
 from .serialize import (
     FORMAT_VERSION,
     ProblemFormatError,
@@ -214,23 +215,9 @@ def _cmd_certify_jkv(args) -> int:
         return EXIT_OK if report.ok else EXIT_FALSE
     x = load_gln_matrix(read_json(args.file))
     s, n, lam = load_gln_decomposition(read_json(args.decomposition))
-    from .ratlinalg import is_zero_mat, qmul, qsub, qzeros
-
-    size = len(x)
-    if lam.n != size or len(s) != size or len(n) != size:
+    if lam.n != len(x) or len(s) != len(x) or len(n) != len(x):
         raise ProblemFormatError("decomposition sizes do not match the problem")
-    y = qmul(qmul(lam.g_inv, s), lam.g)
-    e = lam.exponents
-    clauses = {
-        "sum": qsub(x, s) == n,
-        "s_semisimple": gln_model.is_semisimple_matrix(s),
-        "n_nilpotent": is_zero_mat(gln_model.mat_power(n, size)),
-        "commutes": all(
-            y[i][j] == 0 for i in range(size) for j in range(size) if e[i] != e[j]
-        ),
-        "limit": gln_model.limit_conj(lam, x) == s,
-        "n_limit_zero": gln_model.limit_conj(lam, n) == qzeros(size, size),
-    }
+    clauses = {"sum": qsub(x, s) == n, **gln_model.jkv_certify_gln(x, s, n, lam)}
     ok = all(clauses.values())
     _emit(_payload("certify-jkv", model="gln", valid=ok, clauses=clauses))
     return EXIT_OK if ok else EXIT_FALSE
@@ -284,8 +271,6 @@ def _cmd_compose_mu(args) -> int:
 
 def _cmd_bruhat(args) -> int:
     g = load_gln_matrix(read_json(args.file))
-    from .ratlinalg import qmul
-
     p, w, u = gln_model.bruhat(g)
     assert qmul(qmul(p, w), u) == g
     _emit(
@@ -301,8 +286,6 @@ def _cmd_bruhat(args) -> int:
 
 def _cmd_jordan_chevalley(args) -> int:
     x = load_gln_matrix(read_json(args.file))
-    from .ratlinalg import qmul, qsub
-
     s, n, p = gln_model.jordan_chevalley(x)
     assert qsub(x, s) == n and qmul(s, n) == qmul(n, s)
     assert gln_model.eval_poly_matrix(p, x) == s
@@ -319,8 +302,6 @@ def _cmd_jordan_chevalley(args) -> int:
 
 def _cmd_conjugacy(args) -> int:
     x, y = load_gln_pair(read_json(args.file))
-    from .ratlinalg import qinverse, qmul
-
     g = gln_model.rational_conjugacy(x, y)
     if g is None:
         _emit(_payload("conjugacy", conjugate=False, witness=None))

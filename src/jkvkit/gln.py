@@ -488,9 +488,18 @@ def jkv_gln(x: QMat) -> GlnJkv:
         if len(rational_roots(msp)) != degree(msp):
             raise NonSplitError("unsupported: non-split semisimple part")
         lam = _eigenbasis_cocharacter(s, nmat)
+    clauses = jkv_certify_gln(x, s, nmat, lam)
+    clauses["centralizer"] = all(qmul(m, s) == qmul(s, m) for m in commutant_basis(x, x))
+    return GlnJkv(s, nmat, lam, p, clauses, all(clauses.values()))
+
+
+def jkv_certify_gln(x: QMat, s: QMat, n: QMat, lam: GLnCocharacter) -> dict[str, bool]:
+    """The limit-certificate clauses of a decomposition x = s + n along lam:
+    lam fixes s, s is its limit, n is nilpotent with limit 0."""
+    size = len(x)
     y = qmul(qmul(lam.g_inv, s), lam.g)
     e = lam.exponents
-    clauses = {
+    return {
         "commutes": all(
             y[i][j] == 0
             for i in range(size)
@@ -499,13 +508,9 @@ def jkv_gln(x: QMat) -> GlnJkv:
         ),
         "limit": limit_conj(lam, x) == s,
         "s_semisimple": is_semisimple_matrix(s),
-        "n_nilpotent": is_zero_mat(mat_power(nmat, size)),
-        "n_limit_zero": limit_conj(lam, nmat) == qzeros(size, size),
-        "centralizer": all(
-            qmul(m, s) == qmul(s, m) for m in commutant_basis(x, x)
-        ),
+        "n_nilpotent": is_zero_mat(mat_power(n, size)),
+        "n_limit_zero": limit_conj(lam, n) == qzeros(size, size),
     }
-    return GlnJkv(s, nmat, lam, p, clauses, all(clauses.values()))
 
 
 def mat_power(x: QMat, k: int) -> QMat:

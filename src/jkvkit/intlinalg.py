@@ -91,25 +91,53 @@ def is_unimodular(a: IntMat) -> bool:
 def int_inverse(a: IntMat) -> IntMat:
     """Inverse of a unimodular integer matrix, again over the integers."""
     n = len(a)
-    d = det(a)
-    if d not in (1, -1):
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant of a non-square matrix")
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    d, pivots = fraction_free_rref(m, n)
+    # d is the determinant up to sign, and m is d * [I | a^-1].
+    if len(pivots) < n or d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    # Cofactor expansion is fine at lattice ranks used here.
-    cof = [
-        [
-            (-1) ** (i + j)
-            * det(
-                tuple(
-                    tuple(a[r][c] for c in range(n) if c != j)
-                    for r in range(n)
-                    if r != i
-                )
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return tuple(tuple(d * cof[j][i] for j in range(n)) for i in range(n))
+    return tuple(tuple(x * d for x in row[n:]) for row in m)
+
+
+def fraction_free_rref(m: list[list[int]], cols: int | None = None) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Each column in turn (only the first ``cols``, default all) pivots on its
+    first nonzero entry at or below the current row, and every other row
+    becomes ``(p*row - f*pivot_row) // prev`` (Bareiss, Math. Comp. 22,
+    1968): after each step m is the pivot p times the Gauss-Jordan matrix
+    over Q, so every division is exact.  Returns (d, pivots): m ends as d
+    times the reduced row-echelon form, d being the last pivot (1 if none).
+    """
+    rows = len(m)
+    if cols is None:
+        cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return prev, pivots
 
 
 def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:

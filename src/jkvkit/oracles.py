@@ -236,7 +236,7 @@ def sample_weight_set(rng: random.Random, max_rank: int = 3, max_points: int = 6
 
 
 def _random_unimodular(rng: random.Random, n: int) -> QMat:
-    m = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(rng.randint(2 * n, 4 * n)):
         i = rng.randrange(n)
         j = rng.randrange(n)

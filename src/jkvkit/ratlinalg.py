@@ -1,22 +1,42 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are tuples of tuples of Fractions, row-major and immutable.
-Pivoting is first-nonzero so every routine is deterministic.
+Pivoting is first-nonzero so every routine is deterministic.  The kernels
+scale each row (or column) by the lcm of its denominators, multiply and
+eliminate on plain ints (fraction-free, Bareiss, Math. Comp. 22, 1968; see
+``intlinalg.fraction_free_rref``) and build one canonical Fraction per
+result entry, so they return exactly what Fraction arithmetic would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
+
+from .intlinalg import det, fraction_free_rref
 
 QMat = tuple[tuple[Fraction, ...], ...]
 QVec = tuple[Fraction, ...]
 
 
 def qmat(rows) -> QMat:
-    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    m = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
     if m and any(len(r) != len(m[0]) for r in m):
         raise ValueError("ragged matrix")
     return m
+
+
+def _scaled(v) -> tuple[list[int], int]:
+    """v times the lcm s of its denominators, as ints, and s."""
+    s = lcm(*[x.denominator for x in v])
+    return [x.numerator * (s // x.denominator) for x in v], s
+
+
+def _int_rows(a: QMat) -> tuple[list[list[int]], list[int]]:
+    """Row-scaled integer copy of a, and the row scales."""
+    pairs = [_scaled(row) for row in a]
+    return [r for r, _ in pairs], [s for _, s in pairs]
 
 
 def qidentity(n: int) -> QMat:
@@ -38,14 +58,18 @@ def qmul(a: QMat, b: QMat) -> QMat:
         return ()
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
-    bt = tuple(zip(*b))
+    ra, sa = _int_rows(a)
+    cb, sb = _int_rows(tuple(zip(*b)))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(Fraction(sum(map(mul, row, col)), s * t) for col, t in zip(cb, sb))
+        for row, s in zip(ra, sa)
     )
 
 
 def qmat_vec(a: QMat, v: QVec) -> QVec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    ra, sa = _int_rows(a)
+    iv, t = _scaled(v)
+    return tuple(Fraction(sum(map(mul, row, iv)), s * t) for row, s in zip(ra, sa))
 
 
 def is_zero_mat(a: QMat) -> bool:
@@ -56,68 +80,37 @@ def qdet(a: QMat) -> Fraction:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in a]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return det
+    m, scales = _int_rows(a)
+    return Fraction(det(m), prod(scales))
 
 
 def qinverse(a: QMat) -> QMat:
     n = len(a)
-    m = [list(ra) + list(rb) for ra, rb in zip(a, qidentity(n))]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return tuple(tuple(row[n:]) for row in m)
+    m, scales = _int_rows(a)
+    # Row i of [a | I] scaled by s_i is row i of [m | diag(scales)].
+    for i, row in enumerate(m):
+        row.extend(scales[i] if i == j else 0 for j in range(n))
+    d, pivots = fraction_free_rref(m, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
+
+
+def _reduced(a: QMat) -> tuple[list[list[int]], int, list[int]]:
+    """(m, d, pivots): m is d times the reduced row-echelon form of a."""
+    m, _ = _int_rows(a)
+    d, pivots = fraction_free_rref(m)
+    return m, d, pivots
 
 
 def rref(a: QMat) -> tuple[QMat, list[int]]:
     """Reduced row-echelon form and the pivot column list."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(r) for r in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in m), pivots
+    m, d, pivots = _reduced(a)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m), pivots
 
 
 def qrank(a: QMat) -> int:
-    return len(rref(a)[1])
+    return len(_reduced(a)[2])
 
 
 def kernel_basis(a: QMat) -> list[QVec]:
@@ -128,14 +121,14 @@ def kernel_basis(a: QMat) -> list[QVec]:
         return []
     if rows == 0:
         return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(cols)) for j in range(cols)]
-    red, pivots = rref(a)
+    m, d, pivots = _reduced(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+            v[c] = Fraction(-m[r][f], d)
         basis.append(tuple(v))
     return basis
 
@@ -144,11 +137,10 @@ def solve_right(a: QMat, b: QVec):
     """One solution x of a*x = b, or None; free coordinates set to 0."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = qmat([list(row) + [rhs] for row, rhs in zip(a, b)])
-    red, pivots = rref(aug)
+    m, d, pivots = _reduced(qmat([list(row) + [rhs] for row, rhs in zip(a, b)]))
     if cols in pivots:
         return None
     x = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
+        x[c] = Fraction(m[r][cols], d)
     return tuple(x)

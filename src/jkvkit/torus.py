@@ -149,7 +149,7 @@ class RepVector:
             key = tuple(int(x) for x in chi)
             if len(key) != self.rank:
                 raise ValueError("component weight rank mismatch")
-            vals = tuple(Fraction(c) for c in coords)
+            vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
             if any(c != 0 for c in vals):
                 comps[key] = vals
         self.components = comps

@@ -1,0 +1,229 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jkvkit.intlinalg import fraction_free_rref
+from jkvkit.ratlinalg import (
+    kernel_basis,
+    qdet,
+    qinverse,
+    qmat,
+    qmat_vec,
+    qmul,
+    qrank,
+    rref,
+    solve_right,
+)
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the Fraction-per-step routines the integer kernels
+# replaced, kept here only as an oracle.  Every result must be equal.
+
+
+def _ref_qmul(a, b):
+    if not a or not b:
+        return ()
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def _ref_qmat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _ref_qdet(a):
+    n = len(a)
+    m = [list(r) for r in a]
+    det = F(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def _ref_rref(a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(r) for r in a]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in m), pivots
+
+
+def _ref_qinverse(a):
+    n = len(a)
+    m = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        inv = 1 / m[k][k]
+        m[k] = [x * inv for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def _ref_kernel_basis(a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if cols == 0:
+        return []
+    if rows == 0:
+        return [tuple(F(int(i == j)) for i in range(cols)) for j in range(cols)]
+    red, pivots = _ref_rref(a)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_solve_right(a, b):
+    cols = len(a[0]) if a else 0
+    red, pivots = _ref_rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [F(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# Inputs: mixed denominators, negative entries, zero rows and rows that are
+# combinations of earlier ones (rank deficiency), down to empty shapes.
+
+_entries = st.one_of(
+    st.integers(-6, 6).map(F),
+    st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 7, 12])),
+)
+
+
+@st.composite
+def matrices(draw, rows=st.integers(0, 4), cols=st.integers(0, 5)):
+    r = draw(rows)
+    c = draw(cols)
+    m = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["free", "free", "free", "zero", "combo"]))
+        if kind == "zero" or (kind == "combo" and not m):
+            row = [F(0)] * c if kind == "zero" else [draw(_entries) for _ in range(c)]
+        elif kind == "combo":
+            p, q = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            x, y = draw(_entries), draw(_entries)
+            row = [x * u + y * v for u, v in zip(p, q)]
+        else:
+            row = [draw(_entries) for _ in range(c)]
+        m.append(row)
+    return qmat(m)
+
+
+def _all_fractions(value):
+    if isinstance(value, tuple):
+        return all(_all_fractions(x) for x in value)
+    return type(value) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_qmul_and_qmat_vec_match_reference(data):
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(matrices(cols=st.just(n)))
+    b = data.draw(matrices(rows=st.just(n)))
+    out = qmul(a, b)
+    assert out == _ref_qmul(a, b) and _all_fractions(out)
+    v = data.draw(st.tuples(*[_entries] * n))
+    out = qmat_vec(a, v)
+    assert out == _ref_qmat_vec(a, v) and _all_fractions(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_square_kernels_match_reference(data):
+    n = data.draw(st.integers(0, 4))
+    a = data.draw(matrices(rows=st.just(n), cols=st.just(n)))
+    d = qdet(a)
+    assert d == _ref_qdet(a) and type(d) is Fraction
+    try:
+        ref = _ref_qinverse(a)
+    except ValueError:
+        assert d == 0
+        with pytest.raises(ValueError, match="singular"):
+            qinverse(a)
+    else:
+        inv = qinverse(a)
+        assert inv == ref and _all_fractions(inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_elimination_kernels_match_reference(a, data):
+    red, pivots = rref(a)
+    ref_red, ref_pivots = _ref_rref(a)
+    assert red == ref_red and pivots == ref_pivots and _all_fractions(red)
+    assert qrank(a) == len(ref_pivots)
+    basis = kernel_basis(a)
+    assert basis == _ref_kernel_basis(a)
+    assert all(_all_fractions(v) for v in basis)
+    b = data.draw(st.tuples(*[_entries] * len(a)))
+    x = solve_right(a, b)
+    assert x == _ref_solve_right(a, b)
+    assert x is None or _all_fractions(x)
+
+
+def test_edge_shapes():
+    assert qdet(()) == 1 and type(qdet(())) is Fraction
+    assert qmul((), qmat([[1]])) == ()
+    assert qinverse(()) == ()
+    assert rref(qmat([[], []])) == (((), ()), [])
+    assert kernel_basis(qmat([[], []])) == []
+    assert qinverse(qmat([[F(-2, 3)]])) == ((F(-3, 2),),)
+    with pytest.raises(ValueError, match="singular"):
+        qinverse(qmat([[1, 2], [F(1, 2), 1]]))
+    with pytest.raises(ValueError, match="non-square"):
+        qdet(qmat([[1, 2]]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        qmul(qmat([[1, 2]]), qmat([[1, 2]]))
+
+
+def test_fraction_free_rref_scales_the_reduced_form():
+    m = [[0, 2, 4], [3, 1, 1], [3, 3, 5]]
+    d, pivots = fraction_free_rref(m)
+    assert pivots == [0, 1]
+    assert [[F(x, d) for x in row] for row in m] == [[1, 0, F(-1, 3)], [0, 1, 2], [0, 0, 0]]
