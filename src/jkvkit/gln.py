@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import polys
 from .polys import (
@@ -33,6 +34,7 @@ from .polys import (
 from .ratlinalg import (
     QMat,
     QVec,
+    conjugate_by,
     is_zero_mat,
     kernel_basis,
     qdet,
@@ -59,13 +61,16 @@ class NonSplitError(ValueError):
 class GLnCocharacter:
     g: QMat
     exponents: tuple[int, ...]
-    g_inv: QMat = field(init=False, compare=False)
 
     def __post_init__(self):
         gm = qmat(self.g)
         exps = tuple(int(e) for e in self.exponents)
+        if any(len(r) != len(gm) for r in gm):
+            raise ValueError("g must be a square matrix")
         if len(gm) != len(exps):
             raise ValueError("exponent count must match the matrix size")
+        if qdet(gm) == 0:
+            raise ValueError("matrix is singular")
         if list(exps) != sorted(exps, reverse=True):
             # canonical form: sort the exponents and absorb the reordering
             # into g by a permutation (stable, so still deterministic)
@@ -78,7 +83,10 @@ class GLnCocharacter:
             exps = tuple(exps[j] for j in order)
         object.__setattr__(self, "g", gm)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "g_inv", qinverse(gm))
+
+    @cached_property
+    def g_inv(self) -> QMat:
+        return qinverse(self.g)
 
     @property
     def n(self) -> int:
@@ -89,12 +97,22 @@ def central_cocharacter(n: int, weight: int = 0) -> GLnCocharacter:
     return GLnCocharacter(qidentity(n), (weight,) * n)
 
 
-def _graded_filter(lam: GLnCocharacter, y: QMat, keep) -> QMat:
+def _no_negative_weight(lam: GLnCocharacter, y: list[list[int]]) -> bool:
+    """y, a matrix in lam's basis, has no entry of negative weight."""
     e = lam.exponents
-    return tuple(
-        tuple(y[i][j] if keep(e[i] - e[j]) else Fraction(0) for j in range(lam.n))
+    return all(
+        y[i][j] == 0 for i in range(lam.n) for j in range(lam.n) if e[i] < e[j]
+    )
+
+
+def _weight_zero_part(lam: GLnCocharacter, y: list[list[int]], d: int) -> QMat:
+    """The weight-zero part of y/d, a matrix in lam's basis, conjugated back."""
+    e = lam.exponents
+    z = tuple(
+        tuple(Fraction(y[i][j], d) if e[i] == e[j] else Fraction(0) for j in range(lam.n))
         for i in range(lam.n)
     )
+    return qmul(qmul(lam.g, z), lam.g_inv)
 
 
 def limit_conj(lam: GLnCocharacter, x: QMat) -> QMat | None:
@@ -107,29 +125,24 @@ def limit_conj(lam: GLnCocharacter, x: QMat) -> QMat | None:
     x = qmat(x)
     if len(x) != lam.n:
         raise ValueError("shape mismatch")
-    y = qmul(qmul(lam.g_inv, x), lam.g)
-    e = lam.exponents
-    for i in range(lam.n):
-        for j in range(lam.n):
-            if e[i] < e[j] and y[i][j] != 0:
-                return None
-    z = _graded_filter(lam, y, lambda w: w == 0)
-    return qmul(qmul(lam.g, z), lam.g_inv)
+    y, d = conjugate_by(lam.g, x)
+    if not _no_negative_weight(lam, y):
+        return None
+    return _weight_zero_part(lam, y, d)
+
+
+def _parabolic_coords(lam: GLnCocharacter, h: QMat) -> tuple[list[list[int]], int] | None:
+    """h in lam's basis as conjugate_by's (y, d), or None outside P(lam)."""
+    h = qmat(h)
+    if qdet(h) == 0:
+        raise ValueError("parabolic membership is only defined for invertible elements")
+    y, d = conjugate_by(lam.g, h)
+    return (y, d) if _no_negative_weight(lam, y) else None
 
 
 def in_parabolic(lam: GLnCocharacter, h: QMat) -> bool:
     """Membership in P(lam): block upper triangular in the exponent grading."""
-    h = qmat(h)
-    if qdet(h) == 0:
-        raise ValueError("parabolic membership is only defined for invertible elements")
-    y = qmul(qmul(lam.g_inv, h), lam.g)
-    e = lam.exponents
-    return all(
-        y[i][j] == 0
-        for i in range(lam.n)
-        for j in range(lam.n)
-        if e[i] < e[j]
-    )
+    return _parabolic_coords(lam, h) is not None
 
 
 def levi_part(lam: GLnCocharacter, p: QMat) -> QMat:
@@ -138,11 +151,10 @@ def levi_part(lam: GLnCocharacter, p: QMat) -> QMat:
     It lands in the centralizer of lam's image; its kernel is exactly the
     unipotent radical of P(lam).
     """
-    if not in_parabolic(lam, p):
+    coords = _parabolic_coords(lam, p)
+    if coords is None:
         raise ValueError("element is outside the parabolic of this cocharacter")
-    y = qmul(qmul(lam.g_inv, qmat(p)), lam.g)
-    z = _graded_filter(lam, y, lambda w: w == 0)
-    return qmul(qmul(lam.g, z), lam.g_inv)
+    return _weight_zero_part(lam, *coords)
 
 
 def in_unipotent_radical(lam: GLnCocharacter, p: QMat) -> bool:
@@ -383,14 +395,14 @@ def _combination_iter(k: int, grid_top: int):
 def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
     """Invertible g with g X g^-1 = Y over Q, or None.
 
-    Decision: identical invariant factor lists.  Witness: an invertible
-    element of the intertwiner space, found deterministically and
-    re-verified by multiplication.
+    Decision: equal matrices, or identical invariant factor lists.
+    Witness: an invertible element of the intertwiner space, found
+    deterministically and re-verified by multiplication.
     """
     x, y = qmat(x), qmat(y)
     if len(x) != len(y):
         raise ValueError("matrices must have equal size")
-    if invariant_factors(x) != invariant_factors(y):
+    if x != y and invariant_factors(x) != invariant_factors(y):
         return None
     basis = commutant_basis(x, y)
     assert basis, "conjugate matrices have nonzero intertwiners"
@@ -418,16 +430,16 @@ class GlnJkv:
     ok: bool
 
 
-def _eigenbasis_cocharacter(s: QMat, nmat: QMat) -> GLnCocharacter:
+def _eigenbasis_cocharacter(s: QMat, nmat: QMat, roots: list[Fraction]) -> GLnCocharacter:
     """Cocharacter commuting with s whose limit kills nmat.
 
     Columns are eigenvectors of s grouped by eigenvalue (ascending) and
     layered along the kernel flag of nmat inside each eigenspace, so nmat
     becomes strictly upper triangular; strictly decreasing exponents then
-    give every nmat entry positive weight.
+    give every nmat entry positive weight.  roots are the eigenvalues of s
+    in ascending order (``rational_roots`` of its minimal polynomial).
     """
     size = len(s)
-    roots = rational_roots(minpoly(s))
     eigdim = 0
     columns: list[QVec] = []
     for mu in roots:
@@ -485,9 +497,10 @@ def jkv_gln(x: QMat) -> GlnJkv:
         lam = central_cocharacter(size)
     else:
         msp = minpoly(s)
-        if len(rational_roots(msp)) != degree(msp):
+        roots = rational_roots(msp)
+        if len(roots) != degree(msp):
             raise NonSplitError("unsupported: non-split semisimple part")
-        lam = _eigenbasis_cocharacter(s, nmat)
+        lam = _eigenbasis_cocharacter(s, nmat, roots)
     clauses = jkv_certify_gln(x, s, nmat, lam)
     clauses["centralizer"] = all(qmul(m, s) == qmul(s, m) for m in commutant_basis(x, x))
     return GlnJkv(s, nmat, lam, p, clauses, all(clauses.values()))
@@ -497,7 +510,7 @@ def jkv_certify_gln(x: QMat, s: QMat, n: QMat, lam: GLnCocharacter) -> dict[str,
     """The limit-certificate clauses of a decomposition x = s + n along lam:
     lam fixes s, s is its limit, n is nilpotent with limit 0."""
     size = len(x)
-    y = qmul(qmul(lam.g_inv, s), lam.g)
+    y, _ = conjugate_by(lam.g, s)
     e = lam.exponents
     return {
         "commutes": all(

@@ -15,7 +15,7 @@ Poly = tuple[Fraction, ...]
 
 
 def poly(coeffs) -> Poly:
-    c = [Fraction(x) for x in coeffs]
+    c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)

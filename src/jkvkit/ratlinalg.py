@@ -86,6 +86,8 @@ def qdet(a: QMat) -> Fraction:
 
 def qinverse(a: QMat) -> QMat:
     n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("inverse of a non-square matrix")
     m, scales = _int_rows(a)
     # Row i of [a | I] scaled by s_i is row i of [m | diag(scales)].
     for i, row in enumerate(m):
@@ -94,6 +96,31 @@ def qinverse(a: QMat) -> QMat:
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
+
+
+def conjugate_by(g: QMat, x: QMat) -> tuple[list[list[int]], int]:
+    """g^-1 x g as (m, d): integer numerators m over one denominator d != 0.
+
+    One fraction-free solve of g y = x g.  With G = c*g integral (c the lcm
+    of g's denominators) and row i of x scaled to the integer row X_i by s_i,
+    row i of that system is row i of [s_i G | X G]; its reduced form is d
+    times [I | y].  Raises ValueError when g is singular.
+    """
+    n = len(g)
+    if any(len(r) != n for r in g) or len(x) != n or any(len(r) != n for r in x):
+        raise ValueError("shape mismatch in matrix product")
+    c = lcm(*[v.denominator for row in g for v in row])
+    gi = [[v.numerator * (c // v.denominator) for v in row] for row in g]
+    gcols = tuple(zip(*gi))
+    xr, xs = _int_rows(x)
+    m = [
+        [s * v for v in grow] + [sum(map(mul, xrow, col)) for col in gcols]
+        for grow, xrow, s in zip(gi, xr, xs)
+    ]
+    d, pivots = fraction_free_rref(m, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m], d
 
 
 def _reduced(a: QMat) -> tuple[list[list[int]], int, list[int]]:

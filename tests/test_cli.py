@@ -56,6 +56,16 @@ def test_limit_gln(capsys, tmp_path, matrix_file):
     assert data["limit"] == [["2", "0"], ["0", "2"]]
 
 
+def test_limit_gln_rejects_a_bad_cocharacter_on_load(capsys, tmp_path, matrix_file):
+    for g, exps, message in (
+        ([["1", "0", "0"], ["0", "1", "0"]], [1, 0], "error: g must be a square matrix\n"),
+        ([["1", "2"], ["2", "4"]], [1, 0], "error: matrix is singular\n"),
+    ):
+        coch = write(tmp_path, "l.json", {"g": g, "exponents": exps})
+        argv = ["limit", "gln", "--file", matrix_file, "--cochar-file", coch]
+        assert run(capsys, argv) == (2, "", message)
+
+
 def test_semisimple_exit_codes(capsys, torus_file, matrix_file, tmp_path):
     code, out, _ = run(capsys, ["semisimple", "torus", "--file", torus_file])
     assert code == 1 and not json.loads(out)["semisimple"]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from jkvkit.gln import (
     rational_conjugacy,
     theorem_check_gln,
 )
+from jkvkit import oracles
 from jkvkit.polys import poly
 from jkvkit.ratlinalg import is_zero_mat, qdet, qidentity, qinverse, qmat, qmul
 
@@ -38,8 +40,28 @@ def test_cocharacter_validation():
     lam = GLnCocharacter(qidentity(2), (0, 1))
     assert lam.exponents == (1, 0)
     assert lam.g == m([[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        GLnCocharacter(m([[1, 0], [2, 0]]), (1, 0))  # singular
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        GLnCocharacter(m([[1, 0], [2, 0]]), (1, 0))
+    with pytest.raises(ValueError, match="square"):
+        GLnCocharacter(m([[1, 0, 0], [0, 1, 0]]), (1, 0))
+    with pytest.raises(ValueError, match="square"):
+        GLnCocharacter(m([[1, 0], [0, 1], [0, 0]]), (1, 0, 0))
+
+
+def test_cocharacter_inverse_is_lazy_and_outside_equality():
+    g = m([[F(1, 2), 3], [-1, F(2, 3)]])
+    a = GLnCocharacter(g, (0, 2))
+    b = GLnCocharacter(g, (0, 2))
+    h = hash(a)
+    assert "g_inv" not in vars(b)
+    assert b.g_inv == qinverse(b.g)
+    assert "g_inv" in vars(b) and "g_inv" not in vars(a)
+    assert a == b and hash(a) == hash(b) == h
+    assert len({a, b}) == 1
+    rng = random.Random(7)
+    for _ in range(20):
+        lam = oracles.sample_gln_cocharacter(rng, rng.randint(1, 4))
+        assert lam.g_inv == qinverse(lam.g)
 
 
 def test_limit_conj_examples():
@@ -76,6 +98,68 @@ def test_levi_part_is_homomorphism():
     p1 = qmul(qmul(lam.g, m([[2, 5], [0, 1]])), lam.g_inv)
     p2 = qmul(qmul(lam.g, m([[1, -3], [0, 4]])), lam.g_inv)
     assert levi_part(lam, qmul(p1, p2)) == qmul(levi_part(lam, p1), levi_part(lam, p2))
+
+
+# The formulas limit_conj, in_parabolic and levi_part used before they moved
+# onto ratlinalg.conjugate_by, kept here only as an oracle.
+
+
+def _old_in_basis(lam, x):
+    return qmul(qmul(qinverse(lam.g), x), lam.g)
+
+
+def _old_no_negative_weight(lam, y):
+    e = lam.exponents
+    return all(y[i][j] == 0 for i in range(lam.n) for j in range(lam.n) if e[i] < e[j])
+
+
+def _old_weight_zero_part(lam, y):
+    e = lam.exponents
+    z = tuple(
+        tuple(y[i][j] if e[i] == e[j] else F(0) for j in range(lam.n)) for i in range(lam.n)
+    )
+    return qmul(qmul(lam.g, z), qinverse(lam.g))
+
+
+def _old_limit_conj(lam, x):
+    y = _old_in_basis(lam, x)
+    return _old_weight_zero_part(lam, y) if _old_no_negative_weight(lam, y) else None
+
+
+def _random_rational_matrix(rng, n):
+    return m([[F(rng.randint(-6, 6), rng.choice([1, 2, 3, 7])) for _ in range(n)] for _ in range(n)])
+
+
+def _invertible(rng, n):
+    while True:
+        g = _random_rational_matrix(rng, n)
+        if qdet(g) != 0:
+            return g
+
+
+def test_graded_maps_match_the_inverse_product_formulas():
+    rng = random.Random(2012)
+    seen = {"limit": 0, "no limit": 0, "in P": 0, "outside P": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        lam = oracles.sample_gln_cocharacter(rng, n)
+        if rng.random() < 0.5:
+            lam = GLnCocharacter(_invertible(rng, n), lam.exponents)
+        for x in (_random_rational_matrix(rng, n), oracles.sample_matrix_with_limit(rng, lam)):
+            ref = _old_limit_conj(lam, x)
+            assert limit_conj(lam, x) == ref
+            seen["no limit" if ref is None else "limit"] += 1
+        for h in (oracles.sample_invertible_matrix(rng, n), oracles.sample_parabolic_element(rng, lam)):
+            y = _old_in_basis(lam, h)
+            inside = _old_no_negative_weight(lam, y)
+            assert in_parabolic(lam, h) == inside
+            if inside:
+                assert levi_part(lam, h) == _old_weight_zero_part(lam, y)
+            else:
+                with pytest.raises(ValueError, match="outside the parabolic"):
+                    levi_part(lam, h)
+            seen["in P" if inside else "outside P"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_bruhat_examples():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from jkvkit.intlinalg import fraction_free_rref
 from jkvkit.ratlinalg import (
+    conjugate_by,
     kernel_basis,
     qdet,
     qinverse,
@@ -192,6 +193,37 @@ def test_square_kernels_match_reference(data):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_conjugate_by_matches_the_inverse_product(data):
+    n = data.draw(st.integers(1, 4))
+    g = data.draw(matrices(rows=st.just(n), cols=st.just(n)))
+    x = data.draw(matrices(rows=st.just(n), cols=st.just(n)))
+    try:
+        ref = _ref_qmul(_ref_qmul(_ref_qinverse(g), x), g)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            conjugate_by(g, x)
+    else:
+        m, d = conjugate_by(g, x)
+        assert d != 0 and all(type(v) is int for row in m for v in row)
+        assert tuple(tuple(F(v, d) for v in row) for row in m) == ref
+
+
+def test_conjugate_by_examples():
+    g = qmat([[1, F(1, 2)], [0, F(-2, 3)]])
+    x = qmat([[F(3, 4), -2], [F(1, 5), 0]])
+    m, d = conjugate_by(g, x)
+    assert tuple(tuple(F(v, d) for v in row) for row in m) == qmul(qmul(qinverse(g), x), g)
+    assert conjugate_by((), ()) == ([], 1)
+    with pytest.raises(ValueError, match="singular"):
+        conjugate_by(qmat([[1, 2], [F(1, 2), 1]]), x)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        conjugate_by(g, qmat([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        conjugate_by(qmat([[1, 2, 3], [4, 5, 6]]), x)
+
+
+@settings(max_examples=300, deadline=None)
 @given(matrices(), st.data())
 def test_elimination_kernels_match_reference(a, data):
     red, pivots = rref(a)
@@ -218,6 +250,10 @@ def test_edge_shapes():
         qinverse(qmat([[1, 2], [F(1, 2), 1]]))
     with pytest.raises(ValueError, match="non-square"):
         qdet(qmat([[1, 2]]))
+    with pytest.raises(ValueError, match="non-square"):
+        qinverse(qmat([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ValueError, match="non-square"):
+        qinverse(qmat([[1, 2], [3, 4], [5, 6]]))
     with pytest.raises(ValueError, match="shape mismatch"):
         qmul(qmat([[1, 2]]), qmat([[1, 2]]))
 
