@@ -19,7 +19,7 @@ from .gln import NonSplitError
 from .oracles import FuzzConfig
 from .polytope import WeightSet
 from .rationals import UnfactoredError, format_rational
-from .ratlinalg import qinverse, qmul, qsub
+from .ratlinalg import qmul, qsub
 from .serialize import (
     FORMAT_VERSION,
     ProblemFormatError,
@@ -104,36 +104,26 @@ def _cmd_limit(args) -> int:
 
 def _cmd_semisimple(args) -> int:
     if args.model == "torus":
-        rep, v = load_torus_problem(read_json(args.file))
+        _, v = load_torus_problem(read_json(args.file))
         res = torus_model.is_semisimple(v)
         if res.semisimple:
-            bary = res.barycentric
-            if bary:
-                assert sum(bary.values()) == 1
-                assert all(
-                    sum(c * chi[k] for chi, c in bary.items()) == 0
-                    for k in range(rep.rank)
-                )
             _emit(
                 _payload(
                     "semisimple",
                     model="torus",
                     semisimple=True,
-                    barycentric=barycentric_to_json(bary),
+                    barycentric=barycentric_to_json(res.barycentric),
                     cocharacter=None,
                 )
             )
             return EXIT_OK
-        lam = res.cocharacter
-        lim = torus_model.limit(lam, v)
-        assert lim is not None and lim != v
         _emit(
             _payload(
                 "semisimple",
                 model="torus",
                 semisimple=False,
                 barycentric=None,
-                cocharacter=list(lam),
+                cocharacter=list(res.cocharacter),
             )
         )
         return EXIT_FALSE
@@ -170,7 +160,6 @@ def _cmd_jkv(args) -> int:
     if args.model == "torus":
         rep, v = load_torus_problem(read_json(args.file))
         dec = torus_model.jkv_decompose(rep, v)
-        assert dec.report.ok
         _emit(
             _payload(
                 "jkv",
@@ -246,7 +235,6 @@ def _cmd_orbit_eq(args) -> int:
     if g is None:
         _emit(_payload("orbit-eq", same_orbit=False, witness=None))
         return EXIT_FALSE
-    assert torus_model.act(rep, g, v) == v2
     _emit(
         _payload(
             "orbit-eq",
@@ -272,7 +260,6 @@ def _cmd_compose_mu(args) -> int:
 def _cmd_bruhat(args) -> int:
     g = load_gln_matrix(read_json(args.file))
     p, w, u = gln_model.bruhat(g)
-    assert qmul(qmul(p, w), u) == g
     _emit(
         _payload(
             "bruhat",
@@ -306,7 +293,6 @@ def _cmd_conjugacy(args) -> int:
     if g is None:
         _emit(_payload("conjugacy", conjugate=False, witness=None))
         return EXIT_FALSE
-    assert qmul(qmul(g, x), qinverse(g)) == y
     _emit(_payload("conjugacy", conjugate=True, witness=matrix_to_json(g)))
     return EXIT_OK
 

@@ -207,17 +207,3 @@ def solve_lp(num_vars, constraints, objective, maximize=True, nonneg=None):
         x.append(Fraction(v, d))
     return LpResult(OPTIMAL, Fraction(sense * zrow[-1], d * obj_scale), tuple(x))
 
-
-def lp_solve(a_rows, b, objective):
-    """Maximize objective*x subject to A*x >= b over free rational variables.
-
-    Returns (optimum, witness) for solvable programs and the string verdicts
-    "infeasible" / "unbounded" otherwise.
-    """
-    a_rows = [list(r) for r in a_rows]
-    nvars = len(objective)
-    cons = [(row, ">=", rhs) for row, rhs in zip(a_rows, b)]
-    res = solve_lp(nvars, cons, list(objective), maximize=True)
-    if res.status != OPTIMAL:
-        return res.status
-    return res.value, res.x

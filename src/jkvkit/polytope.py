@@ -162,39 +162,32 @@ def origin_in_relint(ws: WeightSet) -> RelintResult:
 
 @lru_cache(maxsize=200_000)
 def _minimal_face_cached(rank: int, points: tuple[IntVec, ...]):
-    if not points:
-        return FaceCertificate(face=(), supporter=(0,) * rank, barycentric={})
-    status, eps, _ = _barycentric_lp(points)
-    if status == INFEASIBLE:
+    inside, bary, sep = _relint_cached(rank, points)
+    if inside:
+        return FaceCertificate(face=points, supporter=(0,) * rank, barycentric=bary)
+    kernel = tuple(p for p in points if pairing(sep, p) == 0)
+    if not kernel:
         return None
-    face = list(points)
-    while True:
-        lam = find_functional((), face, uniform=False)
-        if lam is None:
-            break
-        face = [p for p in face if pairing(lam, p) == 0]
-        assert face, "the origin stays in the hull of the kernel points"
-    outside = [p for p in points if p not in set(face)]
-    if outside:
-        supporter = find_functional(face, outside, uniform=True)
-        assert supporter is not None, "polytope faces are exposed"
-    else:
-        supporter = (0,) * rank
-    status, eps, coeffs = _barycentric_lp(face)
-    assert status == OPTIMAL and eps > 0
-    bary = dict(zip(tuple(face), coeffs))
-    _check_barycentric(face, bary)
+    inner = _minimal_face_cached(rank, kernel)
+    assert inner is not None and inner.face, "the origin stays in the hull of the kernel points"
+    face = inner.face
+    outside = [p for p in points if p not in face]
+    supporter = find_functional(face, outside, uniform=True)
+    assert supporter is not None, "polytope faces are exposed"
     assert all(pairing(supporter, p) == 0 for p in face)
     assert all(pairing(supporter, p) >= 1 for p in outside)
-    return FaceCertificate(face=tuple(sorted(face)), supporter=supporter, barycentric=bary)
+    return FaceCertificate(face=face, supporter=supporter, barycentric=inner.barycentric)
 
 
 def minimal_face_origin(ws: WeightSet) -> FaceCertificate | None:
     """The unique face of conv(points) whose relative interior contains 0.
 
-    None when 0 is outside the hull (the caller should then ask for a
-    destabilizer).  The supporter vanishes exactly on the face within the
-    set and is >= 1 on the rest.
+    Derived from the relint result: the whole set when 0 is in its relative
+    interior, None when the relint separator is nonzero on every point (0 is
+    outside the hull; the caller should then ask for a destabilizer), and
+    otherwise the minimal face of the separator's kernel points.  The
+    supporter vanishes exactly on the face within the set and is >= 1 on the
+    rest.
     """
     cert = _minimal_face_cached(ws.rank, ws.sorted_points())
     if cert is None:
@@ -205,12 +198,13 @@ def minimal_face_origin(ws: WeightSet) -> FaceCertificate | None:
 def destabilizer(ws: WeightSet) -> IntVec | None:
     """Primitive integer cocharacter pairing >= 1 with every point, if any.
 
-    The empty set is destabilized by the zero cocharacter.
+    Read from the relint result: its separator when that is >= 1 on every
+    point (0 outside the hull), else None.  The empty set is destabilized by
+    the zero cocharacter.
     """
     if not ws.points:
         return (0,) * ws.rank
-    lam = find_functional((), ws.sorted_points(), uniform=True)
-    if lam is None:
+    _, _, sep = _relint_cached(ws.rank, ws.sorted_points())
+    if sep is None or any(pairing(sep, p) < 1 for p in ws.points):
         return None
-    assert all(pairing(lam, p) >= 1 for p in ws.points)
-    return lam
+    return sep

@@ -413,14 +413,15 @@ def _suite_commuting(cfg: FuzzConfig, report: VerificationReport):
     for idx in range(cfg.count):
         rep, gamma = oracles.sample_torus_instance(rng, cfg)
         clause = None
+        survey = limit_survey(rep, gamma, cfg.box)
         try:
-            _, wits = lambda_min(rep, gamma, cfg.box)
+            _, wits = torus._lambda_min_of_survey(rep, survey)
         except torus.BoxTooSmallError:
             report.instances += 1
             continue
         lam0 = wits[0]
         v0 = limit(lam0, gamma)
-        for e in limit_survey(rep, gamma, cfg.box).semisimple_entries():
+        for e in survey.semisimple_entries():
             g = same_orbit(rep, e.value, v0)
             if g is None or act(rep, g, e.value) != v0:
                 clause = f"limit at {e.cocharacter} not in the orbit of the minimizer"

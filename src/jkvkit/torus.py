@@ -317,10 +317,6 @@ def fixed_dim(rep: TorusRep, lam: IntVec) -> int:
     return graded_dim(rep, lam, 0)
 
 
-def nonneg_dim(rep: TorusRep, lam: IntVec) -> int:
-    return sum(d for chi, d in rep.weight_spaces if pairing(lam, chi) >= 0)
-
-
 @dataclass
 class SemisimpleCertificate:
     semisimple: bool
@@ -561,27 +557,17 @@ def lambda_min(rep: TorusRep, gamma: RepVector, box: int = 3):
 
     Raises BoxTooSmallError when no box cocharacter qualifies.
     """
-    if box < 1:
-        raise ValueError("box bound must be >= 1")
-    validate_vector(rep, gamma)
-    best: int | None = None
-    minimizers: list[IntVec] = []
-    for lam in _box_iter(rep.rank, box):
-        val = limit(lam, gamma)
-        if val is None:
-            continue
-        if not origin_in_relint(support(val)).inside:
-            continue
-        d = fixed_dim(rep, lam)
-        if best is None or d < best:
-            best = d
-            minimizers = [lam]
-        elif d == best:
-            minimizers.append(lam)
-    if best is None:
-        raise BoxTooSmallError(f"no semisimple limit inside the box [-{box},{box}]^{rep.rank}")
-    witnesses = sorted({primitive(l) for l in minimizers})
-    return best, witnesses
+    return _lambda_min_of_survey(rep, limit_survey(rep, gamma, box))
+
+
+def _lambda_min_of_survey(rep: TorusRep, survey: LimitSurvey):
+    dims = [(fixed_dim(rep, e.cocharacter), e.cocharacter) for e in survey.semisimple_entries()]
+    if not dims:
+        raise BoxTooSmallError(
+            f"no semisimple limit inside the box [-{survey.box},{survey.box}]^{survey.rank}"
+        )
+    best = min(d for d, _ in dims)
+    return best, sorted({primitive(lam) for d, lam in dims if d == best})
 
 
 def compose_cocharacters(rep: TorusRep, lam0: IntVec, lam: IntVec):

@@ -5,19 +5,19 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from jkvkit import lp
-from jkvkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, lp_solve, solve_lp
+from jkvkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_lp
 
 F = Fraction
 
 
-def test_lp_solve_examples():
+def test_solve_lp_status_examples():
     # maximize x s.t. x <= 3, x >= 0
-    value, x = lp_solve([[-1], [1]], [-3, 0], [1])
-    assert value == 3 and x == (3,)
+    res = solve_lp(1, [([-1], ">=", -3), ([1], ">=", 0)], [1])
+    assert res == LpResult(OPTIMAL, Fraction(3), (Fraction(3),))
     # maximize x s.t. x >= 1, x <= 0
-    assert lp_solve([[1], [-1]], [1, 0], [1]) == INFEASIBLE
+    assert solve_lp(1, [([1], ">=", 1), ([-1], ">=", 0)], [1]).status == INFEASIBLE
     # unbounded
-    assert lp_solve([[1]], [0], [1]) == UNBOUNDED
+    assert solve_lp(1, [([1], ">=", 0)], [1]).status == UNBOUNDED
 
 
 def test_epsilon_max_lp_example():

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jkvkit.intlinalg import pairing
+from jkvkit.lp import OPTIMAL
 from jkvkit.polytope import (
     WeightSet,
+    _barycentric_lp,
     clear_to_primitive,
     destabilizer,
+    find_functional,
     minimal_face_origin,
     origin_in_relint,
 )
@@ -104,10 +107,6 @@ def _oracle_relint(points):
     return found and union == set(range(len(points)))
 
 
-def _oracle_in_hull(points):
-    return _positive_circuit_union(points)[0]
-
-
 @settings(max_examples=250, deadline=None)
 @given(st.data())
 def test_relint_against_circuit_oracle(data):
@@ -119,13 +118,17 @@ def test_relint_against_circuit_oracle(data):
     pts = sorted(pts)
     res = origin_in_relint(WeightSet(rank, tuple(pts)))
     assert res.inside == _oracle_relint(pts)
+    found, union = _positive_circuit_union(pts)
     face = minimal_face_origin(WeightSet(rank, tuple(pts)))
-    assert (face is not None) == _oracle_in_hull(pts)
+    assert (face is not None) == found
     # trichotomy: relint true <=> the minimal face is the whole set
     if face is not None:
+        assert set(face.face) == {pts[i] for i in union}
         assert res.inside == (set(face.face) == set(pts))
     dest = destabilizer(WeightSet(rank, tuple(pts)))
-    assert (dest is None) == _oracle_in_hull(pts)
+    assert (dest is None) == found
+    if dest is not None:
+        assert all(pairing(dest, p) >= 1 for p in pts)
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,3 +156,34 @@ def test_face_is_order_independent():
     a = minimal_face_origin(WeightSet(2, tuple(pts)))
     b = minimal_face_origin(WeightSet(2, tuple(reversed(pts))))
     assert a.face == b.face and a.supporter == b.supporter
+
+
+def _peeled_minimal_face(rank, points):
+    """Reference minimal face: drop the points a nonnegative functional is
+    positive on until none exists, then support and solve on what is left."""
+    if not points:
+        return (), (0,) * rank, {}
+    if _barycentric_lp(points)[0] != OPTIMAL:
+        return None
+    face = list(points)
+    while (lam := find_functional((), face)) is not None:
+        face = [p for p in face if pairing(lam, p) == 0]
+    outside = [p for p in points if p not in face]
+    supporter = find_functional(face, outside, uniform=True) if outside else (0,) * rank
+    _, _, coeffs = _barycentric_lp(face)
+    return tuple(face), supporter, dict(zip(face, coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minimal_face_and_destabilizer_match_reference(data):
+    rank = data.draw(st.integers(1, 4))
+    npts = data.draw(st.integers(0, 6))
+    pts = tuple(
+        sorted({tuple(data.draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(npts)})
+    )
+    cert = minimal_face_origin(WeightSet(rank, pts))
+    got = None if cert is None else (cert.face, cert.supporter, cert.barycentric)
+    assert got == _peeled_minimal_face(rank, pts)
+    ref_dest = find_functional((), pts, uniform=True) if pts else (0,) * rank
+    assert destabilizer(WeightSet(rank, pts)) == ref_dest

@@ -26,7 +26,6 @@ from jkvkit.torus import (
     lambda_min,
     limit,
     limit_survey,
-    nonneg_dim,
     same_orbit,
     solve_multiplicative,
     support,
@@ -117,7 +116,6 @@ def test_graded_dims():
     assert graded_dim(rep, (0,), 1) == 0
     assert graded_dim(rep, (1,), 0) == 1
     assert fixed_dim(rep, (1,)) == 1
-    assert nonneg_dim(rep, (1,)) == 2
 
 
 def test_is_semisimple_examples():
