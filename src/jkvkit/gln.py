@@ -5,6 +5,11 @@ exponents; limits, parabolic membership, Levi projections, Bruhat
 factorization, exact Jordan-Chevalley decomposition, and rational
 conjugacy certificates are all computed without ever leaving the
 rationals.
+
+Rational conjugacy is decided by the Byrnes-Gauger criterion (Linear and
+Multilinear Algebra 5, 1977): X ~ Y over Q iff dim C(X,X) = dim C(Y,Y) =
+dim C(X,Y), with C(X,Y) = { M : M X = Y M }, each dimension read from one
+fraction-free reduction of integer rows.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import polys
+from .intlinalg import fraction_free_rref, int_kernel
 from .polys import (
     Poly,
     degree,
@@ -345,8 +352,10 @@ def _poly_snf_diagonal(m: list[list[Poly]]) -> list[Poly]:
 def invariant_factors(x: QMat) -> tuple[Poly, ...]:
     """Nonunit invariant factors of tI - X, in divisibility order.
 
-    Two rational matrices are conjugate over Q exactly when these lists
-    coincide (they classify the Frobenius normal form).
+    The reference classification: two rational matrices are conjugate over
+    Q exactly when these lists coincide (they classify the Frobenius normal
+    form).  rational_conjugacy decides by commutant dimensions instead; the
+    tests compare the two.
     """
     x = qmat(x)
     n = len(x)
@@ -361,20 +370,47 @@ def invariant_factors(x: QMat) -> tuple[Poly, ...]:
     return tuple(f for f in diag if degree(f) >= 1)
 
 
-def commutant_basis(x: QMat, y: QMat) -> list[QMat]:
-    """Basis of the intertwiner space { M : M X = Y M }."""
+def _square_pair(x: QMat, y: QMat) -> tuple[QMat, QMat]:
     x, y = qmat(x), qmat(y)
     n = len(x)
+    if any(len(r) != n for r in x) or len(y) != n or any(len(r) != n for r in y):
+        raise ValueError("matrices must be square and of equal size")
+    return x, y
+
+
+def _commutant_rows(x: QMat, y: QMat) -> list[list[int]]:
+    """The n^2 x n^2 system M X - Y M = 0 in the row-major entries of M, as
+    integer rows: X and Y scaled by one common lcm of their denominators."""
+    n = len(x)
+    c = lcm(*[v.denominator for m in (x, y) for row in m for v in row])
+    xi, yi = ([[v.numerator * (c // v.denominator) for v in row] for row in m] for m in (x, y))
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [Fraction(0)] * (n * n)
+            row = [0] * (n * n)
             for k in range(n):
-                row[i * n + k] += x[k][j]
-                row[k * n + j] -= y[i][k]
+                row[i * n + k] += xi[k][j]
+                row[k * n + j] -= yi[i][k]
             rows.append(row)
-    kern = kernel_basis(qmat(rows))
-    return [tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)) for v in kern]
+    return rows
+
+
+def _commutant_dim(x: QMat) -> int:
+    """dim C(X, X), the nullity of the integer commutant system."""
+    m = _commutant_rows(x, x)
+    return len(m) - len(fraction_free_rref(m)[1])
+
+
+def _over(v: list[int], d: int, n: int) -> QMat:
+    """The n x n matrix with row-major entries v / d."""
+    return tuple(tuple(Fraction(a, d) for a in v[i * n : (i + 1) * n]) for i in range(n))
+
+
+def commutant_basis(x: QMat, y: QMat) -> list[QMat]:
+    """Basis of the intertwiner space { M : M X = Y M }."""
+    x, y = _square_pair(x, y)
+    kern, d = int_kernel(_commutant_rows(x, y), len(x) ** 2)
+    return [_over(v, d, len(x)) for v in kern]
 
 
 def _combination_iter(k: int, grid_top: int):
@@ -395,25 +431,25 @@ def _combination_iter(k: int, grid_top: int):
 def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
     """Invertible g with g X g^-1 = Y over Q, or None.
 
-    Decision: equal matrices, or identical invariant factor lists.
-    Witness: an invertible element of the intertwiner space, found
+    Decision (Byrnes-Gauger, Linear and Multilinear Algebra 5, 1977): X and
+    Y are conjugate exactly when dim C(X,X) = dim C(Y,Y) = dim C(X,Y), where
+    C(X,Y) = { M : M X = Y M }; each dimension is the nullity of one
+    fraction-free integer reduction.  Witness: an invertible element of
+    C(X,Y), an integer combination of its kernel basis found
     deterministically and re-verified by multiplication.
     """
-    x, y = qmat(x), qmat(y)
-    if len(x) != len(y):
-        raise ValueError("matrices must have equal size")
-    if x != y and invariant_factors(x) != invariant_factors(y):
+    x, y = _square_pair(x, y)
+    kern, d = int_kernel(_commutant_rows(x, y), len(x) ** 2)
+    if x != y and not len(kern) == _commutant_dim(x) == _commutant_dim(y):
         return None
-    basis = commutant_basis(x, y)
-    assert basis, "conjugate matrices have nonzero intertwiners"
+    assert kern, "conjugate matrices have nonzero intertwiners"
     n = len(x)
-    for coeffs in _combination_iter(len(basis), n):
-        g = qzeros(n, n)
-        for c, b in zip(coeffs, basis):
+    for coeffs in _combination_iter(len(kern), n):
+        flat = [0] * (n * n)
+        for c, v in zip(coeffs, kern):
             if c:
-                g = tuple(
-                    tuple(g[i][j] + c * b[i][j] for j in range(n)) for i in range(n)
-                )
+                flat = [a + c * b for a, b in zip(flat, v)]
+        g = _over(flat, d, n)
         if qdet(g) != 0:
             assert qmul(g, x) == qmul(y, g)
             return g

@@ -276,3 +276,22 @@ def solve_gf2(a: list[list[int]], b: list[int]):
     for i, c in enumerate(piv_cols):
         x[c] = m[i][cols]
     return x
+
+
+def int_kernel(m: list[list[int]], cols: int) -> tuple[list[list[int]], int]:
+    """Basis of the right null space of the integer rows m (reduced in place
+    by ``fraction_free_rref``) as (vectors, d): one vector per free column f,
+    in column order, equal to d times the rational kernel vector that is 1
+    at f and 0 at the other free columns."""
+    d, pivots = fraction_free_rref(m, cols)
+    pivot_set = set(pivots)
+    kern = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [0] * cols
+        v[f] = d
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f]
+        kern.append(v)
+    return kern, d

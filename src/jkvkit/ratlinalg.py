@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 
-from .intlinalg import det, fraction_free_rref
+from .intlinalg import det, fraction_free_rref, int_kernel
 
 QMat = tuple[tuple[Fraction, ...], ...]
 QVec = tuple[Fraction, ...]
@@ -142,22 +142,9 @@ def qrank(a: QMat) -> int:
 
 def kernel_basis(a: QMat) -> list[QVec]:
     """Basis of the right null space, deterministic order (one per free column)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(cols)) for j in range(cols)]
-    m, d, pivots = _reduced(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = Fraction(-m[r][f], d)
-        basis.append(tuple(v))
-    return basis
+    m, _ = _int_rows(a)
+    kern, d = int_kernel(m, len(a[0]) if a else 0)
+    return [tuple(Fraction(x, d) for x in v) for v in kern]
 
 
 def solve_right(a: QMat, b: QVec):

@@ -464,10 +464,15 @@ def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
 def same_orbit(rep: TorusRep, v: RepVector, v2: RepVector) -> GroupElement | None:
     """A group element carrying v to v2, verified by `act`, or None.
 
-    Tries every finite-group element, identity first.
+    Equal vectors get the group identity at once; otherwise every
+    finite-group element is tried, identity first.
     """
     validate_vector(rep, v)
     validate_vector(rep, v2)
+    if v == v2:
+        g = group_identity(rep)
+        assert act(rep, g, v) == v2
+        return g
     return next(_transfers(rep, v, v2), None)
 
 

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jkvkit.gln import (
     GLnCocharacter,
     NonSplitError,
+    _combination_iter,
     bruhat,
     central_cocharacter,
     charpoly,
@@ -26,7 +27,16 @@ from jkvkit.gln import (
 )
 from jkvkit import oracles
 from jkvkit.polys import poly
-from jkvkit.ratlinalg import is_zero_mat, qdet, qidentity, qinverse, qmat, qmul
+from jkvkit.ratlinalg import (
+    is_zero_mat,
+    kernel_basis,
+    qdet,
+    qidentity,
+    qinverse,
+    qmat,
+    qmul,
+    qzeros,
+)
 
 F = Fraction
 
@@ -283,6 +293,132 @@ def test_rational_conjugacy_examples():
     b = m([[0, 1], [2, 0]])
     g = rational_conjugacy(a, b)
     assert g is not None and qmul(g, a) == qmul(b, g)
+
+
+def test_conjugacy_shapes_are_checked_up_front():
+    a2, a3 = qidentity(2), qidentity(3)
+    wide = m([[1, 2, 3], [4, 5, 6]])
+    tall = m([[1, 2], [3, 4], [5, 6]])
+    for x, y in [(a2, a3), (a3, a2), (wide, wide), (tall, tall), (a2, wide), (wide, a2), (a3, tall)]:
+        with pytest.raises(ValueError, match="^matrices must be square and of equal size$"):
+            commutant_basis(x, y)
+        with pytest.raises(ValueError, match="^matrices must be square and of equal size$"):
+            rational_conjugacy(x, y)
+
+
+def _reference_commutant_basis(x, y):
+    """Reference intertwiner basis: the same system as Fraction rows,
+    through kernel_basis."""
+    n = len(x)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [F(0)] * (n * n)
+            for k in range(n):
+                row[i * n + k] += x[k][j]
+                row[k * n + j] -= y[i][k]
+            rows.append(row)
+    kern = kernel_basis(qmat(rows))
+    return [tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)) for v in kern]
+
+
+def _reference_rational_conjugacy(x, y):
+    """Reference decision and witness: invariant factors, then the same
+    combination search over the Fraction basis."""
+    if x != y and invariant_factors(x) != invariant_factors(y):
+        return None
+    basis = _reference_commutant_basis(x, y)
+    n = len(x)
+    for coeffs in _combination_iter(len(basis), n):
+        g = qzeros(n, n)
+        for c, b in zip(coeffs, basis):
+            if c:
+                g = tuple(tuple(g[i][j] + c * b[i][j] for j in range(n)) for i in range(n))
+        if qdet(g) != 0:
+            return g
+    raise AssertionError("unreachable")
+
+
+_small_fractions = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3, 6]))
+
+
+@st.composite
+def _invertible_matrices(draw, n):
+    """Unit lower triangular times upper triangular times a permutation."""
+    low = [[F(int(i == j)) if i <= j else draw(_small_fractions) for j in range(n)] for i in range(n)]
+    up = [
+        [draw(_small_fractions.filter(bool)) if i == j else draw(_small_fractions) if i < j else F(0) for j in range(n)]
+        for i in range(n)
+    ]
+    perm = draw(st.permutations(range(n)))
+    p = [[F(int(perm[i] == j)) for j in range(n)] for i in range(n)]
+    return qmul(qmul(qmat(low), qmat(up)), qmat(p))
+
+
+@st.composite
+def _partition(draw, k):
+    sizes = []
+    while k:
+        sizes.append(draw(st.integers(1, k)))
+        k -= sizes[-1]
+    return sizes
+
+
+def _jordan(blocks, n):
+    """Block-diagonal matrix of Jordan blocks (eigenvalue, size), companion
+    blocks (None, (a, b)) of t^2 - a t - b."""
+    j = [[F(0)] * n for _ in range(n)]
+    pos = 0
+    for ev, size in blocks:
+        if ev is None:
+            a, b = size
+            j[pos][pos + 1], j[pos + 1][pos], j[pos + 1][pos + 1] = F(1), b, a
+            pos += 2
+            continue
+        for t in range(size):
+            j[pos + t][pos + t] = ev
+            if t + 1 < size:
+                j[pos + t][pos + t + 1] = F(1)
+        pos += size
+    return qmat(j)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """(x, y) of one size 1-4: similar by construction, same characteristic
+    polynomial but Jordan types drawn independently, or unrelated."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["similar", "same-charpoly", "unrelated"]))
+    if kind == "unrelated":
+        entries = st.lists(st.lists(_small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+        return qmat(draw(entries)), qmat(draw(entries))
+    companion = n >= 2 and draw(st.booleans())
+    rest = n - 2 if companion else n
+    evs = draw(st.lists(st.sampled_from([F(0), F(1), F(-2), F(1, 2)]), min_size=rest, max_size=rest))
+    head = [(None, (draw(_small_fractions), draw(_small_fractions)))] if companion else []
+    mults = {ev: evs.count(ev) for ev in sorted(set(evs))}
+    jx = _jordan(head + [(ev, k) for ev, mu in mults.items() for k in draw(_partition(mu))], n)
+    if kind == "similar":
+        jy = jx
+    else:
+        jy = _jordan(head + [(ev, k) for ev, mu in mults.items() for k in draw(_partition(mu))], n)
+    hx, hy = draw(_invertible_matrices(n)), draw(_invertible_matrices(n))
+    return qmul(qmul(hx, jx), qinverse(hx)), qmul(qmul(hy, jy), qinverse(hy))
+
+
+@given(_matrix_pairs())
+@settings(max_examples=250, deadline=None)
+@example(pair=(m([[0, 1], [0, 0]]), m([[0, 0], [0, 0]])))
+@example(pair=(m([[0, 0], [0, 0]]), m([[0, 1], [0, 0]])))
+@example(pair=(m([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), m([[0, 1, 0], [0, 0, 1], [0, 0, 0]])))
+def test_rational_conjugacy_matches_invariant_factors(pair):
+    x, y = pair
+    g = rational_conjugacy(x, y)
+    assert (g is not None) == (invariant_factors(x) == invariant_factors(y))
+    assert g == _reference_rational_conjugacy(x, y)
+    assert commutant_basis(x, y) == _reference_commutant_basis(x, y)
+    if g is not None:
+        assert qdet(g) != 0 and qmul(g, x) == qmul(y, g)
 
 
 def test_jkv_gln_examples():

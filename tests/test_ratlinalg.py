@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jkvkit.intlinalg import fraction_free_rref
+from jkvkit.intlinalg import fraction_free_rref, int_kernel
 from jkvkit.ratlinalg import (
     conjugate_by,
     kernel_basis,
@@ -263,3 +263,12 @@ def test_fraction_free_rref_scales_the_reduced_form():
     d, pivots = fraction_free_rref(m)
     assert pivots == [0, 1]
     assert [[F(x, d) for x in row] for row in m] == [[1, 0, F(-1, 3)], [0, 1, 2], [0, 0, 0]]
+
+
+def test_int_kernel_reads_the_free_columns():
+    # reduced form [[1, 0, -1/3], [0, 1, 2], [0, 0, 0]]: one free column, 2
+    kern, d = int_kernel([[0, 2, 4], [3, 1, 1], [3, 3, 5]], 3)
+    assert [[F(x, d) for x in v] for v in kern] == [[F(1, 3), -2, 1]]
+    kern, d = int_kernel([], 2)
+    assert (kern, d) == ([[1, 0], [0, 1]], 1)
+    assert int_kernel([[0, 0]], 0) == ([], 1)

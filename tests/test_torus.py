@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from jkvkit.intlinalg import pairing
+from jkvkit.oracles import FuzzConfig, sample_torus_instance
 from jkvkit.polytope import WeightSet
 from jkvkit.torus import (
     BoxTooSmallError,
@@ -33,6 +35,7 @@ from jkvkit.torus import (
     vec_sub,
     zero_vector,
 )
+from jkvkit.torus import _transfers
 
 F = Fraction
 
@@ -332,6 +335,23 @@ def test_same_orbit_uses_finite_part():
     g = same_orbit(rep, v, w)
     assert g is not None and g.finite_index == 1
     assert act(rep, g, v) == w
+
+
+def test_same_orbit_of_equal_vectors_is_the_first_transfer():
+    # Equal vectors take a shortcut; it must return what the full search
+    # over finite elements yields first: the identity, all-ones torus part.
+    rng = random.Random(5)
+    cfg = FuzzConfig(seed=5, count=1)
+    seen = {False: 0, True: 0}
+    while min(seen.values()) < 40:
+        rep, v = sample_torus_instance(rng, cfg)
+        g = same_orbit(rep, v, RepVector(v.rank, dict(v.components)))
+        assert g == next(_transfers(rep, v, v)) == group_identity(rep)
+        assert act(rep, g, v) == v
+        seen[rep.finite is not None] += 1
+    bad = rv(1, {(7,): (F(1),)})
+    with pytest.raises(ValueError, match="absent weight"):
+        same_orbit(rep1(), bad, bad)
 
 
 def test_same_orbit_nonparallel_blocks():
