@@ -4,12 +4,14 @@ Every subcommand reads JSON problem files, emits one JSON document on
 stdout (format_version pinned for downstream scripts), and keeps all
 diagnostics on stderr.  Exit codes: 0 success or true verdict, 1 false
 verdict or suite failures, 2 parse/usage errors, 3 unsupported-input
-verdicts (non-split semisimple part, box too small, unfactored ratios).
+verdicts (non-split semisimple part, box too small, unfactored ratios),
+4 internal errors (traceback on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict) -> None:
@@ -414,10 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and then shared: parsing never
+# mutates it, and argparse reads the terminal width and sys.stdout/stderr
+# only as it prints.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -434,6 +442,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # here, not at the top: it adds ~5 ms to importing cli
+
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

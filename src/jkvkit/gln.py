@@ -436,9 +436,12 @@ def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
     C(X,Y) = { M : M X = Y M }; each dimension is the nullity of one
     fraction-free integer reduction.  Witness: an invertible element of
     C(X,Y), an integer combination of its kernel basis found
-    deterministically and re-verified by multiplication.
+    deterministically and re-verified by multiplication.  For n = 0 the
+    answer is the empty matrix, which is invertible.
     """
     x, y = _square_pair(x, y)
+    if not x:
+        return ()
     kern, d = int_kernel(_commutant_rows(x, y), len(x) ** 2)
     if x != y and not len(kern) == _commutant_dim(x) == _commutant_dim(y):
         return None

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from jkvkit import cli, gln
 from jkvkit.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, obj):
@@ -36,6 +43,18 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh(argv):
+    """Exit code and stdout of the same command in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "jkvkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
 
 
 def test_limit_torus(capsys, torus_file):
@@ -324,3 +343,77 @@ def test_determinism_byte_identical(capsys, torus_file, matrix_file, tmp_path):
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2, f"non-deterministic output for {argv}"
+
+
+def test_internal_errors_exit_4_with_a_traceback(capsys, monkeypatch, tmp_path):
+    pair = write(tmp_path, "pair.json", {"n": 1, "x": [["1"]], "y": [["1"]]})
+    for exc in (AssertionError("lost certificate"), RuntimeError("pivot limit")):
+
+        def broken(x, y, exc=exc):
+            raise exc
+
+        # main looks the library function up at call time
+        monkeypatch.setattr(gln, "rational_conjugacy", broken)
+        code, out, err = run(capsys, ["conjugacy", "--file", pair])
+        summary = f"{type(exc).__name__}: {exc}"
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        lines = err.splitlines()
+        assert lines[0] == f"internal error: {summary}"
+        assert lines[1] == "Traceback (most recent call last):" and lines[-1] == summary
+
+
+@pytest.fixture
+def rank2_file(tmp_path):
+    return write(
+        tmp_path,
+        "r2.json",
+        {
+            "rank": 2,
+            "weights": [
+                {"chi": [1, 0], "dim": 1},
+                {"chi": [0, 1], "dim": 1},
+                {"chi": [-1, -1], "dim": 1},
+            ],
+            "vector": [{"chi": [1, 0], "coords": ["1"]}, {"chi": [0, 1], "coords": ["2"]}],
+        },
+    )
+
+
+def test_parser_is_built_once_per_process(capsys, torus_file, rank2_file):
+    cli._parser.cache_clear()
+    for argv in (
+        ["limit", "torus", "--file", torus_file, "--cochar", "1"],
+        ["unknown-command"],
+        ["nilpotent", "torus", "--file", rank2_file, "--fixed", "1,0"],
+        ["semisimple", "torus", "--file", torus_file],
+    ):
+        run(capsys, argv)
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)  # build_parser ran once
+
+
+def test_appended_options_do_not_carry_over(capsys, rank2_file):
+    argv = ["nilpotent", "torus", "--file", rank2_file]
+    _, out, _ = run(capsys, argv + ["--fixed", "1,0", "--fixed", "0,1"])
+    assert json.loads(out)["fixed"] == [[1, 0], [0, 1]]
+    code, out, _ = run(capsys, argv + ["--fixed", "0,1"])
+    assert json.loads(out)["fixed"] == [[0, 1]]
+    assert (code, out) == fresh(argv + ["--fixed", "0,1"])
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, torus_file):
+    argv = ["limit", "torus", "--file", torus_file, "--cochar", "1"]
+    code, out, err = run(capsys, ["limit", "torus", "--cochar", "1"])
+    assert code == 2 and out == "" and "--file" in err
+    code, out, err = run(capsys, argv)
+    assert (code, out) == fresh(argv) and err == ""
+
+
+def test_help_wraps_to_the_width_at_call_time(capsys, monkeypatch, torus_file):
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    run(capsys, ["semisimple", "torus", "--file", torus_file])  # builds the parser
+    wide = cli.build_parser().format_help()
+    monkeypatch.setenv("COLUMNS", "50")
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0 and out == cli.build_parser().format_help() != wide

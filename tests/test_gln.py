@@ -306,6 +306,11 @@ def test_conjugacy_shapes_are_checked_up_front():
             rational_conjugacy(x, y)
 
 
+def test_empty_matrices_are_conjugate_by_the_empty_matrix():
+    assert commutant_basis((), ()) == []
+    assert rational_conjugacy((), ()) == ()
+
+
 def _reference_commutant_basis(x, y):
     """Reference intertwiner basis: the same system as Fraction rows,
     through kernel_basis."""

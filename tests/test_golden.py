@@ -6,6 +6,9 @@ tests/golden/make_golden.py; see its docstring before regenerating.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,23 @@ def test_corpus_covers_every_subcommand():
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / "expected" / f"{name}.txt").read_text(encoding="utf-8")
     assert make_golden.run_case(CASES[name], GOLDEN / "inputs") == expected
+
+
+FIRST_CASE = {}
+for _name in sorted(CASES):
+    FIRST_CASE.setdefault(CASES[_name][0], _name)
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_CASE.values()))
+def test_cli_output_under_optimize_matches_golden(name):
+    """No output depends on an assert: `python -O` strips them all."""
+    argv = [a.replace("{inputs}", str(GOLDEN / "inputs")) for a in CASES[name]]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "jkvkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src")),
+        timeout=120,
+    )
+    expected = (GOLDEN / "expected" / f"{name}.txt").read_text(encoding="utf-8")
+    assert f"exit {proc.returncode}\n{proc.stdout}" == expected
