@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads JSON problem files, emits one JSON document on
-stdout (format_version pinned for downstream scripts), and keeps all
-diagnostics on stderr.  Exit codes: 0 success or true verdict, 1 false
-verdict or suite failures, 2 parse/usage errors, 3 unsupported-input
-verdicts (non-split semisimple part, box too small, unfactored ratios),
-4 internal errors (traceback on stderr, nothing on stdout).
+Every subcommand reads JSON problem files and returns its exit code and
+output fields; `main` alone writes them as one JSON document on stdout
+(format_version pinned for downstream scripts), and all diagnostics go
+to stderr.  Exit codes: 0 success or true verdict, 1 false verdict or
+suite failures, 2 parse/usage errors, 3 unsupported-input verdicts
+(non-split semisimple part, box too small, unfactored ratios), 4
+internal errors (traceback on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -47,16 +48,6 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _payload(command: str, **fields) -> dict:
-    out = {"format_version": FORMAT_VERSION, "command": command}
-    out.update(fields)
-    return out
-
-
 def _parse_cochar(text: str, rank: int):
     try:
         lam = tuple(int(p) for p in text.split(","))
@@ -71,236 +62,173 @@ def _poly_to_json(p):
     return [format_rational(c) for c in p]
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> tuple[int, dict]:
     if args.model == "torus":
         if args.cochar is None:
             raise ProblemFormatError("the torus model needs --cochar")
         rep, v = load_torus_problem(read_json(args.file))
         lam = _parse_cochar(args.cochar, rep.rank)
         val = torus_model.limit(lam, v)
-        _emit(
-            _payload(
-                "limit",
-                model="torus",
-                cocharacter=list(lam),
-                exists=val is not None,
-                limit=vector_to_json(val) if val is not None else None,
-            )
-        )
+        cocharacter, to_json = list(lam), vector_to_json
     else:
         if args.cochar_file is None:
             raise ProblemFormatError("the matrix model needs --cochar-file")
         x = load_gln_matrix(read_json(args.file))
         lam = load_gln_cocharacter(read_json(args.cochar_file))
         val = gln_model.limit_conj(lam, x)
-        _emit(
-            _payload(
-                "limit",
-                model="gln",
-                cocharacter=cocharacter_to_json(lam),
-                exists=val is not None,
-                limit=matrix_to_json(val) if val is not None else None,
-            )
-        )
-    return EXIT_OK if val is not None else EXIT_FALSE
+        cocharacter, to_json = cocharacter_to_json(lam), matrix_to_json
+    return EXIT_OK if val is not None else EXIT_FALSE, {
+        "model": args.model,
+        "cocharacter": cocharacter,
+        "exists": val is not None,
+        "limit": to_json(val) if val is not None else None,
+    }
 
 
-def _cmd_semisimple(args) -> int:
+def _cmd_semisimple(args) -> tuple[int, dict]:
     if args.model == "torus":
         _, v = load_torus_problem(read_json(args.file))
         res = torus_model.is_semisimple(v)
         if res.semisimple:
-            _emit(
-                _payload(
-                    "semisimple",
-                    model="torus",
-                    semisimple=True,
-                    barycentric=barycentric_to_json(res.barycentric),
-                    cocharacter=None,
-                )
-            )
-            return EXIT_OK
-        _emit(
-            _payload(
-                "semisimple",
-                model="torus",
-                semisimple=False,
-                barycentric=None,
-                cocharacter=list(res.cocharacter),
-            )
-        )
-        return EXIT_FALSE
+            return EXIT_OK, {
+                "model": "torus",
+                "semisimple": True,
+                "barycentric": barycentric_to_json(res.barycentric),
+                "cocharacter": None,
+            }
+        return EXIT_FALSE, {
+            "model": "torus",
+            "semisimple": False,
+            "barycentric": None,
+            "cocharacter": list(res.cocharacter),
+        }
     x = load_gln_matrix(read_json(args.file))
     verdict = gln_model.is_semisimple_matrix(x)
-    _emit(
-        _payload(
-            "semisimple",
-            model="gln",
-            semisimple=verdict,
-            minimal_polynomial=_poly_to_json(gln_model.minpoly(x)),
-        )
-    )
-    return EXIT_OK if verdict else EXIT_FALSE
+    return EXIT_OK if verdict else EXIT_FALSE, {
+        "model": "gln",
+        "semisimple": verdict,
+        "minimal_polynomial": _poly_to_json(gln_model.minpoly(x)),
+    }
 
 
-def _cmd_nilpotent(args) -> int:
+def _cmd_nilpotent(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
     fixed_pts = tuple(_parse_cochar(t, rep.rank) for t in args.fixed or [])
     fixed = WeightSet(rep.rank, tuple(dict.fromkeys(fixed_pts)))
     verdict, lam = torus_model.is_nilpotent(v, fixed)
-    _emit(
-        _payload(
-            "nilpotent",
-            nilpotent=verdict,
-            cocharacter=list(lam) if lam is not None else None,
-            fixed=[list(p) for p in fixed.points],
-        )
-    )
-    return EXIT_OK if verdict else EXIT_FALSE
+    return EXIT_OK if verdict else EXIT_FALSE, {
+        "nilpotent": verdict,
+        "cocharacter": list(lam) if lam is not None else None,
+        "fixed": [list(p) for p in fixed.points],
+    }
 
 
-def _cmd_jkv(args) -> int:
+def _cmd_jkv(args) -> tuple[int, dict]:
     if args.model == "torus":
         rep, v = load_torus_problem(read_json(args.file))
         dec = torus_model.jkv_decompose(rep, v)
-        _emit(
-            _payload(
-                "jkv",
-                model="torus",
-                s=vector_to_json(dec.s),
-                n=vector_to_json(dec.n),
-                cocharacter=list(dec.cocharacter),
-                clauses=dec.report.clauses,
-            )
-        )
-        return EXIT_OK
+        return EXIT_OK, {
+            "model": "torus",
+            "s": vector_to_json(dec.s),
+            "n": vector_to_json(dec.n),
+            "cocharacter": list(dec.cocharacter),
+            "clauses": dec.report.clauses,
+        }
     x = load_gln_matrix(read_json(args.file))
     cert = gln_model.jkv_gln(x)
     assert cert.ok
-    _emit(
-        _payload(
-            "jkv",
-            model="gln",
-            s=matrix_to_json(cert.s),
-            n=matrix_to_json(cert.n),
-            cocharacter=cocharacter_to_json(cert.cocharacter),
-            polynomial=_poly_to_json(cert.polynomial),
-            clauses=cert.clauses,
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "model": "gln",
+        "s": matrix_to_json(cert.s),
+        "n": matrix_to_json(cert.n),
+        "cocharacter": cocharacter_to_json(cert.cocharacter),
+        "polynomial": _poly_to_json(cert.polynomial),
+        "clauses": cert.clauses,
+    }
 
 
-def _cmd_certify_jkv(args) -> int:
+def _cmd_certify_jkv(args) -> tuple[int, dict]:
     if args.model == "torus":
         rep, gamma = load_torus_problem(read_json(args.file))
         s, n, lam = load_torus_decomposition(read_json(args.decomposition), rep)
         report = torus_model.jkv_certify(rep, gamma, s, n, lam)
-        _emit(
-            _payload(
-                "certify-jkv",
-                model="torus",
-                valid=report.ok,
-                clauses=report.clauses,
-            )
-        )
-        return EXIT_OK if report.ok else EXIT_FALSE
-    x = load_gln_matrix(read_json(args.file))
-    s, n, lam = load_gln_decomposition(read_json(args.decomposition))
-    if lam.n != len(x) or len(s) != len(x) or len(n) != len(x):
-        raise ProblemFormatError("decomposition sizes do not match the problem")
-    clauses = {"sum": qsub(x, s) == n, **gln_model.jkv_certify_gln(x, s, n, lam)}
-    ok = all(clauses.values())
-    _emit(_payload("certify-jkv", model="gln", valid=ok, clauses=clauses))
-    return EXIT_OK if ok else EXIT_FALSE
+        clauses, ok = report.clauses, report.ok
+    else:
+        x = load_gln_matrix(read_json(args.file))
+        s, n, lam = load_gln_decomposition(read_json(args.decomposition))
+        if lam.n != len(x) or len(s) != len(x) or len(n) != len(x):
+            raise ProblemFormatError("decomposition sizes do not match the problem")
+        clauses = {"sum": qsub(x, s) == n, **gln_model.jkv_certify_gln(x, s, n, lam)}
+        ok = all(clauses.values())
+    return EXIT_OK if ok else EXIT_FALSE, {"model": args.model, "valid": ok, "clauses": clauses}
 
 
-def _cmd_lambda_min(args) -> int:
+def _cmd_lambda_min(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
     dim, wits = torus_model.lambda_min(rep, v, args.box)
-    _emit(
-        _payload(
-            "lambda-min",
-            box=args.box,
-            min_fixed_dim=dim,
-            witnesses=[list(w) for w in wits],
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "box": args.box,
+        "min_fixed_dim": dim,
+        "witnesses": [list(w) for w in wits],
+    }
 
 
-def _cmd_orbit_eq(args) -> int:
+def _cmd_orbit_eq(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
     rep2, v2 = load_torus_problem(read_json(args.file2))
     if rep != rep2:
         raise ProblemFormatError("the two problem files must share the same module")
     g = torus_model.same_orbit(rep, v, v2)
     if g is None:
-        _emit(_payload("orbit-eq", same_orbit=False, witness=None))
-        return EXIT_FALSE
-    _emit(
-        _payload(
-            "orbit-eq",
-            same_orbit=True,
-            witness={
-                "torus": [format_rational(a) for a in g.torus],
-                "finite_index": g.finite_index,
-            },
-        )
-    )
-    return EXIT_OK
+        return EXIT_FALSE, {"same_orbit": False, "witness": None}
+    return EXIT_OK, {
+        "same_orbit": True,
+        "witness": {
+            "torus": [format_rational(a) for a in g.torus],
+            "finite_index": g.finite_index,
+        },
+    }
 
 
-def _cmd_compose_mu(args) -> int:
+def _cmd_compose_mu(args) -> tuple[int, dict]:
     rep, _ = load_torus_problem(read_json(args.file))
     lam0 = _parse_cochar(args.lambda0, rep.rank)
     lam = _parse_cochar(args.lam, rep.rank)
     n, mu = torus_model.compose_cocharacters(rep, lam0, lam)
-    _emit(_payload("compose-mu", n=n, mu=list(mu)))
-    return EXIT_OK
+    return EXIT_OK, {"n": n, "mu": list(mu)}
 
 
-def _cmd_bruhat(args) -> int:
+def _cmd_bruhat(args) -> tuple[int, dict]:
     g = load_gln_matrix(read_json(args.file))
     p, w, u = gln_model.bruhat(g)
-    _emit(
-        _payload(
-            "bruhat",
-            p=matrix_to_json(p),
-            w=matrix_to_json(w),
-            u=matrix_to_json(u),
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "p": matrix_to_json(p),
+        "w": matrix_to_json(w),
+        "u": matrix_to_json(u),
+    }
 
 
-def _cmd_jordan_chevalley(args) -> int:
+def _cmd_jordan_chevalley(args) -> tuple[int, dict]:
     x = load_gln_matrix(read_json(args.file))
     s, n, p = gln_model.jordan_chevalley(x)
     assert qsub(x, s) == n and qmul(s, n) == qmul(n, s)
     assert gln_model.eval_poly_matrix(p, x) == s
-    _emit(
-        _payload(
-            "jordan-chevalley",
-            s=matrix_to_json(s),
-            n=matrix_to_json(n),
-            polynomial=_poly_to_json(p),
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "s": matrix_to_json(s),
+        "n": matrix_to_json(n),
+        "polynomial": _poly_to_json(p),
+    }
 
 
-def _cmd_conjugacy(args) -> int:
+def _cmd_conjugacy(args) -> tuple[int, dict]:
     x, y = load_gln_pair(read_json(args.file))
     g = gln_model.rational_conjugacy(x, y)
     if g is None:
-        _emit(_payload("conjugacy", conjugate=False, witness=None))
-        return EXIT_FALSE
-    _emit(_payload("conjugacy", conjugate=True, witness=matrix_to_json(g)))
-    return EXIT_OK
+        return EXIT_FALSE, {"conjugate": False, "witness": None}
+    return EXIT_OK, {"conjugate": True, "witness": matrix_to_json(g)}
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
     survey = torus_model.limit_survey(rep, v, args.box)
     entries = [
@@ -312,33 +240,27 @@ def _cmd_survey(args) -> int:
         }
         for e in survey.entries
     ]
-    _emit(_payload("survey", box=args.box, entries=entries))
-    return EXIT_OK
+    return EXIT_OK, {"box": args.box, "entries": entries}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
+    config = FuzzConfig(seed=args.seed, count=args.count, box=args.box)
     try:
-        config = FuzzConfig(seed=args.seed, count=args.count, box=args.box)
         report = run_suite(args.suite, config)
     except KeyError as exc:
-        sys.stderr.write(f"error: {exc.args[0]}\n")
-        return EXIT_USAGE
+        raise ProblemFormatError(exc.args[0]) from exc
     sys.stderr.write(f"suite {report.suite}: {report.wall_time:.2f}s\n")
-    _emit(
-        _payload(
-            "verify",
-            suite=report.suite,
-            seed=report.seed,
-            count=report.count,
-            instances=report.instances,
-            failures=[
-                {"index": f.index, "clause": f.clause, "input": f.payload}
-                for f in report.failures
-            ],
-            passed=report.passed,
-        )
-    )
-    return EXIT_OK if report.passed else EXIT_FALSE
+    return EXIT_OK if report.passed else EXIT_FALSE, {
+        "suite": report.suite,
+        "seed": report.seed,
+        "count": report.count,
+        "instances": report.instances,
+        "failures": [
+            {"index": f.index, "clause": f.clause, "input": f.payload}
+            for f in report.failures
+        ],
+        "passed": report.passed,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,7 +351,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, fields = args.handler(args)
+        payload = {"format_version": FORMAT_VERSION, "command": args.subcommand, **fields}
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return code
     except ProblemFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

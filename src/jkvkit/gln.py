@@ -79,14 +79,10 @@ class GLnCocharacter:
         if qdet(gm) == 0:
             raise ValueError("matrix is singular")
         if list(exps) != sorted(exps, reverse=True):
-            # canonical form: sort the exponents and absorb the reordering
-            # into g by a permutation (stable, so still deterministic)
+            # canonical form: sort the exponents and reorder g's columns to
+            # match (stable, so still deterministic)
             order = sorted(range(len(exps)), key=lambda j: (-exps[j], j))
-            perm = tuple(
-                tuple(Fraction(1) if i == order[j] else Fraction(0) for j in range(len(exps)))
-                for i in range(len(exps))
-            )
-            gm = qmul(gm, perm)
+            gm = tuple(tuple(row[j] for j in order) for row in gm)
             exps = tuple(exps[j] for j in order)
         object.__setattr__(self, "g", gm)
         object.__setattr__(self, "exponents", exps)
@@ -138,34 +134,21 @@ def limit_conj(lam: GLnCocharacter, x: QMat) -> QMat | None:
     return _weight_zero_part(lam, y, d)
 
 
-def _parabolic_coords(lam: GLnCocharacter, h: QMat) -> tuple[list[list[int]], int] | None:
-    """h in lam's basis as conjugate_by's (y, d), or None outside P(lam)."""
-    h = qmat(h)
-    if qdet(h) == 0:
-        raise ValueError("parabolic membership is only defined for invertible elements")
-    y, d = conjugate_by(lam.g, h)
-    return (y, d) if _no_negative_weight(lam, y) else None
-
-
-def in_parabolic(lam: GLnCocharacter, h: QMat) -> bool:
-    """Membership in P(lam): block upper triangular in the exponent grading."""
-    return _parabolic_coords(lam, h) is not None
-
-
 def levi_part(lam: GLnCocharacter, p: QMat) -> QMat:
     """The limit homomorphism on P(lam): block-diagonal part in the grading.
 
-    It lands in the centralizer of lam's image; its kernel is exactly the
+    P(lam) is the set of invertible matrices that are block upper triangular
+    in the exponent grading; any other p raises ValueError.  The result
+    lands in the centralizer of lam's image; its kernel is exactly the
     unipotent radical of P(lam).
     """
-    coords = _parabolic_coords(lam, p)
-    if coords is None:
+    p = qmat(p)
+    if qdet(p) == 0:
+        raise ValueError("parabolic membership is only defined for invertible elements")
+    y, d = conjugate_by(lam.g, p)
+    if not _no_negative_weight(lam, y):
         raise ValueError("element is outside the parabolic of this cocharacter")
-    return _weight_zero_part(lam, *coords)
-
-
-def in_unipotent_radical(lam: GLnCocharacter, p: QMat) -> bool:
-    return levi_part(lam, p) == qidentity(lam.n)
+    return _weight_zero_part(lam, y, d)
 
 
 def bruhat(g: QMat) -> tuple[QMat, QMat, QMat]:
@@ -211,22 +194,6 @@ def bruhat(g: QMat) -> tuple[QMat, QMat, QMat]:
     u = qinverse(qmat(u_inv))
     assert qmul(qmul(p, w), u) == g
     return p, w, u
-
-
-def charpoly(x: QMat) -> Poly:
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion."""
-    x = qmat(x)
-    n = len(x)
-    coeffs = [Fraction(1)]  # leading first while building
-    m = qidentity(n)
-    for k in range(1, n + 1):
-        am = qmul(x, m)
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        m = tuple(
-            tuple(am[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-        )
-    return poly(list(reversed(coeffs)))
 
 
 def _vec(x: QMat) -> QVec:
@@ -570,45 +537,3 @@ def mat_power(x: QMat, k: int) -> QMat:
     for _ in range(k):
         out = qmul(out, x)
     return out
-
-
-@dataclass
-class TheoremRow:
-    cocharacter: GLnCocharacter
-    exists: bool
-    semisimple: bool
-    witness: QMat | None
-
-
-@dataclass
-class GlnTheoremReport:
-    reference: QMat | None
-    rows: list[TheoremRow]
-    ok: bool
-
-
-def theorem_check_gln(x: QMat, samples: list[GLnCocharacter]) -> GlnTheoremReport:
-    """All semisimple limits of x along the sampled cocharacters must be
-    rationally conjugate to one reference semisimple limit."""
-    x = qmat(x)
-    try:
-        reference = jkv_gln(x).s
-    except NonSplitError:
-        reference = None
-    rows = []
-    ok = True
-    for lam in samples:
-        val = limit_conj(lam, x)
-        if val is None:
-            rows.append(TheoremRow(lam, False, False, None))
-            continue
-        ss = is_semisimple_matrix(val)
-        wit = None
-        if ss:
-            if reference is None:
-                reference = val
-            wit = rational_conjugacy(val, reference)
-            if wit is None:
-                ok = False
-        rows.append(TheoremRow(lam, True, ss, wit))
-    return GlnTheoremReport(reference, rows, ok)

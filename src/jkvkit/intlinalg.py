@@ -88,19 +88,6 @@ def is_unimodular(a: IntMat) -> bool:
     return len(a) > 0 and len(a) == len(a[0]) and det(a) in (1, -1)
 
 
-def int_inverse(a: IntMat) -> IntMat:
-    """Inverse of a unimodular integer matrix, again over the integers."""
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    d, pivots = fraction_free_rref(m, n)
-    # d is the determinant up to sign, and m is d * [I | a^-1].
-    if len(pivots) < n or d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(x * d for x in row[n:]) for row in m)
-
-
 def fraction_free_rref(m: list[list[int]], cols: int | None = None) -> tuple[int, list[int]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 

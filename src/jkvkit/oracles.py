@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gln import GLnCocharacter
-from .intlinalg import IntVec, pairing
+from .intlinalg import IntVec, mat_vec, pairing
+from .polys import Poly, degree, poly, poly_mod
 from .polytope import WeightSet
 from .ratlinalg import QMat, kernel_basis, qdet, qidentity, qinverse, qmat, qmul
 from .torus import FiniteElement, FiniteGroup, RepVector, TorusRep
@@ -88,13 +89,35 @@ def oracle_relint(ws: WeightSet) -> bool:
     return found and union == set(range(len(pts)))
 
 
-def oracle_in_hull(ws: WeightSet) -> bool:
-    """Ground-truth hull membership of the origin, same bounds as oracle_relint."""
-    if len(ws.points) > 6 or ws.rank > 3:
-        raise ValueError("oracle bounds exceeded: needs <= 6 points and rank <= 3")
-    if not ws.points:
-        return False
-    return _positive_circuits(ws.sorted_points())[0]
+def charpoly(x: QMat) -> Poly:
+    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion."""
+    x = qmat(x)
+    n = len(x)
+    coeffs = [Fraction(1)]  # leading first while building
+    m = qidentity(n)
+    for k in range(1, n + 1):
+        am = qmul(x, m)
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        m = tuple(
+            tuple(am[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
+        )
+    return poly(list(reversed(coeffs)))
+
+
+def resultant(f: Poly, g: Poly) -> Fraction:
+    """Resultant via the subresultant-free Euclidean recursion."""
+    if not f or not g:
+        return Fraction(0)
+    a, b = f, g
+    res = Fraction(1)
+    while degree(b) > 0:
+        r = poly_mod(a, b)
+        if not r:
+            return Fraction(0)
+        res *= b[-1] ** (degree(a) - degree(r)) * Fraction(-1) ** (degree(a) * degree(b))
+        a, b = b, r
+    return res * b[-1] ** degree(a)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +158,6 @@ def _involution_matrix(rng: random.Random, rank: int):
     return tuple(tuple(row) for row in mat)
 
 
-def _apply_lattice(mat, chi):
-    return tuple(sum(mat[i][j] * chi[j] for j in range(len(chi))) for i in range(len(chi)))
-
-
 _INVOLUTORY_2D = (
     ((F(1), F(0)), (F(0), F(1))),
     ((F(-1), F(0)), (F(0), F(-1))),
@@ -155,13 +174,13 @@ def _sample_finite_part(rng: random.Random, cfg: FuzzConfig, rank: int):
         base.add(tuple(rng.randint(-cfg.coeff_bound, cfg.coeff_bound) for _ in range(rank)))
     weights = set()
     for chi in sorted(base):
-        orbit = {chi, _apply_lattice(lattice, chi)}
+        orbit = {chi, mat_vec(lattice, chi)}
         if len(weights | orbit) <= cfg.max_points:
             weights |= orbit
     weights = sorted(weights)
     dims = {}
     for chi in weights:
-        partner = _apply_lattice(lattice, chi)
+        partner = mat_vec(lattice, chi)
         if partner in dims:
             dims[chi] = dims[partner]
         else:
@@ -171,7 +190,7 @@ def _sample_finite_part(rng: random.Random, cfg: FuzzConfig, rank: int):
     for chi in weights:
         if chi in blocks:
             continue
-        partner = _apply_lattice(lattice, chi)
+        partner = mat_vec(lattice, chi)
         d = dims[chi]
         if partner == chi:
             if d == 1:

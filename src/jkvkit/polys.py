@@ -159,21 +159,6 @@ def poly_compose_mod(f: Poly, g: Poly, m: Poly) -> Poly:
     return acc
 
 
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Resultant via the subresultant-free Euclidean recursion."""
-    if not f or not g:
-        return Fraction(0)
-    a, b = f, g
-    res = Fraction(1)
-    while degree(b) > 0:
-        r = poly_mod(a, b)
-        if not r:
-            return Fraction(0)
-        res *= b[-1] ** (degree(a) - degree(r)) * Fraction(-1) ** (degree(a) * degree(b))
-        a, b = b, r
-    return res * b[-1] ** degree(a)
-
-
 def _divisors(n: int) -> list[int]:
     fac = factorize(n)
     divs = [1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .intlinalg import IntVec, pairing, primitive
 from .lp import INFEASIBLE, OPTIMAL, solve_lp
@@ -60,13 +60,7 @@ def clear_to_primitive(vec) -> IntVec:
     """Scale a rational vector by a positive rational into primitive integers."""
     fracs = [Fraction(x) for x in vec]
     mult = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return primitive([int(f * mult) for f in fracs])
 
 
 def _barycentric_lp(points):
@@ -116,7 +110,7 @@ def find_functional(zero_on, pos_on, uniform=False):
     if res.status == INFEASIBLE:
         return None
     assert res.status == OPTIMAL
-    return primitive(clear_to_primitive(res.x))
+    return clear_to_primitive(res.x)
 
 
 @lru_cache(maxsize=200_000)

@@ -54,33 +54,6 @@ def integer_nth_root(a: int, d: int):
     return x if x**d == a else None
 
 
-def rational_nth_root(c: Fraction, d: int):
-    """Rational x with x**d == c, or None.
-
-    For even d and positive c the positive root is returned; negative c with
-    even d has no rational root.  c == 0 is rejected (multiplicative group
-    only).
-    """
-    if d < 1:
-        raise ValueError("root degree must be >= 1")
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("rational_nth_root is undefined at 0")
-    if d == 1:
-        return c
-    negative = c < 0
-    if negative and d % 2 == 0:
-        return None
-    num = integer_nth_root(abs(c.numerator), d)
-    if num is None:
-        return None
-    den = integer_nth_root(c.denominator, d)
-    if den is None:
-        return None
-    root = Fraction(num, den)
-    return -root if negative else root
-
-
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 

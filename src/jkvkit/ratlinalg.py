@@ -130,12 +130,6 @@ def _reduced(a: QMat) -> tuple[list[list[int]], int, list[int]]:
     return m, d, pivots
 
 
-def rref(a: QMat) -> tuple[QMat, list[int]]:
-    """Reduced row-echelon form and the pivot column list."""
-    m, d, pivots = _reduced(a)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in m), pivots
-
-
 def qrank(a: QMat) -> int:
     return len(_reduced(a)[2])
 

@@ -112,21 +112,26 @@ def load_torus_problem(obj) -> tuple[TorusRep, RepVector]:
         rep = TorusRep(rank, tuple(spaces), finite)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
-    if not isinstance(obj["vector"], list):
-        raise ProblemFormatError("vector must be a list of components")
+    return rep, _load_vector(obj["vector"], rep, "vector")
+
+
+def _load_vector(entries, rep: TorusRep, name: str) -> RepVector:
+    """Parse a list of {"chi", "coords"} components into a vector of rep."""
+    if not isinstance(entries, list):
+        raise ProblemFormatError(f"{name} must be a list of components")
     comps = {}
-    for entry in obj["vector"]:
-        _require_keys(entry, ("chi", "coords"), (), "vector component")
+    for entry in entries:
+        _require_keys(entry, ("chi", "coords"), (), f"{name} component")
         chi = _int_list(entry["chi"], "chi")
         if chi in comps:
-            raise ProblemFormatError(f"duplicate vector component at weight {chi}")
+            raise ProblemFormatError(f"duplicate {name} component at weight {chi}")
         comps[chi] = _rational_list(entry["coords"], "coords")
     try:
-        vec = RepVector(rank, comps)
+        vec = RepVector(rep.rank, comps)
         validate_vector(rep, vec)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
-    return rep, vec
+    return vec
 
 
 def _load_finite_group(obj, rank) -> FiniteGroup:
@@ -159,28 +164,10 @@ def _load_finite_group(obj, rank) -> FiniteGroup:
 def load_torus_decomposition(obj, rep: TorusRep):
     """Parse {"s", "n", "cocharacter"} against an existing module."""
     _require_keys(obj, ("s", "n", "cocharacter"), (), "decomposition")
-
-    def vec_of(entries, name):
-        if not isinstance(entries, list):
-            raise ProblemFormatError(f"{name} must be a list of components")
-        comps = {}
-        for entry in entries:
-            _require_keys(entry, ("chi", "coords"), (), f"{name} component")
-            chi = _int_list(entry["chi"], "chi")
-            if chi in comps:
-                raise ProblemFormatError(f"duplicate component at weight {chi}")
-            comps[chi] = _rational_list(entry["coords"], "coords")
-        try:
-            v = RepVector(rep.rank, comps)
-            validate_vector(rep, v)
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc)) from exc
-        return v
-
     lam = _int_list(obj["cocharacter"], "cocharacter")
     if len(lam) != rep.rank:
         raise ProblemFormatError("cocharacter has the wrong rank")
-    return vec_of(obj["s"], "s"), vec_of(obj["n"], "n"), lam
+    return _load_vector(obj["s"], rep, "s"), _load_vector(obj["n"], rep, "n"), lam
 
 
 def load_gln_matrix(obj) -> QMat:
@@ -280,3 +267,5 @@ def read_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ProblemFormatError(f"{path}: invalid JSON (nested too deeply)") from exc

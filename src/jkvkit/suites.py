@@ -25,7 +25,7 @@ from .gln import (
 from .intlinalg import pairing
 from .oracles import FuzzConfig
 from .polytope import origin_in_relint
-from .ratlinalg import is_zero_mat, qidentity, qinverse, qmat, qmul, qsub
+from .ratlinalg import is_zero_mat, qinverse, qmat, qmul, qsub
 from .serialize import gln_problem_to_json, torus_problem_to_json
 from .polys import degree, poly_derivative, poly_gcd
 from .torus import (
@@ -33,7 +33,6 @@ from .torus import (
     act,
     compose_cocharacters,
     jkv_certifier,
-    jkv_decompose,
     lambda_min,
     limit,
     limit_survey,
@@ -159,12 +158,12 @@ def _suite_jkv_survey(cfg: FuzzConfig, report: VerificationReport):
     for idx in range(cfg.count):
         rep, gamma = oracles.sample_torus_instance(rng, cfg)
         clause = None
-        dec = jkv_decompose(rep, gamma)
+        certify = jkv_certifier(rep, gamma)
+        dec = torus._decompose_with(rep, gamma, certify)
         if not dec.report.ok:
             clause = "constructive decomposition failed its own certificate"
         else:
             survey = limit_survey(rep, gamma, cfg.box)
-            certify = jkv_certifier(rep, gamma)
             for e in survey.semisimple_entries():
                 s = e.value
                 n = vec_sub(gamma, s)
@@ -294,9 +293,7 @@ def _suite_jordan_chevalley(cfg: FuzzConfig, report: VerificationReport):
         x, s_true, _ = oracles.sample_rational_spectrum_matrix(rng, n)
         clause = None
         s, nm, p = jordan_chevalley(x)
-        power = qidentity(n)
-        for _ in range(n):
-            power = qmul(power, nm)
+        power = gln.mat_power(nm, n)
         ms = minpoly(s)
         if qsub(qmat(x), s) != qmat(nm):
             clause = "x != s + n"

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .intlinalg import (
     IntMat,
     IntVec,
-    int_inverse,
     is_unimodular,
     mat_vec,
     pairing,
@@ -42,10 +41,6 @@ class BoxTooSmallError(ValueError):
 class FiniteElement:
     lattice: IntMat
     blocks: dict[IntVec, QMat]
-    lattice_inv: IntMat = field(init=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lattice_inv", int_inverse(self.lattice))
 
 
 @dataclass(frozen=True)
@@ -252,43 +247,6 @@ def act(rep: TorusRep, g: GroupElement, v: RepVector) -> RepVector:
         assert tgt not in out
         out[tgt] = tuple(factor * c for c in coords)
     return RepVector(v.rank, out)
-
-
-def _twist_torus(el: FiniteElement, torus: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Torus point b with chi(b) = (w^-1 chi)(a) for all chi."""
-    inv = el.lattice_inv
-    r = len(torus)
-    return tuple(
-        chi_eval(torus, tuple(inv[i][j] for i in range(r))) for j in range(r)
-    )
-
-
-def group_mul(rep: TorusRep, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    el1 = _finite_element(rep, g1)
-    torus2 = g2.torus if el1 is None else _twist_torus(el1, g2.torus)
-    torus = tuple(a * b for a, b in zip(g1.torus, torus2))
-    if g1.finite_index is None and g2.finite_index is None:
-        idx = None
-    else:
-        grp = rep.finite
-        i = g1.finite_index if g1.finite_index is not None else grp.identity
-        j = g2.finite_index if g2.finite_index is not None else grp.identity
-        idx = grp.table[i][j]
-    return GroupElement(torus, idx)
-
-
-def group_inverse(rep: TorusRep, g: GroupElement) -> GroupElement:
-    inv_torus = tuple(1 / a for a in g.torus)
-    if g.finite_index is None:
-        return GroupElement(inv_torus)
-    grp = rep.finite
-    winv = next(
-        j
-        for j in range(len(grp.elements))
-        if grp.table[g.finite_index][j] == grp.identity
-    )
-    el_winv = grp.elements[winv]
-    return GroupElement(_twist_torus(el_winv, inv_torus), winv)
 
 
 def limit(lam: IntVec, v: RepVector) -> RepVector | None:
@@ -532,7 +490,11 @@ def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
     the hull), and the cocharacter is the face supporter (respectively a
     destabilizer).
     """
-    validate_vector(rep, gamma)
+    return _decompose_with(rep, gamma, jkv_certifier(rep, gamma))
+
+
+def _decompose_with(rep: TorusRep, gamma: RepVector, certify) -> JkvDecomposition:
+    """jkv_decompose, certified by certify = jkv_certifier(rep, gamma)."""
     supp = support(gamma)
     cert = minimal_face_origin(supp)
     if cert is None:
@@ -547,7 +509,7 @@ def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
         )
         n = vec_sub(gamma, s)
         lam = cert.supporter
-    report = jkv_certify(rep, gamma, s, n, lam)
+    report = certify(s, n, lam)
     assert report.ok, f"construction must certify: {report.clauses}"
     return JkvDecomposition(s, n, lam, cert, report)
 

@@ -1,0 +1,22 @@
+"""The layer trace of bench/tracer.py wraps functions in src/ by name; each
+must still exist, or `bench/run.py --trace 1` breaks."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+_spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+
+def test_every_tracer_target_is_a_function_in_src():
+    missing = [
+        f"{module}.{func}"
+        for module, funcs in tracer.TARGETS.items()
+        for func in funcs
+        if not callable(getattr(importlib.import_module(f"jkvkit.{module}"), func, None))
+    ]
+    assert missing == []

@@ -312,8 +312,9 @@ def test_verify_runs_and_reports(capsys):
     assert "suite bruhat" in err  # wall time goes to stderr only
     code, out, _ = run(capsys, ["verify", "--suite", "lemma-limits", "--count", "3"])
     assert code == 0 and json.loads(out)["suite"] == "limits"
-    code, _, err = run(capsys, ["verify", "--suite", "nope", "--count", "1"])
-    assert code == 2
+    code, out, err = run(capsys, ["verify", "--suite", "nope", "--count", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown suite 'nope'; known: ") and err.count("\n") == 1
 
 
 def test_usage_and_parse_errors(capsys, tmp_path, torus_file):
@@ -327,6 +328,14 @@ def test_usage_and_parse_errors(capsys, tmp_path, torus_file):
     assert code == 2  # wrong rank
     code, _, _ = run(capsys, ["unknown-command"])
     assert code == 2
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, ["jkv", "torus", "--file", str(deep)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {deep}: invalid JSON (nested too deeply)\n"
 
 
 def test_determinism_byte_identical(capsys, torus_file, matrix_file, tmp_path):

@@ -10,11 +10,8 @@ from jkvkit.gln import (
     _combination_iter,
     bruhat,
     central_cocharacter,
-    charpoly,
     commutant_basis,
     eval_poly_matrix,
-    in_parabolic,
-    in_unipotent_radical,
     invariant_factors,
     is_semisimple_matrix,
     jkv_gln,
@@ -23,9 +20,9 @@ from jkvkit.gln import (
     limit_conj,
     minpoly,
     rational_conjugacy,
-    theorem_check_gln,
 )
 from jkvkit import oracles
+from jkvkit.oracles import charpoly
 from jkvkit.polys import poly
 from jkvkit.ratlinalg import (
     is_zero_mat,
@@ -87,18 +84,20 @@ def test_limit_conj_examples():
 
 
 def test_in_parabolic_examples():
+    # levi_part is defined exactly on the parabolic P(lam)
     lam = GLnCocharacter(qidentity(2), (1, 0))
-    assert in_parabolic(lam, qidentity(2))
-    assert in_parabolic(lam, m([[1, 5], [0, 2]]))
-    assert not in_parabolic(lam, m([[1, 0], [5, 2]]))
-    with pytest.raises(ValueError):
-        in_parabolic(lam, m([[1, 1], [1, 1]]))
+    assert levi_part(lam, qidentity(2)) == qidentity(2)
+    assert levi_part(lam, m([[1, 5], [0, 2]])) == m([[1, 0], [0, 2]])
+    with pytest.raises(ValueError, match="outside the parabolic"):
+        levi_part(lam, m([[1, 0], [5, 2]]))
+    with pytest.raises(ValueError, match="invertible"):
+        levi_part(lam, m([[1, 1], [1, 1]]))
 
 
 def test_levi_part_examples():
     lam = GLnCocharacter(qidentity(2), (1, 0))
     assert levi_part(lam, m([[2, 7], [0, 3]])) == m([[2, 0], [0, 3]])
-    assert in_unipotent_radical(lam, m([[1, 9], [0, 1]]))
+    assert levi_part(lam, m([[1, 9], [0, 1]])) == qidentity(2)  # unipotent radical
     with pytest.raises(ValueError):
         levi_part(lam, m([[1, 0], [5, 2]]))
 
@@ -110,7 +109,7 @@ def test_levi_part_is_homomorphism():
     assert levi_part(lam, qmul(p1, p2)) == qmul(levi_part(lam, p1), levi_part(lam, p2))
 
 
-# The formulas limit_conj, in_parabolic and levi_part used before they moved
+# The formulas limit_conj and levi_part used before they moved
 # onto ratlinalg.conjugate_by, kept here only as an oracle.
 
 
@@ -162,7 +161,6 @@ def test_graded_maps_match_the_inverse_product_formulas():
         for h in (oracles.sample_invertible_matrix(rng, n), oracles.sample_parabolic_element(rng, lam)):
             y = _old_in_basis(lam, h)
             inside = _old_no_negative_weight(lam, y)
-            assert in_parabolic(lam, h) == inside
             if inside:
                 assert levi_part(lam, h) == _old_weight_zero_part(lam, y)
             else:
@@ -459,18 +457,16 @@ def test_jkv_gln_non_split():
 
 
 def test_theorem_check_gln_example():
+    # every semisimple limit is rationally conjugate to the semisimple part
     x = m([[1, 1], [0, 1]])
-    lams = [
-        GLnCocharacter(qidentity(2), (1, 0)),
-        GLnCocharacter(qidentity(2), (0, -1)),
-        central_cocharacter(2),
-    ]
-    report = theorem_check_gln(x, lams)
-    assert report.ok
-    rows = {r.cocharacter.exponents: r for r in report.rows}
-    assert rows[(1, 0)].semisimple and rows[(1, 0)].witness is not None
-    assert rows[(0, -1)].semisimple
-    assert rows[(0, 0)].exists and not rows[(0, 0)].semisimple
+    reference = jkv_gln(x).s
+    for exps in ((1, 0), (0, -1)):
+        val = limit_conj(GLnCocharacter(qidentity(2), exps), x)
+        assert is_semisimple_matrix(val)
+        g = rational_conjugacy(val, reference)
+        assert g is not None and qmul(g, val) == qmul(reference, g)
+    val = limit_conj(central_cocharacter(2), x)
+    assert val == x and not is_semisimple_matrix(val)
 
 
 def test_commutant_contains_polynomials():

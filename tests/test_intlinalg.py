@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from jkvkit.intlinalg import (
     det,
     identity,
-    int_inverse,
     is_unimodular,
     mat,
     mat_mul,
@@ -55,6 +54,7 @@ def test_snf_examples():
     assert _diag(d) == [1, 1]
     u, d, v = smith_normal_form(mat([[2, 0], [0, 3]]))
     assert _diag(d) == [1, 6]
+    assert is_unimodular(u) and is_unimodular(v) and not is_unimodular(d)
     z = mat([[0, 0], [0, 0]])
     u, d, v = smith_normal_form(z)
     assert d == z and u == identity(2) and v == identity(2)
@@ -87,14 +87,6 @@ def test_snf_postconditions(rows, cols, data):
             assert diag[i + 1] % diag[i] == 0
         if diag[i] == 0 and i + 1 < len(diag):
             assert diag[i + 1] == 0
-
-
-def test_int_inverse_unimodular():
-    m = mat([[1, 2], [0, 1]])
-    assert is_unimodular(m)
-    assert mat_mul(m, int_inverse(m)) == identity(2)
-    with pytest.raises(ValueError):
-        int_inverse(mat([[2, 0], [0, 1]]))
 
 
 @settings(max_examples=200)

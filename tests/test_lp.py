@@ -50,14 +50,13 @@ def _brute_force_max(num_vars, rows, objective):
     """Vertex-enumeration oracle: try every square subsystem of active
     constraints (A x = b), keep feasible solutions, compare objectives.
     Only sound for bounded-or-infeasible programs."""
-    from jkvkit.ratlinalg import qmat, solve_right, rref
+    from jkvkit.ratlinalg import qmat, qrank, solve_right
 
     best = None
     for subset in combinations(range(len(rows)), num_vars):
         a = qmat([rows[i][0] for i in subset])
         b = tuple(Fraction(rows[i][2]) for i in subset)
-        red, piv = rref(a)
-        if len(piv) < num_vars:
+        if qrank(a) < num_vars:
             continue
         x = solve_right(a, b)
         if x is None:

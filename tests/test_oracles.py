@@ -4,7 +4,6 @@ import pytest
 
 from jkvkit.oracles import (
     FuzzConfig,
-    oracle_in_hull,
     oracle_limit,
     oracle_relint,
     sample_gln_cocharacter,
@@ -41,8 +40,6 @@ def test_oracle_relint_examples():
     assert oracle_relint(square)
     assert not oracle_relint(WeightSet(2, ((1, 0), (0, 1))))
     assert oracle_relint(WeightSet(2, ((0, 0),)))
-    assert oracle_in_hull(WeightSet(2, ((0, 0), (1, 1))))
-    assert not oracle_in_hull(WeightSet(1, ((1,), (2,))))
 
 
 def test_oracle_relint_bounds():

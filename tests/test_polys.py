@@ -15,9 +15,9 @@ from jkvkit.polys import (
     poly_mul,
     poly_sub,
     rational_roots,
-    resultant,
     squarefree_part,
 )
+from jkvkit.oracles import resultant
 
 X2_MINUS_1 = poly([-1, 0, 1])
 X_MINUS_1 = poly([-1, 1])

