@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from . import polys
-from .intlinalg import fraction_free_rref, int_kernel
+from .intlinalg import det, fraction_free_rref, int_kernel
 from .polys import (
     Poly,
     degree,
@@ -42,6 +42,7 @@ from .ratlinalg import (
     QMat,
     QVec,
     conjugate_by,
+    int_rows,
     is_zero_mat,
     kernel_basis,
     qdet,
@@ -64,10 +65,24 @@ class NonSplitError(ValueError):
     integer-exponent cocharacter exists over the rationals."""
 
 
+class CertificateError(Exception):
+    """A certificate failed its re-check: an internal error, never a verdict."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise CertificateError(msg) unless cond.  Unlike assert, the check
+    also runs under python -O."""
+    if not cond:
+        raise CertificateError(msg)
+
+
 @dataclass(frozen=True)
 class GLnCocharacter:
     g: QMat
     exponents: tuple[int, ...]
+    # g times the lcm of its denominators, as int rows: every conjugation by
+    # g reads these, since G^-1 x G = g^-1 x g for any nonzero multiple G.
+    g_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gm = qmat(self.g)
@@ -76,16 +91,19 @@ class GLnCocharacter:
             raise ValueError("g must be a square matrix")
         if len(gm) != len(exps):
             raise ValueError("exponent count must match the matrix size")
-        if qdet(gm) == 0:
+        c = lcm(*[v.denominator for row in gm for v in row])
+        gi = tuple(tuple(v.numerator * (c // v.denominator) for v in row) for row in gm)
+        if det(gi) == 0:
             raise ValueError("matrix is singular")
         if list(exps) != sorted(exps, reverse=True):
-            # canonical form: sort the exponents and reorder g's columns to
-            # match (stable, so still deterministic)
+            # canonical form: sort the exponents and reorder the columns of g
+            # and of its integer form to match (stable, so still deterministic)
             order = sorted(range(len(exps)), key=lambda j: (-exps[j], j))
-            gm = tuple(tuple(row[j] for j in order) for row in gm)
+            gm, gi = (tuple(tuple(row[j] for j in order) for row in m) for m in (gm, gi))
             exps = tuple(exps[j] for j in order)
         object.__setattr__(self, "g", gm)
         object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "g_int", gi)
 
     @cached_property
     def g_inv(self) -> QMat:
@@ -118,20 +136,31 @@ def _weight_zero_part(lam: GLnCocharacter, y: list[list[int]], d: int) -> QMat:
     return qmul(qmul(lam.g, z), lam.g_inv)
 
 
-def limit_conj(lam: GLnCocharacter, x: QMat) -> QMat | None:
-    """Limit of lam(t) X lam(t)^-1 as t -> 0, or None.
+def conj_limiter(x: QMat):
+    """limit(lam), the limit of lam(t) X lam(t)^-1 as t -> 0, or None.
 
-    In the lam-adapted basis the (i, j) entry scales by t^(a_i - a_j), so the
+    X is validated and scaled to integer rows once, for every lam tried.  In
+    the lam-adapted basis the (i, j) entry scales by t^(a_i - a_j), so the
     limit exists iff all negative-weight entries vanish, and equals the
     block-diagonal (weight-zero) part conjugated back.
     """
     x = qmat(x)
-    if len(x) != lam.n:
-        raise ValueError("shape mismatch")
-    y, d = conjugate_by(lam.g, x)
-    if not _no_negative_weight(lam, y):
-        return None
-    return _weight_zero_part(lam, y, d)
+    xr, xs = int_rows(x)
+
+    def limit(lam: GLnCocharacter) -> QMat | None:
+        if len(x) != lam.n:
+            raise ValueError("shape mismatch")
+        y, d = conjugate_by(lam.g_int, xr, xs)
+        if not _no_negative_weight(lam, y):
+            return None
+        return _weight_zero_part(lam, y, d)
+
+    return limit
+
+
+def limit_conj(lam: GLnCocharacter, x: QMat) -> QMat | None:
+    """Limit of lam(t) X lam(t)^-1 as t -> 0, or None."""
+    return conj_limiter(x)(lam)
 
 
 def levi_part(lam: GLnCocharacter, p: QMat) -> QMat:
@@ -145,7 +174,7 @@ def levi_part(lam: GLnCocharacter, p: QMat) -> QMat:
     p = qmat(p)
     if qdet(p) == 0:
         raise ValueError("parabolic membership is only defined for invertible elements")
-    y, d = conjugate_by(lam.g, p)
+    y, d = conjugate_by(lam.g_int, *int_rows(p))
     if not _no_negative_weight(lam, y):
         raise ValueError("element is outside the parabolic of this cocharacter")
     return _weight_zero_part(lam, y, d)
@@ -192,7 +221,7 @@ def bruhat(g: QMat) -> tuple[QMat, QMat, QMat]:
     w = qmat(a)
     p = qinverse(qmat(p_inv))
     u = qinverse(qmat(u_inv))
-    assert qmul(qmul(p, w), u) == g
+    require(qmul(qmul(p, w), u) == g, "the Bruhat factors must multiply back to g")
     return p, w, u
 
 
@@ -211,9 +240,9 @@ def minpoly(x: QMat) -> Poly:
         ker = kernel_basis(qmat(cols))
         if ker:
             rel = ker[0]
-            assert rel[d] != 0, "first dependency must involve the top power"
+            require(rel[d] != 0, "first dependency must involve the top power")
             return monic(poly(rel))
-    raise AssertionError("a dependency must appear by the Cayley-Hamilton bound")
+    raise CertificateError("a dependency must appear by the Cayley-Hamilton bound")
 
 
 def is_semisimple_matrix(x: QMat) -> bool:
@@ -257,7 +286,7 @@ def jordan_chevalley(x: QMat) -> tuple[QMat, QMat, Poly]:
         inv = poly_invmod(fps, m)
         s_poly = poly_mod(poly_sub(s_poly, polys.poly_mul(fs, inv)), m)
     else:
-        raise AssertionError("Newton iteration must converge within log2(n) steps")
+        raise CertificateError("Newton iteration must converge within log2(n) steps")
     s = eval_poly_matrix(s_poly, x)
     nmat = qsub(x, s)
     return s, nmat, s_poly
@@ -412,7 +441,7 @@ def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
     kern, d = int_kernel(_commutant_rows(x, y), len(x) ** 2)
     if x != y and not len(kern) == _commutant_dim(x) == _commutant_dim(y):
         return None
-    assert kern, "conjugate matrices have nonzero intertwiners"
+    require(bool(kern), "conjugate matrices have nonzero intertwiners")
     n = len(x)
     for coeffs in _combination_iter(len(kern), n):
         flat = [0] * (n * n)
@@ -421,9 +450,9 @@ def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
                 flat = [a + c * b for a, b in zip(flat, v)]
         g = _over(flat, d, n)
         if qdet(g) != 0:
-            assert qmul(g, x) == qmul(y, g)
+            require(qmul(g, x) == qmul(y, g), "the witness must intertwine x and y")
             return g
-    raise AssertionError("an invertible intertwiner exists for conjugate matrices")
+    raise CertificateError("an invertible intertwiner exists for conjugate matrices")
 
 
 @dataclass
@@ -465,7 +494,7 @@ def _eigenbasis_cocharacter(s: QMat, nmat: QMat, roots: list[Fraction]) -> GLnCo
         coords = []
         for row in nb:
             sol = solve_right(emat, row)
-            assert sol is not None, "the nilpotent part preserves eigenspaces"
+            require(sol is not None, "the nilpotent part preserves eigenspaces")
             coords.append(sol)
         m_small = qmat(tuple(zip(*coords)))  # matrix of nmat on the eigenspace
         chosen: list[QVec] = []
@@ -473,7 +502,7 @@ def _eigenbasis_cocharacter(s: QMat, nmat: QMat, roots: list[Fraction]) -> GLnCo
         j = 0
         while len(chosen) < dim:
             j += 1
-            assert j <= dim, "the restricted nilpotent part must be nilpotent"
+            require(j <= dim, "the restricted nilpotent part must be nilpotent")
             power = qmul(power, m_small)
             for v in kernel_basis(power):
                 if qrank(qmat(chosen + [v])) == len(chosen) + 1:
@@ -516,7 +545,7 @@ def jkv_certify_gln(x: QMat, s: QMat, n: QMat, lam: GLnCocharacter) -> dict[str,
     """The limit-certificate clauses of a decomposition x = s + n along lam:
     lam fixes s, s is its limit, n is nilpotent with limit 0."""
     size = len(x)
-    y, _ = conjugate_by(lam.g, s)
+    y, _ = conjugate_by(lam.g_int, *int_rows(s))
     e = lam.exponents
     return {
         "commutes": all(

@@ -254,7 +254,7 @@ def sample_weight_set(rng: random.Random, max_rank: int = 3, max_points: int = 6
 # Matrix-model instance generation
 
 
-def _random_unimodular(rng: random.Random, n: int) -> QMat:
+def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(rng.randint(2 * n, 4 * n)):
         i = rng.randrange(n)
@@ -266,7 +266,7 @@ def _random_unimodular(rng: random.Random, n: int) -> QMat:
             continue
         for k in range(n):
             m[i][k] += c * m[j][k]
-    return qmat(m)
+    return m
 
 
 def sample_rational_spectrum_matrix(rng: random.Random, n: int, diagonalizable=False):
@@ -292,7 +292,7 @@ def sample_rational_spectrum_matrix(rng: random.Random, n: int, diagonalizable=F
             if t + 1 < k:
                 j[pos + t][pos + t + 1] = F(1)
         pos += k
-    h = _random_unimodular(rng, n)
+    h = qmat(_random_unimodular(rng, n))
     hinv = qinverse(h)
     x = qmul(qmul(h, qmat(j)), hinv)
     s_true = qmul(qmul(h, qmat(d)), hinv)

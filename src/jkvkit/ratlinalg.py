@@ -33,7 +33,7 @@ def _scaled(v) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in v], s
 
 
-def _int_rows(a: QMat) -> tuple[list[list[int]], list[int]]:
+def int_rows(a: QMat) -> tuple[list[list[int]], list[int]]:
     """Row-scaled integer copy of a, and the row scales."""
     pairs = [_scaled(row) for row in a]
     return [r for r, _ in pairs], [s for _, s in pairs]
@@ -58,8 +58,8 @@ def qmul(a: QMat, b: QMat) -> QMat:
         return ()
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
-    ra, sa = _int_rows(a)
-    cb, sb = _int_rows(tuple(zip(*b)))
+    ra, sa = int_rows(a)
+    cb, sb = int_rows(tuple(zip(*b)))
     return tuple(
         tuple(Fraction(sum(map(mul, row, col)), s * t) for col, t in zip(cb, sb))
         for row, s in zip(ra, sa)
@@ -67,7 +67,7 @@ def qmul(a: QMat, b: QMat) -> QMat:
 
 
 def qmat_vec(a: QMat, v: QVec) -> QVec:
-    ra, sa = _int_rows(a)
+    ra, sa = int_rows(a)
     iv, t = _scaled(v)
     return tuple(Fraction(sum(map(mul, row, iv)), s * t) for row, s in zip(ra, sa))
 
@@ -80,7 +80,7 @@ def qdet(a: QMat) -> Fraction:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    m, scales = _int_rows(a)
+    m, scales = int_rows(a)
     return Fraction(det(m), prod(scales))
 
 
@@ -88,7 +88,7 @@ def qinverse(a: QMat) -> QMat:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inverse of a non-square matrix")
-    m, scales = _int_rows(a)
+    m, scales = int_rows(a)
     # Row i of [a | I] scaled by s_i is row i of [m | diag(scales)].
     for i, row in enumerate(m):
         row.extend(scales[i] if i == j else 0 for j in range(n))
@@ -98,21 +98,21 @@ def qinverse(a: QMat) -> QMat:
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
 
 
-def conjugate_by(g: QMat, x: QMat) -> tuple[list[list[int]], int]:
+def conjugate_by(gi, xr: list[list[int]], xs: list[int]) -> tuple[list[list[int]], int]:
     """g^-1 x g as (m, d): integer numerators m over one denominator d != 0.
 
-    One fraction-free solve of g y = x g.  With G = c*g integral (c the lcm
-    of g's denominators) and row i of x scaled to the integer row X_i by s_i,
-    row i of that system is row i of [s_i G | X G]; its reduced form is d
-    times [I | y].  Raises ValueError when g is singular.
+    The operands come as integer forms, so a caller that conjugates one
+    matrix many times scales it once: gi is any nonzero multiple of g with
+    int entries, and (xr, xs) = int_rows(x).  One fraction-free solve of
+    g y = x g: with G = gi and row i of x scaled to the integer row X_i by
+    s_i, row i of that system is row i of [s_i G | X G]; its reduced form
+    is d times [I | y].  Raises ValueError when the shapes differ or g is
+    singular.
     """
-    n = len(g)
-    if any(len(r) != n for r in g) or len(x) != n or any(len(r) != n for r in x):
+    n = len(gi)
+    if any(len(r) != n for r in gi) or len(xr) != n or any(len(r) != n for r in xr):
         raise ValueError("shape mismatch in matrix product")
-    c = lcm(*[v.denominator for row in g for v in row])
-    gi = [[v.numerator * (c // v.denominator) for v in row] for row in g]
     gcols = tuple(zip(*gi))
-    xr, xs = _int_rows(x)
     m = [
         [s * v for v in grow] + [sum(map(mul, xrow, col)) for col in gcols]
         for grow, xrow, s in zip(gi, xr, xs)
@@ -125,7 +125,7 @@ def conjugate_by(g: QMat, x: QMat) -> tuple[list[list[int]], int]:
 
 def _reduced(a: QMat) -> tuple[list[list[int]], int, list[int]]:
     """(m, d, pivots): m is d times the reduced row-echelon form of a."""
-    m, _ = _int_rows(a)
+    m, _ = int_rows(a)
     d, pivots = fraction_free_rref(m)
     return m, d, pivots
 
@@ -136,7 +136,7 @@ def qrank(a: QMat) -> int:
 
 def kernel_basis(a: QMat) -> list[QVec]:
     """Basis of the right null space, deterministic order (one per free column)."""
-    m, _ = _int_rows(a)
+    m, _ = int_rows(a)
     kern, d = int_kernel(m, len(a[0]) if a else 0)
     return [tuple(Fraction(x, d) for x in v) for v in kern]
 

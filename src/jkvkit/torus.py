@@ -514,7 +514,21 @@ def _decompose_with(rep: TorusRep, gamma: RepVector, certify) -> JkvDecompositio
     return JkvDecomposition(s, n, lam, cert, report)
 
 
+# The most cocharacters one box sweep may visit.  A survey keeps an entry
+# per cocharacter, so an unbounded box would run until memory runs out; the
+# sweeps in use stay far below (box 3 at rank 4 is 2,401).
+BOX_BUDGET = 100_000
+
+
 def _box_iter(rank: int, box: int):
+    """The cocharacters of [-box, box]^rank in lexicographic order; raises
+    ValueError, before any work, for a sweep above BOX_BUDGET."""
+    count = (2 * box + 1) ** rank
+    if count > BOX_BUDGET:
+        raise ValueError(
+            f"box {box} at rank {rank} holds {count} cocharacters, "
+            f"over the limit of {BOX_BUDGET}"
+        )
     return itertools.product(range(-box, box + 1), repeat=rank)
 
 

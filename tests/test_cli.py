@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,45 @@ def test_internal_errors_exit_4_with_a_traceback(capsys, monkeypatch, tmp_path):
         lines = err.splitlines()
         assert lines[0] == f"internal error: {summary}"
         assert lines[1] == "Traceback (most recent call last):" and lines[-1] == summary
+
+
+def test_a_failed_gln_recheck_exits_4_under_python_O(tmp_path):
+    pair = write(tmp_path, "pair.json", {"n": 2, "x": [["1", "1"], ["0", "2"]], "y": [["2", "0"], ["0", "1"]]})
+    # Every product differs, so the witness re-check of rational_conjugacy
+    # fails; under -O an assert would have let the witness through.
+    script = (
+        "import itertools, sys\n"
+        "from jkvkit import cli, gln\n"
+        "assert False, 'asserts must be stripped'\n"
+        "products = itertools.count()\n"
+        "gln.qmul = lambda a, b: next(products)\n"
+        f"sys.exit(cli.main(['conjugacy', '--file', {pair!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INTERNAL, "")
+    summary = "CertificateError: the witness must intertwine x and y"
+    assert proc.stderr.splitlines()[0] == f"internal error: {summary}"
+
+
+def test_oversize_box_sweeps_exit_2_before_any_work(capsys, torus_file):
+    too_big = "box 100000 at rank 1 holds 200001 cocharacters, over the limit of 100000"
+    for argv in (
+        ["survey", "torus", "--file", torus_file, "--box", "100000"],
+        ["lambda-min", "torus", "--file", torus_file, "--box", "100000"],
+        ["verify", "--suite", "limits", "--seed", "7", "--count", "3", "--box", "100000"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_USAGE, "") and time.perf_counter() - start < 5
+        assert err.startswith("error: box 100000 at rank ") and err.count("\n") == 1
+        if argv[0] != "verify":
+            assert err == f"error: {too_big}\n"
 
 
 @pytest.fixture

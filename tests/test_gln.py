@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from jkvkit import gln
 from jkvkit.gln import (
     GLnCocharacter,
     NonSplitError,
@@ -11,6 +14,7 @@ from jkvkit.gln import (
     bruhat,
     central_cocharacter,
     commutant_basis,
+    conj_limiter,
     eval_poly_matrix,
     invariant_factors,
     is_semisimple_matrix,
@@ -53,6 +57,27 @@ def test_cocharacter_validation():
         GLnCocharacter(m([[1, 0, 0], [0, 1, 0]]), (1, 0))
     with pytest.raises(ValueError, match="square"):
         GLnCocharacter(m([[1, 0], [0, 1], [0, 0]]), (1, 0, 0))
+
+
+def test_cocharacter_integer_form_keeps_the_validation_messages():
+    for g, exps, msg in [
+        (m([[F(1, 2), 1], [1, 2]]), (0, 1), "matrix is singular"),
+        (m([[F(2, 3), F(1, 3)], [F(4, 5), F(2, 5)]]), (1, 0), "matrix is singular"),
+        (m([[F(1, 2), 0, 0], [0, 1, 0]]), (1, 0), "g must be a square matrix"),
+        (m([[F(1, 2), 0], [0, 1], [0, 0]]), (1, 0, 0), "g must be a square matrix"),
+        (m([[F(1, 2), 0], [0, 1]]), (1, 0, 0), "exponent count must match the matrix size"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            GLnCocharacter(g, exps)
+    # the integer form is g times the lcm of its denominators, after the
+    # column reorder that sorts the exponents
+    lam = GLnCocharacter(m([[F(1, 2), F(1, 3)], [0, F(-1, 4)]]), (-1, 2))
+    assert lam.exponents == (2, -1)
+    assert lam.g == m([[F(1, 3), F(1, 2)], [F(-1, 4), 0]])
+    assert lam.g_int == ((4, 6), (-3, 0))
+    assert all(type(v) is int for row in lam.g_int for v in row)
+    assert "g_int" not in repr(lam)
+    assert lam == GLnCocharacter(lam.g, lam.exponents)
 
 
 def test_cocharacter_inverse_is_lazy_and_outside_equality():
@@ -168,6 +193,60 @@ def test_graded_maps_match_the_inverse_product_formulas():
                     levi_part(lam, h)
             seen["in P" if inside else "outside P"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def test_one_limiter_per_matrix_matches_the_inverse_product_formula():
+    """One conj_limiter(x) tried against many cocharacters, as the
+    limit-conjugacy suite does, among them g with fractional entries and
+    unsorted exponents, whose columns are reordered."""
+    rng = random.Random(1977)
+    seen = {"limit": 0, "no limit": 0, "reordered": 0}
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        lams = []
+        for _ in range(25):
+            exps = tuple(rng.randint(-3, 3) for _ in range(n))
+            if rng.random() < 0.5:
+                lam = GLnCocharacter(_invertible(rng, n), exps)
+            else:
+                lam = oracles.sample_gln_cocharacter(rng, n)
+            seen["reordered"] += exps != lam.exponents
+            c = lcm(*[v.denominator for row in lam.g for v in row])
+            assert lam.g_int == tuple(tuple(int(c * v) for v in row) for row in lam.g)
+            lams.append(lam)
+        lams.append(central_cocharacter(n, rng.randint(-3, 3)))
+        for x in (_random_rational_matrix(rng, n), oracles.sample_matrix_with_limit(rng, lams[0])):
+            limit = conj_limiter(x)
+            for lam in lams:
+                ref = _old_limit_conj(lam, x)
+                assert limit(lam) == ref == limit_conj(lam, x)
+                seen["no limit" if ref is None else "limit"] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+def test_limiter_keeps_the_shape_errors():
+    lam2, lam3 = central_cocharacter(2), central_cocharacter(3)
+    limit = conj_limiter(m([[1, 2], [3, 4]]))
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        limit(lam3)
+    assert limit(lam2) == m([[1, 2], [3, 4]])
+    limit = conj_limiter(m([[1, 2], [3, 4], [5, 6]]))
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        limit(lam2)
+    with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+        limit(lam3)
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        conj_limiter([[1, 2], [3]])
+
+
+def test_gln_rechecks_are_not_asserts():
+    """Every certificate re-check in gln runs under python -O too."""
+    with open(gln.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    gln.require(True, "unused")
+    with pytest.raises(gln.CertificateError, match="^lost$"):
+        gln.require(False, "lost")
 
 
 def test_bruhat_examples():

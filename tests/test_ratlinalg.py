@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from jkvkit.intlinalg import fraction_free_rref, int_kernel
 from jkvkit.ratlinalg import (
     conjugate_by,
+    int_rows,
     kernel_basis,
     qdet,
     qinverse,
@@ -191,19 +193,27 @@ def test_square_kernels_match_reference(data):
         assert inv == ref and _all_fractions(inv)
 
 
+def _conjugate(g, x, k=1):
+    """conjugate_by with g given as k times its lcm-scaled integer form."""
+    c = k * lcm(*[v.denominator for row in g for v in row])
+    gi = [[int(v * c) for v in row] for row in g]
+    return conjugate_by(gi, *int_rows(x))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_conjugate_by_matches_the_inverse_product(data):
     n = data.draw(st.integers(1, 4))
     g = data.draw(matrices(rows=st.just(n), cols=st.just(n)))
     x = data.draw(matrices(rows=st.just(n), cols=st.just(n)))
+    k = data.draw(st.sampled_from([1, -3, 7]))
     try:
         ref = _ref_qmul(_ref_qmul(_ref_qinverse(g), x), g)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            conjugate_by(g, x)
+            _conjugate(g, x, k)
     else:
-        m, d = conjugate_by(g, x)
+        m, d = _conjugate(g, x, k)
         assert d != 0 and all(type(v) is int for row in m for v in row)
         assert tuple(tuple(F(v, d) for v in row) for row in m) == ref
 
@@ -211,15 +221,15 @@ def test_conjugate_by_matches_the_inverse_product(data):
 def test_conjugate_by_examples():
     g = qmat([[1, F(1, 2)], [0, F(-2, 3)]])
     x = qmat([[F(3, 4), -2], [F(1, 5), 0]])
-    m, d = conjugate_by(g, x)
+    m, d = _conjugate(g, x)
     assert tuple(tuple(F(v, d) for v in row) for row in m) == qmul(qmul(qinverse(g), x), g)
-    assert conjugate_by((), ()) == ([], 1)
+    assert conjugate_by((), [], []) == ([], 1)
     with pytest.raises(ValueError, match="singular"):
-        conjugate_by(qmat([[1, 2], [F(1, 2), 1]]), x)
+        _conjugate(qmat([[1, 2], [F(1, 2), 1]]), x)
     with pytest.raises(ValueError, match="shape mismatch"):
-        conjugate_by(g, qmat([[1, 2, 3], [4, 5, 6]]))
+        _conjugate(g, qmat([[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(ValueError, match="shape mismatch"):
-        conjugate_by(qmat([[1, 2, 3], [4, 5, 6]]), x)
+        _conjugate(qmat([[1, 2, 3], [4, 5, 6]]), x)
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ from jkvkit.intlinalg import pairing
 from jkvkit.oracles import FuzzConfig, sample_torus_instance
 from jkvkit.polytope import WeightSet
 from jkvkit.torus import (
+    BOX_BUDGET,
     BoxTooSmallError,
     FiniteElement,
     FiniteGroup,
@@ -33,7 +34,7 @@ from jkvkit.torus import (
     vec_sub,
     zero_vector,
 )
-from jkvkit.torus import _transfers
+from jkvkit.torus import _box_iter, _transfers
 
 F = Fraction
 
@@ -274,6 +275,20 @@ def test_lambda_min_box_too_small():
         lambda_min(rep, g, 1)
     dim, wits = lambda_min(rep, g, 9)
     assert dim == 0 and (2, -9) in wits
+
+
+def test_box_sweeps_stop_at_the_budget():
+    assert BOX_BUDGET == 100_000
+    assert sum(1 for _ in _box_iter(1, 49_999)) == 99_999
+    with pytest.raises(
+        ValueError, match="^box 50000 at rank 1 holds 100001 cocharacters, over the limit of 100000$"
+    ):
+        _box_iter(1, 50_000)
+    rep = TorusRep(2, (((5, 1), 1), ((-4, -1), 1)))
+    g = rv(2, {(5, 1): (F(1),), (-4, -1): (F(1),)})
+    for sweep in (limit_survey, lambda_min):
+        with pytest.raises(ValueError, match="^box 158 at rank 2 holds 100489 cocharacters"):
+            sweep(rep, g, 158)
 
 
 def test_compose_cocharacters_examples():
