@@ -21,19 +21,24 @@ from .torus import FiniteElement, FiniteGroup, RepVector, TorusRep
 F = Fraction
 
 
+# Shape of sampled torus instances: at most MAX_POINTS weights, weight
+# coordinates in [-COEFF_BOUND, COEFF_BOUND], vector coordinates with
+# numerators and denominators bounded by COORD_BOUND.
+MAX_POINTS = 10
+COEFF_BOUND = 5
+COORD_BOUND = 9
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
     seed: int = 42
     count: int = 100
     max_rank: int = 4
-    max_points: int = 10
-    coeff_bound: int = 5
-    coord_bound: int = 9
     box: int = 3
     max_size: int = 4
 
     def __post_init__(self):
-        for name in ("count", "max_rank", "max_points", "coeff_bound", "coord_bound", "box", "max_size"):
+        for name in ("count", "max_rank", "box", "max_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -166,16 +171,16 @@ _INVOLUTORY_2D = (
 )
 
 
-def _sample_finite_part(rng: random.Random, cfg: FuzzConfig, rank: int):
+def _sample_finite_part(rng: random.Random, rank: int):
     """Order-2 group from a lattice involution, with cocycle-consistent blocks."""
     lattice = _involution_matrix(rng, rank)
     base = set()
-    for _ in range(rng.randint(2, max(2, cfg.max_points // 2))):
-        base.add(tuple(rng.randint(-cfg.coeff_bound, cfg.coeff_bound) for _ in range(rank)))
+    for _ in range(rng.randint(2, max(2, MAX_POINTS // 2))):
+        base.add(tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(rank)))
     weights = set()
     for chi in sorted(base):
         orbit = {chi, mat_vec(lattice, chi)}
-        if len(weights | orbit) <= cfg.max_points:
+        if len(weights | orbit) <= MAX_POINTS:
             weights |= orbit
     weights = sorted(weights)
     dims = {}
@@ -226,11 +231,11 @@ def sample_torus_instance(rng: random.Random, cfg: FuzzConfig):
     rank = rng.randint(1, cfg.max_rank)
     finite = None
     if rank >= 2 and rng.random() < 0.4:
-        spaces, finite = _sample_finite_part(rng, cfg, rank)
+        spaces, finite = _sample_finite_part(rng, rank)
     else:
         weights = set()
-        for _ in range(rng.randint(3, cfg.max_points)):
-            weights.add(tuple(rng.randint(-cfg.coeff_bound, cfg.coeff_bound) for _ in range(rank)))
+        for _ in range(rng.randint(3, MAX_POINTS)):
+            weights.add(tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(rank)))
         spaces = tuple(
             (chi, 1 if rng.random() < 0.85 else 2) for chi in sorted(weights)
         )
@@ -238,7 +243,7 @@ def sample_torus_instance(rng: random.Random, cfg: FuzzConfig):
     comps = {}
     for chi, d in rep.weight_spaces:
         if rng.random() < 0.6:
-            comps[chi] = tuple(_random_fraction(rng, cfg.coord_bound) for _ in range(d))
+            comps[chi] = tuple(_random_fraction(rng, COORD_BOUND) for _ in range(d))
     return rep, RepVector(rank, comps)
 
 

@@ -1,8 +1,11 @@
 """Named verification suites: seeded fuzzing of every model-level invariant.
 
-Each suite draws instances from the deterministic generator stream, checks
-one family of invariants, and reports failures with a replayable input
-serialization plus the first clause that broke.
+A suite is a check of one instance: ``check(rng, cfg)`` draws the instance
+from the deterministic generator stream, checks one family of invariants on
+it, and returns None when they hold or ``(clause, payload)``: the first
+clause that broke and a replayable input serialization, built only on that
+failure path.  ``run_suite`` owns the loop: it creates the generator once,
+calls the check ``cfg.count`` times, and builds the report.
 """
 
 from __future__ import annotations
@@ -65,53 +68,48 @@ class VerificationReport:
         return not self.failures
 
 
-def _suite_limits(cfg: FuzzConfig, report: VerificationReport):
+def _in_one_orbit(rep, v, w) -> bool:
+    """True when same_orbit finds a g with g.v = w and acting by g on v
+    re-verifies it."""
+    g = same_orbit(rep, v, w)
+    return g is not None and act(rep, g, v) == w
+
+
+def _suite_limits(rng, cfg: FuzzConfig):
     """Dual-implementation agreement for limit existence and value."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        rep, gamma = oracles.sample_torus_instance(rng, cfg)
-        bad = None
-        for lam in torus._box_iter(rep.rank, cfg.box):
-            a = limit(lam, gamma)
-            b = oracles.oracle_limit(lam, gamma)
-            if a != b:
-                bad = f"disagreement at cocharacter {lam}"
-                break
-        report.instances += 1
-        if bad:
-            report.failures.append(Failure(idx, bad, torus_problem_to_json(rep, gamma)))
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    for lam in torus._box_iter(rep.rank, cfg.box):
+        if limit(lam, gamma) != oracles.oracle_limit(lam, gamma):
+            return f"disagreement at cocharacter {lam}", torus_problem_to_json(rep, gamma)
+    return None
 
 
-def _suite_semisimple(cfg: FuzzConfig, report: VerificationReport):
+def _suite_semisimple(rng, cfg: FuzzConfig):
     """Relative-interior test against the circuit-enumeration oracle, with
     certificate verification on both verdicts."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        ws = oracles.sample_weight_set(rng, max_rank=min(cfg.max_rank, 3), max_points=6)
-        res = origin_in_relint(ws)
-        truth = oracles.oracle_relint(ws)
-        clause = None
-        if res.inside != truth:
-            clause = f"verdict {res.inside} against oracle {truth}"
-        elif res.inside:
-            bary = res.barycentric
-            if set(bary) != set(ws.points) or any(c <= 0 for c in bary.values()):
-                clause = "barycentric support"
-            elif sum(bary.values()) != 1 or any(
-                sum(c * chi[k] for chi, c in bary.items()) != 0 for k in range(ws.rank)
-            ):
-                clause = "barycentric identity"
-        else:
-            lam = res.separator
-            if not all(pairing(lam, p) >= 0 for p in ws.points) or not any(
-                pairing(lam, p) > 0 for p in ws.points
-            ):
-                clause = "separating cocharacter"
-        report.instances += 1
-        if clause:
-            report.failures.append(
-                Failure(idx, clause, {"rank": ws.rank, "points": [list(p) for p in ws.points]})
-            )
+    ws = oracles.sample_weight_set(rng, max_rank=min(cfg.max_rank, 3), max_points=6)
+    res = origin_in_relint(ws)
+    truth = oracles.oracle_relint(ws)
+    clause = None
+    if res.inside != truth:
+        clause = f"verdict {res.inside} against oracle {truth}"
+    elif res.inside:
+        bary = res.barycentric
+        if set(bary) != set(ws.points) or any(c <= 0 for c in bary.values()):
+            clause = "barycentric support"
+        elif sum(bary.values()) != 1 or any(
+            sum(c * chi[k] for chi, c in bary.items()) != 0 for k in range(ws.rank)
+        ):
+            clause = "barycentric identity"
+    else:
+        lam = res.separator
+        if not all(pairing(lam, p) >= 0 for p in ws.points) or not any(
+            pairing(lam, p) > 0 for p in ws.points
+        ):
+            clause = "separating cocharacter"
+    if clause:
+        return clause, {"rank": ws.rank, "points": [list(p) for p in ws.points]}
+    return None
 
 
 def _check_theorem_instance(rep, gamma, box):
@@ -141,293 +139,246 @@ def _check_theorem_instance(rep, gamma, box):
     return None
 
 
-def _suite_theorem(cfg: FuzzConfig, report: VerificationReport):
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        rep, gamma = oracles.sample_torus_instance(rng, cfg)
-        clause = _check_theorem_instance(rep, gamma, cfg.box)
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, torus_problem_to_json(rep, gamma)))
+def _suite_theorem(rng, cfg: FuzzConfig):
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    clause = _check_theorem_instance(rep, gamma, cfg.box)
+    if clause:
+        return clause, torus_problem_to_json(rep, gamma)
+    return None
 
 
-def _suite_jkv_survey(cfg: FuzzConfig, report: VerificationReport):
+def _suite_jkv_survey(rng, cfg: FuzzConfig):
     """Decompositions assembled from semisimple survey entries: whenever the
     clauses certify, the semisimple part is orbit-equivalent to the
     constructive one."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        rep, gamma = oracles.sample_torus_instance(rng, cfg)
-        clause = None
-        certify = jkv_certifier(rep, gamma)
-        dec = torus._decompose_with(rep, gamma, certify)
-        if not dec.report.ok:
-            clause = "constructive decomposition failed its own certificate"
-        else:
-            survey = limit_survey(rep, gamma, cfg.box)
-            for e in survey.semisimple_entries():
-                s = e.value
-                n = vec_sub(gamma, s)
-                rep_ok = certify(s, n, e.cocharacter)
-                if not rep_ok.ok:
-                    continue
-                g = same_orbit(rep, s, dec.s)
-                if g is None or act(rep, g, s) != dec.s:
-                    clause = f"certified semisimple part not in the orbit at {e.cocharacter}"
-                    break
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, torus_problem_to_json(rep, gamma)))
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    certify = jkv_certifier(rep, gamma)
+    dec = torus._decompose_with(rep, gamma, certify)
+    if not dec.report.ok:
+        clause = "constructive decomposition failed its own certificate"
+        return clause, torus_problem_to_json(rep, gamma)
+    for e in limit_survey(rep, gamma, cfg.box).semisimple_entries():
+        s = e.value
+        if certify(s, vec_sub(gamma, s), e.cocharacter).ok and not _in_one_orbit(rep, s, dec.s):
+            clause = f"certified semisimple part not in the orbit at {e.cocharacter}"
+            return clause, torus_problem_to_json(rep, gamma)
+    return None
 
 
-def _suite_compose(cfg: FuzzConfig, report: VerificationReport):
+def _suite_compose(rng, cfg: FuzzConfig):
     """Composition cocharacter: sign conditions, the three containments,
     minimality of n, and the composed-limit identity."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        rep, gamma = oracles.sample_torus_instance(rng, cfg)
-        lam0 = tuple(rng.randint(-3, 3) for _ in range(rep.rank))
-        lam = tuple(rng.randint(-3, 3) for _ in range(rep.rank))
-        clause = None
-        n, mu = compose_cocharacters(rep, lam0, lam)
-        weights = rep.weights()
-        p0 = {chi: pairing(lam0, chi) for chi in weights}
-        p1 = {chi: pairing(lam, chi) for chi in weights}
-        pm = {chi: pairing(mu, chi) for chi in weights}
-        if mu != tuple(n * a + b for a, b in zip(lam0, lam)):
-            clause = "mu is not n*lam0 + lam"
-        elif any((pm[c] == 0) != (p0[c] == 0 and p1[c] == 0) for c in weights):
-            clause = "fixed-space intersection relation"
-        elif any(p0[c] > 0 and pm[c] <= 0 for c in weights):
-            clause = "positive-part containment"
-        elif any(pm[c] >= 0 and p0[c] < 0 for c in weights):
-            clause = "nonnegative-part containment"
-        elif n > 1:
-            prev = tuple((n - 1) * a + b for a, b in zip(lam0, lam))
-            ok_prev = all(
-                (p0[c] <= 0 or pairing(prev, c) > 0)
-                and (p0[c] >= 0 or pairing(prev, c) < 0)
-                for c in weights
-            )
-            if ok_prev:
-                clause = "n is not minimal"
-        if clause is None:
-            v0 = limit(lam0, gamma)
-            if v0 is not None:
-                vprime = limit(lam, v0)
-                if vprime is not None and limit(mu, gamma) != vprime:
-                    clause = "composed limit mismatch"
-        report.instances += 1
-        if clause:
-            payload = torus_problem_to_json(rep, gamma)
-            payload["lam0"] = list(lam0)
-            payload["lam"] = list(lam)
-            report.failures.append(Failure(idx, clause, payload))
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    lam0 = tuple(rng.randint(-3, 3) for _ in range(rep.rank))
+    lam = tuple(rng.randint(-3, 3) for _ in range(rep.rank))
+    clause = None
+    n, mu = compose_cocharacters(rep, lam0, lam)
+    weights = rep.weights()
+    p0 = {chi: pairing(lam0, chi) for chi in weights}
+    p1 = {chi: pairing(lam, chi) for chi in weights}
+    pm = {chi: pairing(mu, chi) for chi in weights}
+    if mu != tuple(n * a + b for a, b in zip(lam0, lam)):
+        clause = "mu is not n*lam0 + lam"
+    elif any((pm[c] == 0) != (p0[c] == 0 and p1[c] == 0) for c in weights):
+        clause = "fixed-space intersection relation"
+    elif any(p0[c] > 0 and pm[c] <= 0 for c in weights):
+        clause = "positive-part containment"
+    elif any(pm[c] >= 0 and p0[c] < 0 for c in weights):
+        clause = "nonnegative-part containment"
+    elif n > 1:
+        prev = tuple((n - 1) * a + b for a, b in zip(lam0, lam))
+        ok_prev = all(
+            (p0[c] <= 0 or pairing(prev, c) > 0)
+            and (p0[c] >= 0 or pairing(prev, c) < 0)
+            for c in weights
+        )
+        if ok_prev:
+            clause = "n is not minimal"
+    if clause is None:
+        v0 = limit(lam0, gamma)
+        if v0 is not None:
+            vprime = limit(lam, v0)
+            if vprime is not None and limit(mu, gamma) != vprime:
+                clause = "composed limit mismatch"
+    if clause:
+        payload = torus_problem_to_json(rep, gamma)
+        payload["lam0"] = list(lam0)
+        payload["lam"] = list(lam)
+        return clause, payload
+    return None
 
 
-def _suite_limit_conjugacy(cfg: FuzzConfig, report: VerificationReport):
+def _suite_limit_conjugacy(rng, cfg: FuzzConfig):
     """Semisimple matrices: every existing limit is rationally conjugate to
     the input."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        n = rng.randint(2, cfg.max_size)
-        x, _, _ = oracles.sample_rational_spectrum_matrix(rng, n, diagonalizable=True)
-        limit_of = conj_limiter(x)
-        clause = None
-        found = 0
-        tries = 0
-        while found < 5 and tries < 200:
-            tries += 1
-            lam = oracles.sample_gln_cocharacter(rng, n)
-            val = limit_of(lam)
-            if val is None:
-                continue
-            found += 1
-            if not is_semisimple_matrix(val):
-                clause = "limit of a semisimple matrix must stay semisimple"
-                break
-            g = rational_conjugacy(val, x)
-            if g is None:
-                clause = "limit not conjugate to the input"
-                break
-            if qmul(g, val) != qmul(x, g):
-                clause = "conjugacy witness failed re-verification"
-                break
-        if found < 5 and clause is None:
-            # pad with the central cocharacter, whose limit is x itself
-            val = limit_of(central_cocharacter(n))
-            if val != x or rational_conjugacy(val, x) is None:
-                clause = "central limit must be the matrix itself"
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, gln_problem_to_json(x)))
+    n = rng.randint(2, cfg.max_size)
+    x, _, _ = oracles.sample_rational_spectrum_matrix(rng, n, diagonalizable=True)
+    limit_of = conj_limiter(x)
+    clause = None
+    found = 0
+    tries = 0
+    while found < 5 and tries < 200:
+        tries += 1
+        lam = oracles.sample_gln_cocharacter(rng, n)
+        val = limit_of(lam)
+        if val is None:
+            continue
+        found += 1
+        if not is_semisimple_matrix(val):
+            clause = "limit of a semisimple matrix must stay semisimple"
+            break
+        g = rational_conjugacy(val, x)
+        if g is None:
+            clause = "limit not conjugate to the input"
+            break
+        if qmul(g, val) != qmul(x, g):
+            clause = "conjugacy witness failed re-verification"
+            break
+    if found < 5 and clause is None:
+        # pad with the central cocharacter, whose limit is x itself
+        val = limit_of(central_cocharacter(n))
+        if val != x or rational_conjugacy(val, x) is None:
+            clause = "central limit must be the matrix itself"
+    if clause:
+        return clause, gln_problem_to_json(x)
+    return None
 
 
-def _suite_jkv_gln(cfg: FuzzConfig, report: VerificationReport):
+def _suite_jkv_gln(rng, cfg: FuzzConfig):
     """Limit certificate agrees with the classical decomposition and with the
     construction's eigenvalue ground truth."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        n = rng.randint(2, cfg.max_size)
-        x, s_true, n_true = oracles.sample_rational_spectrum_matrix(rng, n)
-        clause = None
-        cert = jkv_gln(x)
-        s, nm, _ = jordan_chevalley(x)
-        if cert.s != s:
-            clause = "certificate disagrees with the classical semisimple part"
-        elif cert.s != s_true or cert.n != n_true:
-            clause = "decomposition disagrees with the construction ground truth"
-        elif cert.n != qsub(qmat(x), s):
-            clause = "nilpotent part is not x - s"
-        elif not cert.ok:
-            clause = next(k for k, v in cert.clauses.items() if not v)
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, gln_problem_to_json(x)))
+    n = rng.randint(2, cfg.max_size)
+    x, s_true, n_true = oracles.sample_rational_spectrum_matrix(rng, n)
+    clause = None
+    cert = jkv_gln(x)
+    s, nm, _ = jordan_chevalley(x)
+    if cert.s != s:
+        clause = "certificate disagrees with the classical semisimple part"
+    elif cert.s != s_true or cert.n != n_true:
+        clause = "decomposition disagrees with the construction ground truth"
+    elif cert.n != qsub(qmat(x), s):
+        clause = "nilpotent part is not x - s"
+    elif not cert.ok:
+        clause = next(k for k, v in cert.clauses.items() if not v)
+    if clause:
+        return clause, gln_problem_to_json(x)
+    return None
 
 
-def _suite_jordan_chevalley(cfg: FuzzConfig, report: VerificationReport):
+def _suite_jordan_chevalley(rng, cfg: FuzzConfig):
     """Algebraic invariants of the exact decomposition, plus conjugation
     equivariance."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        n = rng.randint(2, cfg.max_size)
-        x, s_true, _ = oracles.sample_rational_spectrum_matrix(rng, n)
-        clause = None
-        s, nm, p = jordan_chevalley(x)
-        power = gln.mat_power(nm, n)
-        ms = minpoly(s)
-        if qsub(qmat(x), s) != qmat(nm):
-            clause = "x != s + n"
-        elif qmul(s, nm) != qmul(nm, s):
-            clause = "parts do not commute"
-        elif not is_zero_mat(power):
-            clause = "nilpotency"
-        elif degree(poly_gcd(ms, poly_derivative(ms))) != 0:
-            clause = "semisimplicity of s"
-        elif gln.eval_poly_matrix(p, x) != s:
-            clause = "polynomial witness"
-        elif s != s_true:
-            clause = "eigenvalue oracle disagreement"
-        else:
-            h = oracles._random_unimodular(rng, n)
-            hinv = qinverse(h)
-            s2, n2, _ = jordan_chevalley(qmul(qmul(h, x), hinv))
-            if s2 != qmul(qmul(h, s), hinv) or n2 != qmul(qmul(h, nm), hinv):
-                clause = "conjugation equivariance"
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, gln_problem_to_json(x)))
+    n = rng.randint(2, cfg.max_size)
+    x, s_true, _ = oracles.sample_rational_spectrum_matrix(rng, n)
+    clause = None
+    s, nm, p = jordan_chevalley(x)
+    power = gln.mat_power(nm, n)
+    ms = minpoly(s)
+    if qsub(qmat(x), s) != qmat(nm):
+        clause = "x != s + n"
+    elif qmul(s, nm) != qmul(nm, s):
+        clause = "parts do not commute"
+    elif not is_zero_mat(power):
+        clause = "nilpotency"
+    elif degree(poly_gcd(ms, poly_derivative(ms))) != 0:
+        clause = "semisimplicity of s"
+    elif gln.eval_poly_matrix(p, x) != s:
+        clause = "polynomial witness"
+    elif s != s_true:
+        clause = "eigenvalue oracle disagreement"
+    else:
+        h = oracles._random_unimodular(rng, n)
+        hinv = qinverse(h)
+        s2, n2, _ = jordan_chevalley(qmul(qmul(h, x), hinv))
+        if s2 != qmul(qmul(h, s), hinv) or n2 != qmul(qmul(h, nm), hinv):
+            clause = "conjugation equivariance"
+    if clause:
+        return clause, gln_problem_to_json(x)
+    return None
 
 
-def _suite_levi(cfg: FuzzConfig, report: VerificationReport):
+def _suite_levi(rng, cfg: FuzzConfig):
     """The parabolic limit map is a homomorphism and intertwines limits."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        n = rng.randint(2, cfg.max_size)
-        lam = oracles.sample_gln_cocharacter(rng, n)
-        p1 = oracles.sample_parabolic_element(rng, lam)
-        p2 = oracles.sample_parabolic_element(rng, lam)
-        x = oracles.sample_matrix_with_limit(rng, lam)
-        clause = None
-        if levi_part(lam, qmul(p1, p2)) != qmul(levi_part(lam, p1), levi_part(lam, p2)):
-            clause = "homomorphism"
+    n = rng.randint(2, cfg.max_size)
+    lam = oracles.sample_gln_cocharacter(rng, n)
+    p1 = oracles.sample_parabolic_element(rng, lam)
+    p2 = oracles.sample_parabolic_element(rng, lam)
+    x = oracles.sample_matrix_with_limit(rng, lam)
+    clause = None
+    if levi_part(lam, qmul(p1, p2)) != qmul(levi_part(lam, p1), levi_part(lam, p2)):
+        clause = "homomorphism"
+    else:
+        val = limit_conj(lam, x)
+        if val is None:
+            clause = "sampled matrix must have a limit"
         else:
-            val = limit_conj(lam, x)
-            if val is None:
-                clause = "sampled matrix must have a limit"
-            else:
-                h = levi_part(lam, p1)
-                lhs = limit_conj(lam, qmul(qmul(p1, x), qinverse(p1)))
-                rhs = qmul(qmul(h, val), qinverse(h))
-                if lhs != rhs:
-                    clause = "limit equivariance"
-        report.instances += 1
-        if clause:
-            payload = gln_problem_to_json(x)
-            payload["exponents"] = list(lam.exponents)
-            report.failures.append(Failure(idx, clause, payload))
+            h = levi_part(lam, p1)
+            lhs = limit_conj(lam, qmul(qmul(p1, x), qinverse(p1)))
+            rhs = qmul(qmul(h, val), qinverse(h))
+            if lhs != rhs:
+                clause = "limit equivariance"
+    if clause:
+        payload = gln_problem_to_json(x)
+        payload["exponents"] = list(lam.exponents)
+        return clause, payload
+    return None
 
 
-def _suite_bruhat(cfg: FuzzConfig, report: VerificationReport):
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        n = rng.randint(1, min(5, cfg.max_size + 1))
-        g = oracles.sample_invertible_matrix(rng, n)
-        clause = None
-        p, w, u = gln.bruhat(g)
-        if qmul(qmul(p, w), u) != g:
-            clause = "product identity"
-        elif any(p[i][j] != 0 for i in range(n) for j in range(i)):
-            clause = "p not upper triangular"
-        elif any(u[i][j] != 0 for i in range(n) for j in range(i)) or any(
-            u[i][i] != 1 for i in range(n)
-        ):
-            clause = "u not upper unitriangular"
-        elif sorted(row.index(F(1)) for row in w) != list(range(n)) or any(
-            x not in (0, 1) for row in w for x in row
-        ):
-            clause = "w not a permutation"
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, gln_problem_to_json(g)))
+def _suite_bruhat(rng, cfg: FuzzConfig):
+    n = rng.randint(1, min(5, cfg.max_size + 1))
+    g = oracles.sample_invertible_matrix(rng, n)
+    clause = None
+    p, w, u = gln.bruhat(g)
+    if qmul(qmul(p, w), u) != g:
+        clause = "product identity"
+    elif any(p[i][j] != 0 for i in range(n) for j in range(i)):
+        clause = "p not upper triangular"
+    elif any(u[i][j] != 0 for i in range(n) for j in range(i)) or any(
+        u[i][i] != 1 for i in range(n)
+    ):
+        clause = "u not upper unitriangular"
+    elif sorted(row.index(F(1)) for row in w) != list(range(n)) or any(
+        x not in (0, 1) for row in w for x in row
+    ):
+        clause = "w not a permutation"
+    if clause:
+        return clause, gln_problem_to_json(g)
+    return None
 
 
-def _suite_lambda_min_shift(cfg: FuzzConfig, report: VerificationReport):
+def _suite_lambda_min_shift(rng, cfg: FuzzConfig):
     """Acting by a torus element preserves the minimizing cocharacters and
     the limits stay in one orbit."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        rep, gamma = oracles.sample_torus_instance(rng, cfg)
-        clause = None
-        try:
-            dim0, wits = lambda_min(rep, gamma, cfg.box)
-        except torus.BoxTooSmallError:
-            report.instances += 1
-            continue
-        p = GroupElement(
-            tuple(oracles.random_nonzero_fraction(rng, 5) for _ in range(rep.rank))
-        )
-        moved = act(rep, p, gamma)
-        dim1, wits1 = lambda_min(rep, moved, cfg.box)
-        if (dim0, wits) != (dim1, wits1):
-            clause = "minimizer set changed under the torus action"
-        else:
-            for lam in wits:
-                a = limit(lam, gamma)
-                b = limit(lam, moved)
-                g = same_orbit(rep, a, b)
-                if g is None or act(rep, g, a) != b:
-                    clause = f"shifted limits not in one orbit at {lam}"
-                    break
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, torus_problem_to_json(rep, gamma)))
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    try:
+        dim0, wits = lambda_min(rep, gamma, cfg.box)
+    except torus.BoxTooSmallError:
+        return None
+    p = GroupElement(tuple(oracles.random_nonzero_fraction(rng, 5) for _ in range(rep.rank)))
+    moved = act(rep, p, gamma)
+    if (dim0, wits) != lambda_min(rep, moved, cfg.box):
+        return "minimizer set changed under the torus action", torus_problem_to_json(rep, gamma)
+    for lam in wits:
+        if not _in_one_orbit(rep, limit(lam, gamma), limit(lam, moved)):
+            return f"shifted limits not in one orbit at {lam}", torus_problem_to_json(rep, gamma)
+    return None
 
 
-def _suite_commuting(cfg: FuzzConfig, report: VerificationReport):
+def _suite_commuting(rng, cfg: FuzzConfig):
     """Every in-box semisimple limit is orbit-equivalent to the one at a
     fixed minimizing cocharacter."""
-    rng = cfg.rng()
-    for idx in range(cfg.count):
-        rep, gamma = oracles.sample_torus_instance(rng, cfg)
-        clause = None
-        survey = limit_survey(rep, gamma, cfg.box)
-        try:
-            _, wits = torus._lambda_min_of_survey(rep, survey)
-        except torus.BoxTooSmallError:
-            report.instances += 1
-            continue
-        lam0 = wits[0]
-        v0 = limit(lam0, gamma)
-        for e in survey.semisimple_entries():
-            g = same_orbit(rep, e.value, v0)
-            if g is None or act(rep, g, e.value) != v0:
-                clause = f"limit at {e.cocharacter} not in the orbit of the minimizer"
-                break
-        report.instances += 1
-        if clause:
-            report.failures.append(Failure(idx, clause, torus_problem_to_json(rep, gamma)))
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    survey = limit_survey(rep, gamma, cfg.box)
+    try:
+        _, wits = torus._lambda_min_of_survey(rep, survey)
+    except torus.BoxTooSmallError:
+        return None
+    v0 = limit(wits[0], gamma)
+    for e in survey.semisimple_entries():
+        if not _in_one_orbit(rep, e.value, v0):
+            clause = f"limit at {e.cocharacter} not in the orbit of the minimizer"
+            return clause, torus_problem_to_json(rep, gamma)
+    return None
 
 
 _SUITES = {
@@ -456,15 +407,22 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, config: FuzzConfig | None = None) -> VerificationReport:
-    """Run one named suite; unknown names raise KeyError."""
+    """Run one named suite; unknown names raise KeyError.
+
+    The only instance loop: one generator from config.rng() feeds
+    config.count calls of the suite's check, in index order."""
     canonical = _ALIASES.get(name, name)
     if canonical not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    fn, default_count = _SUITES[canonical]
+    check, default_count = _SUITES[canonical]
     if config is None:
         config = FuzzConfig(count=default_count)
-    report = VerificationReport(canonical, config.seed, config.count, 0)
+    report = VerificationReport(canonical, config.seed, config.count, instances=config.count)
     start = time.perf_counter()
-    fn(config, report)
+    rng = config.rng()
+    for idx in range(config.count):
+        failed = check(rng, config)
+        if failed is not None:
+            report.failures.append(Failure(idx, *failed))
     report.wall_time = time.perf_counter() - start
     return report

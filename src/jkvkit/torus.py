@@ -525,10 +525,11 @@ def _box_iter(rank: int, box: int):
     ValueError, before any work, for a sweep above BOX_BUDGET."""
     count = (2 * box + 1) ** rank
     if count > BOX_BUDGET:
-        raise ValueError(
-            f"box {box} at rank {rank} holds {count} cocharacters, "
-            f"over the limit of {BOX_BUDGET}"
-        )
+        try:
+            held = f"box {box} at rank {rank} holds {count} cocharacters"
+        except ValueError:  # too many digits for int-to-str conversion
+            held = f"the box at rank {rank} holds too many cocharacters to print"
+        raise ValueError(f"{held}, over the limit of {BOX_BUDGET}")
     return itertools.product(range(-box, box + 1), repeat=rank)
 
 

@@ -396,6 +396,47 @@ def test_a_failed_gln_recheck_exits_4_under_python_O(tmp_path):
     assert proc.stderr.splitlines()[0] == f"internal error: {summary}"
 
 
+@pytest.mark.parametrize(
+    "command, patch, summary",
+    [
+        (
+            ["jordan-chevalley"],
+            "decompose = gln.jordan_chevalley\n"
+            "gln.jordan_chevalley = lambda x: (lambda s, n, p: (s, s, p))(*decompose(x))\n",
+            "CertificateError: x must be s + n with s and n commuting",
+        ),
+        (
+            ["jkv", "gln"],
+            "import dataclasses\n"
+            "certify = gln.jkv_gln\n"
+            "gln.jkv_gln = lambda x: dataclasses.replace(certify(x), ok=False)\n",
+            "CertificateError: the decomposition must pass its own certificate",
+        ),
+    ],
+    ids=["jordan-chevalley", "jkv-gln"],
+)
+def test_a_failed_cli_recheck_exits_4_under_python_O(matrix_file, command, patch, summary):
+    # The patched parts do not sum to x (or do not certify); under -O an
+    # assert would have printed them as the answer with exit 0.
+    argv = command + ["--file", matrix_file]
+    script = (
+        "import sys\n"
+        "from jkvkit import cli, gln\n"
+        "assert False, 'asserts must be stripped'\n"
+        + patch
+        + f"sys.exit(cli.main({argv!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INTERNAL, "")
+    assert proc.stderr.splitlines()[0] == f"internal error: {summary}"
+
+
 def test_oversize_box_sweeps_exit_2_before_any_work(capsys, torus_file):
     too_big = "box 100000 at rank 1 holds 200001 cocharacters, over the limit of 100000"
     for argv in (
@@ -426,6 +467,23 @@ def rank2_file(tmp_path):
             "vector": [{"chi": [1, 0], "coords": ["1"]}, {"chi": [0, 1], "coords": ["2"]}],
         },
     )
+
+
+def test_a_box_whose_count_has_too_many_digits_still_names_the_budget(capsys, rank2_file):
+    # (2 * 10^3000 + 1)^2 has over 4,300 digits, Python's int-to-str limit;
+    # seed 1 draws a rank-2 first instance.
+    box = str(10**3000)
+    for argv in (
+        ["survey", "torus", "--file", rank2_file, "--box", box],
+        ["lambda-min", "torus", "--file", rank2_file, "--box", box],
+        ["verify", "--suite", "limits", "--seed", "1", "--count", "3", "--box", box],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == (
+            "error: the box at rank 2 holds too many cocharacters to print, "
+            "over the limit of 100000\n"
+        )
 
 
 def test_parser_is_built_once_per_process(capsys, torus_file, rank2_file):

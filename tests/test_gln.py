@@ -1,4 +1,3 @@
-import ast
 import random
 from fractions import Fraction
 from math import lcm
@@ -240,10 +239,8 @@ def test_limiter_keeps_the_shape_errors():
 
 
 def test_gln_rechecks_are_not_asserts():
-    """Every certificate re-check in gln runs under python -O too."""
-    with open(gln.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    """gln's certificate re-checks call require, which python -O keeps;
+    tests/test_no_asserts.py scans gln for any assert left."""
     gln.require(True, "unused")
     with pytest.raises(gln.CertificateError, match="^lost$"):
         gln.require(False, "lost")

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from jkvkit import oracles, suites
 from jkvkit.oracles import FuzzConfig
-from jkvkit.serialize import load_torus_problem
+from jkvkit.ratlinalg import qmat
+from jkvkit.serialize import load_gln_matrix, load_torus_problem
 from jkvkit.suites import run_suite, suite_names
 
 
@@ -21,6 +25,29 @@ def test_aliases_resolve():
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("no-such-suite", FuzzConfig(count=1))
+
+
+def test_run_suite_feeds_one_seeded_stream_through_every_index(monkeypatch):
+    draws = []
+
+    def stub(rng, cfg):
+        draws.append(rng.random())
+        idx = len(draws) - 1
+        if idx in (1, 4, 5):
+            return f"clause {idx}", {"draw": draws[idx]}
+        return None
+
+    monkeypatch.setitem(suites._SUITES, "stub", (stub, 3))
+    report = run_suite("stub", FuzzConfig(seed=11, count=7))
+    stream = random.Random(11)
+    assert draws == [stream.random() for _ in range(7)]
+    assert (report.suite, report.seed, report.count, report.instances) == ("stub", 11, 7, 7)
+    assert [(f.index, f.clause, f.payload) for f in report.failures] == [
+        (i, f"clause {i}", {"draw": draws[i]}) for i in (1, 4, 5)
+    ]
+    assert not report.passed and report.wall_time > 0
+    draws.clear()
+    assert run_suite("stub").instances == len(draws) == 3
 
 
 def test_jkv_survey_searches_the_stabilizers_of_gamma_once(monkeypatch):
@@ -77,3 +104,27 @@ def test_failure_payloads_replay(monkeypatch):
     for f in report.failures:
         rep, gamma = load_torus_problem(f.payload)
         assert rep.rank == f.payload["rank"]
+
+
+def test_matrix_suite_failure_payloads_replay(monkeypatch):
+    """Swap the classical parts so every jkv-gln instance fails, then reload
+    each failure's matrix and find the sampled one."""
+    sampled = []
+    sample, decompose = oracles.sample_rational_spectrum_matrix, suites.jordan_chevalley
+
+    def recorded_sample(rng, n, **kw):
+        x, s, nm = sample(rng, n, **kw)
+        sampled.append(x)
+        return x, s, nm
+
+    def swapped(x):
+        s, nm, p = decompose(x)
+        return nm, s, p
+
+    monkeypatch.setattr(oracles, "sample_rational_spectrum_matrix", recorded_sample)
+    monkeypatch.setattr(suites, "jordan_chevalley", swapped)
+    report = run_suite("jkv-gln", FuzzConfig(seed=4, count=4))
+    assert [f.index for f in report.failures] == [0, 1, 2, 3]
+    for f, x in zip(report.failures, sampled, strict=True):
+        assert f.clause == "certificate disagrees with the classical semisimple part"
+        assert load_gln_matrix(f.payload) == qmat(x)
