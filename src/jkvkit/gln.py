@@ -19,10 +19,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from operator import mul
 
 from . import polys
-from .intlinalg import det, fraction_free_rref, int_kernel
+from .checks import CertificateError, require
+from .intlinalg import fraction_free_rref, identity, int_kernel, mat_mul
 from .polys import (
     Poly,
     degree,
@@ -41,8 +42,7 @@ from .polys import (
 from .ratlinalg import (
     QMat,
     QVec,
-    conjugate_by,
-    int_rows,
+    int_form,
     is_zero_mat,
     kernel_basis,
     qdet,
@@ -65,49 +65,61 @@ class NonSplitError(ValueError):
     integer-exponent cocharacter exists over the rationals."""
 
 
-class CertificateError(Exception):
-    """A certificate failed its re-check: an internal error, never a verdict."""
-
-
-def require(cond: bool, msg: str) -> None:
-    """Raise CertificateError(msg) unless cond.  Unlike assert, the check
-    also runs under python -O."""
-    if not cond:
-        raise CertificateError(msg)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class GLnCocharacter:
-    g: QMat
-    exponents: tuple[int, ...]
-    # g times the lcm of its denominators, as int rows: every conjugation by
-    # g reads these, since G^-1 x G = g^-1 x g for any nonzero multiple G.
-    g_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    """t |-> g diag(t^a_1, ..., t^a_n) g^-1, held in integer form.
 
-    def __post_init__(self):
-        gm = qmat(self.g)
-        exps = tuple(int(e) for e in self.exponents)
-        if any(len(r) != len(gm) for r in gm):
+    g_int is G = g times g_den, the lcm of g's denominators.  One
+    fraction-free reduction of [G | I] checks that G is invertible and
+    leaves inv_int = inv_den * G^-1, both integer.  The exponents are sorted
+    descending, the columns of g reordered to match.  The rational g and
+    g^-1 are built from these on first read; only a limit or Levi part
+    that exists, or a caller outside the conjugation path, reads them.
+    """
+
+    g_int: tuple[tuple[int, ...], ...]
+    g_den: int
+    exponents: tuple[int, ...]
+    inv_int: tuple[tuple[int, ...], ...] = field(compare=False)
+    inv_den: int = field(compare=False)
+
+    def __init__(self, g, exponents):
+        gi, c = int_form(g)
+        exps = tuple(map(int, exponents))
+        n = len(gi)
+        if any(len(r) != n for r in gi):
             raise ValueError("g must be a square matrix")
-        if len(gm) != len(exps):
+        if n != len(exps):
             raise ValueError("exponent count must match the matrix size")
-        c = lcm(*[v.denominator for row in gm for v in row])
-        gi = tuple(tuple(v.numerator * (c // v.denominator) for v in row) for row in gm)
-        if det(gi) == 0:
-            raise ValueError("matrix is singular")
         if list(exps) != sorted(exps, reverse=True):
             # canonical form: sort the exponents and reorder the columns of g
-            # and of its integer form to match (stable, so still deterministic)
-            order = sorted(range(len(exps)), key=lambda j: (-exps[j], j))
-            gm, gi = (tuple(tuple(row[j] for j in order) for row in m) for m in (gm, gi))
+            # to match (stable, so still deterministic)
+            order = sorted(range(n), key=lambda j: (-exps[j], j))
+            gi = [[row[j] for j in order] for row in gi]
             exps = tuple(exps[j] for j in order)
-        object.__setattr__(self, "g", gm)
+        m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(gi)]
+        d, pivots = fraction_free_rref(m, n)
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
+        object.__setattr__(self, "g_int", tuple(map(tuple, gi)))
+        object.__setattr__(self, "g_den", c)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "g_int", gi)
+        object.__setattr__(self, "inv_int", tuple(tuple(row[n:]) for row in m))
+        object.__setattr__(self, "inv_den", d)
+
+    def __repr__(self) -> str:
+        return f"GLnCocharacter(g={self.g!r}, exponents={self.exponents!r})"
+
+    @cached_property
+    def g(self) -> QMat:
+        c = self.g_den
+        return tuple(tuple(Fraction(v, c) for v in row) for row in self.g_int)
 
     @cached_property
     def g_inv(self) -> QMat:
-        return qinverse(self.g)
+        # g = G / c, so g^-1 = c G^-1 = c inv_int / inv_den
+        c, d = self.g_den, self.inv_den
+        return tuple(tuple(Fraction(c * v, d) for v in row) for row in self.inv_int)
 
     @property
     def n(self) -> int:
@@ -115,45 +127,53 @@ class GLnCocharacter:
 
 
 def central_cocharacter(n: int, weight: int = 0) -> GLnCocharacter:
-    return GLnCocharacter(qidentity(n), (weight,) * n)
+    return GLnCocharacter(identity(n), (weight,) * n)
 
 
-def _no_negative_weight(lam: GLnCocharacter, y: list[list[int]]) -> bool:
-    """y, a matrix in lam's basis, has no entry of negative weight."""
-    e = lam.exponents
-    return all(
-        y[i][j] == 0 for i in range(lam.n) for j in range(lam.n) if e[i] < e[j]
-    )
+def _in_basis(lam: GLnCocharacter, xi: list[list[int]]):
+    """X = xi in lam's basis, entry by entry: entry(i, j) is entry (i, j) of
+    H X G, with G = lam.g_int and H = lam.inv_int, which is lam.inv_den
+    times G^-1 X G.  X G is formed once; each entry costs one dot product."""
+    n = lam.n
+    if len(xi) != n or any(len(r) != n for r in xi):
+        raise ValueError("shape mismatch in matrix product")
+    h = lam.inv_int
+    xg_cols = [[sum(map(mul, row, col)) for row in xi] for col in zip(*lam.g_int)]
+    return lambda i, j: sum(map(mul, h[i], xg_cols[j]))
 
 
-def _weight_zero_part(lam: GLnCocharacter, y: list[list[int]], d: int) -> QMat:
-    """The weight-zero part of y/d, a matrix in lam's basis, conjugated back."""
-    e = lam.exponents
-    z = tuple(
-        tuple(Fraction(y[i][j], d) if e[i] == e[j] else Fraction(0) for j in range(lam.n))
-        for i in range(lam.n)
-    )
-    return qmul(qmul(lam.g, z), lam.g_inv)
+def _limit(lam: GLnCocharacter, xi: list[list[int]], c: int) -> QMat | None:
+    """The limit of lam(t) x lam(t)^-1 as t -> 0 for x = xi / c, or None.
+
+    In lam's basis x is y = H X G / (d c) (``_in_basis``, d = lam.inv_den).
+    The (i, j) entry of y scales by t^(a_i - a_j), so the limit exists iff
+    every negative-weight entry vanishes; they are tested one at a time, so
+    a rejected lam stops at the first nonzero one.  The limit is the
+    weight-zero part Y0 conjugated back, G Y0 H / (d^2 c).
+    """
+    entry = _in_basis(lam, xi)
+    n, e = lam.n, lam.exponents
+    # exponents descend, so a_i < a_j only for j < i
+    if any(e[i] < e[j] and entry(i, j) for i in range(n) for j in range(i)):
+        return None
+    y0 = [[entry(i, j) if e[i] == e[j] else 0 for j in range(n)] for i in range(n)]
+    den = lam.inv_den**2 * c
+    z = mat_mul(mat_mul(lam.g_int, y0), lam.inv_int)
+    return tuple(tuple(Fraction(v, den) for v in row) for row in z)
 
 
 def conj_limiter(x: QMat):
     """limit(lam), the limit of lam(t) X lam(t)^-1 as t -> 0, or None.
 
-    X is validated and scaled to integer rows once, for every lam tried.  In
-    the lam-adapted basis the (i, j) entry scales by t^(a_i - a_j), so the
-    limit exists iff all negative-weight entries vanish, and equals the
-    block-diagonal (weight-zero) part conjugated back.
+    X is validated and scaled to integer rows once, for every lam tried
+    (see ``_limit``).
     """
-    x = qmat(x)
-    xr, xs = int_rows(x)
+    xi, c = int_form(x)
 
     def limit(lam: GLnCocharacter) -> QMat | None:
-        if len(x) != lam.n:
+        if len(xi) != lam.n:
             raise ValueError("shape mismatch")
-        y, d = conjugate_by(lam.g_int, xr, xs)
-        if not _no_negative_weight(lam, y):
-            return None
-        return _weight_zero_part(lam, y, d)
+        return _limit(lam, xi, c)
 
     return limit
 
@@ -174,10 +194,10 @@ def levi_part(lam: GLnCocharacter, p: QMat) -> QMat:
     p = qmat(p)
     if qdet(p) == 0:
         raise ValueError("parabolic membership is only defined for invertible elements")
-    y, d = conjugate_by(lam.g_int, *int_rows(p))
-    if not _no_negative_weight(lam, y):
+    val = _limit(lam, *int_form(p))
+    if val is None:
         raise ValueError("element is outside the parabolic of this cocharacter")
-    return _weight_zero_part(lam, y, d)
+    return val
 
 
 def bruhat(g: QMat) -> tuple[QMat, QMat, QMat]:
@@ -225,23 +245,28 @@ def bruhat(g: QMat) -> tuple[QMat, QMat, QMat]:
     return p, w, u
 
 
-def _vec(x: QMat) -> QVec:
-    return tuple(v for row in x for v in row)
-
-
 def minpoly(x: QMat) -> Poly:
-    """Monic minimal polynomial via the first linear dependency among powers."""
-    x = qmat(x)
-    n = len(x)
-    powers = [qidentity(n)]
+    """Monic minimal polynomial via the first linear dependency among powers.
+
+    The powers are those of the integer matrix X = c x (``int_form``), each
+    dependency test one fraction-free kernel of their entries.  A relation
+    sum r_k X^k = 0 is sum r_k c^k x^k = 0, so the monic coefficients for x
+    are r_k / (r_d c^(d-k)), one Fraction each.
+    """
+    xi, c = int_form(x)
+    n = len(xi)
+    if any(len(r) != n for r in xi):
+        raise ValueError("shape mismatch in matrix product")
+    power = identity(n)
+    vecs = [[v for row in power for v in row]]
     for d in range(1, n + 1):
-        powers.append(qmul(powers[-1], x))
-        cols = tuple(zip(*[_vec(p) for p in powers]))
-        ker = kernel_basis(qmat(cols))
-        if ker:
-            rel = ker[0]
+        power = mat_mul(power, xi)
+        vecs.append([v for row in power for v in row])
+        kern, _ = int_kernel([list(r) for r in zip(*vecs)], d + 1)
+        if kern:
+            rel = kern[0]
             require(rel[d] != 0, "first dependency must involve the top power")
-            return monic(poly(rel))
+            return tuple(Fraction(rel[k], rel[d] * c ** (d - k)) for k in range(d + 1))
     raise CertificateError("a dependency must appear by the Cayley-Hamilton bound")
 
 
@@ -378,8 +403,8 @@ def _commutant_rows(x: QMat, y: QMat) -> list[list[int]]:
     """The n^2 x n^2 system M X - Y M = 0 in the row-major entries of M, as
     integer rows: X and Y scaled by one common lcm of their denominators."""
     n = len(x)
-    c = lcm(*[v.denominator for m in (x, y) for row in m for v in row])
-    xi, yi = ([[v.numerator * (c // v.denominator) for v in row] for row in m] for m in (x, y))
+    both, _ = int_form(x + y)
+    xi, yi = both[:n], both[n:]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -534,7 +559,7 @@ def jkv_gln(x: QMat) -> GlnJkv:
         msp = minpoly(s)
         roots = rational_roots(msp)
         if len(roots) != degree(msp):
-            raise NonSplitError("unsupported: non-split semisimple part")
+            raise NonSplitError("non-split semisimple part")
         lam = _eigenbasis_cocharacter(s, nmat, roots)
     clauses = jkv_certify_gln(x, s, nmat, lam)
     clauses["centralizer"] = all(qmul(m, s) == qmul(s, m) for m in commutant_basis(x, x))
@@ -545,15 +570,10 @@ def jkv_certify_gln(x: QMat, s: QMat, n: QMat, lam: GLnCocharacter) -> dict[str,
     """The limit-certificate clauses of a decomposition x = s + n along lam:
     lam fixes s, s is its limit, n is nilpotent with limit 0."""
     size = len(x)
-    y, _ = conjugate_by(lam.g_int, *int_rows(s))
-    e = lam.exponents
     return {
-        "commutes": all(
-            y[i][j] == 0
-            for i in range(size)
-            for j in range(size)
-            if e[i] != e[j]
-        ),
+        # lam fixes s iff s is its own limit: every entry of nonzero weight
+        # vanishes in lam's basis
+        "commutes": _limit(lam, *int_form(s)) == s,
         "limit": limit_conj(lam, x) == s,
         "s_semisimple": is_semisimple_matrix(s),
         "n_nilpotent": is_zero_mat(mat_power(n, size)),

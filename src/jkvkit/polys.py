@@ -2,6 +2,9 @@
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  Everything returns normalized tuples (no trailing zeros).
+Products and division run on integer numerators over one denominator per
+operand (``ratlinalg.scaled``) and build one canonical Fraction per output
+coefficient, so they return exactly what Fraction arithmetic would.
 """
 
 from __future__ import annotations
@@ -9,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .checks import require
+from .ratlinalg import scaled
 from .rationals import factorize
 
 Poly = tuple[Fraction, ...]
@@ -50,15 +55,24 @@ def poly_sub(f: Poly, g: Poly) -> Poly:
     return poly_add(f, poly_neg(g))
 
 
+def _over(v: list[int], d: int) -> Poly:
+    """The polynomial with coefficients v / d, trailing zeros dropped."""
+    while v and not v[-1]:
+        v.pop()
+    return tuple(Fraction(x, d) for x in v)
+
+
 def poly_mul(f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ZERO
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return poly(out)
+    fi, a = scaled(f)
+    gi, b = scaled(g)
+    out = [0] * (len(fi) + len(gi) - 1)
+    for i, u in enumerate(fi):
+        if u:
+            for j, v in enumerate(gi):
+                out[i + j] += u * v
+    return _over(out, a * b)
 
 
 def poly_scale(f: Poly, c) -> Poly:
@@ -69,23 +83,31 @@ def poly_scale(f: Poly, c) -> Poly:
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """(q, r) with f = q g + r and deg r < deg g, by integer pseudo-division.
+
+    With f = F / a and g = G / b for integer F and G, l the leading
+    coefficient of G and k = deg F - deg G + 1, long division of l^k F by G
+    stays in the integers: before the step for degree j the remainder is
+    divisible by l^(j+1), so each quotient coefficient divides exactly by l.
+    It gives l^k F = Q G + R, hence q = b Q / (a l^k) and r = R / (a l^k).
+    """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    inv_lead = 1 / g[-1]
-    while len(r) >= len(g) and any(x != 0 for x in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(g):
-            break
-        c = r[-1] * inv_lead
-        d = len(r) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            r[i + d] -= c * b
-        r.pop()
-    return poly(q), poly(r)
+    fi, a = scaled(f)
+    gi, b = scaled(g)
+    lead, top = gi[-1], len(gi) - 1
+    k = max(0, len(fi) - top)
+    scale = lead**k
+    r = [v * scale for v in fi]
+    q = [0] * k
+    for j in range(k - 1, -1, -1):
+        c = r[j + top] // lead
+        if c:
+            q[j] = c
+            for i, v in enumerate(gi):
+                r[i + j] -= c * v
+    den = a * scale
+    return _over([b * v for v in q], den), _over(r[:top], den)
 
 
 def poly_mod(f: Poly, g: Poly) -> Poly:
@@ -132,7 +154,7 @@ def squarefree_part(f: Poly) -> Poly:
         return monic(f) if f else ZERO
     g = poly_gcd(f, poly_derivative(f))
     q, r = poly_divmod(f, g)
-    assert not r
+    require(not r, "the gcd with the derivative must divide f")
     return monic(q)
 
 

@@ -27,7 +27,7 @@ def qmat(rows) -> QMat:
     return m
 
 
-def _scaled(v) -> tuple[list[int], int]:
+def scaled(v) -> tuple[list[int], int]:
     """v times the lcm s of its denominators, as ints, and s."""
     s = lcm(*[x.denominator for x in v])
     return [x.numerator * (s // x.denominator) for x in v], s
@@ -35,8 +35,22 @@ def _scaled(v) -> tuple[list[int], int]:
 
 def int_rows(a: QMat) -> tuple[list[list[int]], list[int]]:
     """Row-scaled integer copy of a, and the row scales."""
-    pairs = [_scaled(row) for row in a]
+    pairs = [scaled(row) for row in a]
     return [r for r, _ in pairs], [s for _, s in pairs]
+
+
+def int_form(rows) -> tuple[list[list[int]], int]:
+    """(m, c): the matrix times the lcm c of all its denominators, as int
+    rows.  Rows of plain ints are taken as they are, with c = 1; anything
+    else goes through qmat."""
+    m = [list(row) for row in rows]
+    if all(type(v) is int for row in m for v in row):
+        if m and any(len(r) != len(m[0]) for r in m):
+            raise ValueError("ragged matrix")
+        return m, 1
+    q = qmat(m)
+    c = lcm(*[v.denominator for row in q for v in row])
+    return [[v.numerator * (c // v.denominator) for v in row] for row in q], c
 
 
 def qidentity(n: int) -> QMat:
@@ -68,7 +82,7 @@ def qmul(a: QMat, b: QMat) -> QMat:
 
 def qmat_vec(a: QMat, v: QVec) -> QVec:
     ra, sa = int_rows(a)
-    iv, t = _scaled(v)
+    iv, t = scaled(v)
     return tuple(Fraction(sum(map(mul, row, iv)), s * t) for row, s in zip(ra, sa))
 
 
@@ -96,31 +110,6 @@ def qinverse(a: QMat) -> QMat:
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
-
-
-def conjugate_by(gi, xr: list[list[int]], xs: list[int]) -> tuple[list[list[int]], int]:
-    """g^-1 x g as (m, d): integer numerators m over one denominator d != 0.
-
-    The operands come as integer forms, so a caller that conjugates one
-    matrix many times scales it once: gi is any nonzero multiple of g with
-    int entries, and (xr, xs) = int_rows(x).  One fraction-free solve of
-    g y = x g: with G = gi and row i of x scaled to the integer row X_i by
-    s_i, row i of that system is row i of [s_i G | X G]; its reduced form
-    is d times [I | y].  Raises ValueError when the shapes differ or g is
-    singular.
-    """
-    n = len(gi)
-    if any(len(r) != n for r in gi) or len(xr) != n or any(len(r) != n for r in xr):
-        raise ValueError("shape mismatch in matrix product")
-    gcols = tuple(zip(*gi))
-    m = [
-        [s * v for v in grow] + [sum(map(mul, xrow, col)) for col in gcols]
-        for grow, xrow, s in zip(gi, xr, xs)
-    ]
-    d, pivots = fraction_free_rref(m, n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m], d
 
 
 def _reduced(a: QMat) -> tuple[list[list[int]], int, list[int]]:

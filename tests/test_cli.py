@@ -175,22 +175,15 @@ def test_jkv_gln_and_certify(capsys, tmp_path, matrix_file):
 
 
 def test_jkv_gln_non_split_exits_3(capsys, tmp_path):
-    f = write(
-        tmp_path,
-        "ns.json",
-        {
-            "n": 4,
-            "matrix": [
-                ["1", "2", "1", "0"],
-                ["1", "1", "0", "1"],
-                ["0", "0", "1", "2"],
-                ["0", "0", "1", "1"],
-            ],
-        },
-    )
-    code, out, err = run(capsys, ["jkv", "gln", "--file", f])
-    assert code == 3
-    assert "unsupported" in err
+    # [[A, I], [0, A]] with A = [[1, 2], [1, 1]] (eigenvalues 1 +- sqrt 2) and
+    # with R = [[0, -1], [1, 0]] (minimal polynomial (t^2 + 1)^2)
+    for name, matrix in [
+        ("ns.json", [["1", "2", "1", "0"], ["1", "1", "0", "1"], ["0", "0", "1", "2"], ["0", "0", "1", "1"]]),
+        ("rr.json", [["0", "-1", "1", "0"], ["1", "0", "0", "1"], ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]),
+    ]:
+        f = write(tmp_path, name, {"n": 4, "matrix": matrix})
+        code, out, err = run(capsys, ["jkv", "gln", "--file", f])
+        assert (code, out, err) == (3, "", "unsupported: non-split semisimple part\n")
 
 
 def test_lambda_min(capsys, torus_file, tmp_path):

@@ -68,6 +68,18 @@ def test_cocharacter_integer_form_keeps_the_validation_messages():
     ]:
         with pytest.raises(ValueError, match=f"^{msg}$"):
             GLnCocharacter(g, exps)
+    # int rows, as the cocharacter sampler passes them, and the equal
+    # Fraction rows fail with the same messages
+    for g, exps, msg in [
+        ([[1, 2], [2, 4]], (0, 1), "matrix is singular"),
+        ([[0, 0, 1], [1, 0, 0], [1, 0, 1]], (1, 0, 0), "matrix is singular"),
+        ([[1, 0, 0], [0, 1, 0]], (1, 0), "g must be a square matrix"),
+        ([[1, 0], [0, 1], [0, 0]], (1, 0, 0), "g must be a square matrix"),
+        ([[1, 0], [0, 1]], (1, 0, 0), "exponent count must match the matrix size"),
+    ]:
+        for rows in (g, m(g)):
+            with pytest.raises(ValueError, match=f"^{msg}$"):
+                GLnCocharacter(rows, exps)
     # the integer form is g times the lcm of its denominators, after the
     # column reorder that sorts the exponents
     lam = GLnCocharacter(m([[F(1, 2), F(1, 3)], [0, F(-1, 4)]]), (-1, 2))
@@ -93,6 +105,30 @@ def test_cocharacter_inverse_is_lazy_and_outside_equality():
     for _ in range(20):
         lam = oracles.sample_gln_cocharacter(rng, rng.randint(1, 4))
         assert lam.g_inv == qinverse(lam.g)
+
+
+def test_rejected_limit_tries_build_no_rational_matrix():
+    lam = GLnCocharacter([[1, 1], [0, 1]], (0, 1))
+    assert conj_limiter(m([[1, 0], [F(1, 2), 1]]))(lam) is None
+    assert "g" not in vars(lam) and "g_inv" not in vars(lam)
+    lam = oracles.sample_gln_cocharacter(random.Random(5), 3)
+    assert "g" not in vars(lam) and "g_inv" not in vars(lam)
+    assert limit_conj(lam, qidentity(3)) == qidentity(3)
+
+
+def test_cocharacter_from_int_rows_equals_the_fraction_rows():
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        rows = oracles._random_unimodular(rng, n)
+        exps = tuple(rng.randint(-3, 3) for _ in range(n))
+        a = GLnCocharacter(rows, exps)
+        b = GLnCocharacter(m(rows), exps)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert (a.g, a.g_inv, a.g_int) == (b.g, b.g_inv, b.g_int)
+        assert all(type(v) is F for mat in (a.g, a.g_inv) for row in mat for v in row)
+    half = GLnCocharacter(m([[F(1, 2), 0], [0, 1]]), (0, 0))
+    assert half != GLnCocharacter([[1, 0], [0, 1]], (0, 0)) and half.g_int == ((1, 0), (0, 2))
 
 
 def test_limit_conj_examples():
@@ -134,7 +170,7 @@ def test_levi_part_is_homomorphism():
 
 
 # The formulas limit_conj and levi_part used before they moved
-# onto ratlinalg.conjugate_by, kept here only as an oracle.
+# onto integer numerators, kept here only as an oracle.
 
 
 def _old_in_basis(lam, x):

@@ -1,12 +1,12 @@
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jkvkit.gln import GLnCocharacter, _in_basis
 from jkvkit.intlinalg import fraction_free_rref, int_kernel
 from jkvkit.ratlinalg import (
-    conjugate_by,
+    int_form,
     int_rows,
     kernel_basis,
     qdet,
@@ -194,10 +194,13 @@ def test_square_kernels_match_reference(data):
 
 
 def _conjugate(g, x, k=1):
-    """conjugate_by with g given as k times its lcm-scaled integer form."""
-    c = k * lcm(*[v.denominator for row in g for v in row])
-    gi = [[int(v * c) for v in row] for row in g]
-    return conjugate_by(gi, *int_rows(x))
+    """g^-1 x g through the integer form of a cocharacter with g given as
+    k times itself, read entry by entry."""
+    lam = GLnCocharacter(tuple(tuple(k * v for v in row) for row in g), (0,) * len(g))
+    xi, c = int_form(x)
+    entry = _in_basis(lam, xi)
+    n = len(g)
+    return tuple(tuple(F(entry(i, j), lam.inv_den * c) for j in range(n)) for i in range(n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -210,25 +213,25 @@ def test_conjugate_by_matches_the_inverse_product(data):
     try:
         ref = _ref_qmul(_ref_qmul(_ref_qinverse(g), x), g)
     except ValueError:
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
             _conjugate(g, x, k)
     else:
-        m, d = _conjugate(g, x, k)
-        assert d != 0 and all(type(v) is int for row in m for v in row)
-        assert tuple(tuple(F(v, d) for v in row) for row in m) == ref
+        y = _conjugate(g, x, k)
+        assert y == ref and _all_fractions(y)
 
 
 def test_conjugate_by_examples():
     g = qmat([[1, F(1, 2)], [0, F(-2, 3)]])
     x = qmat([[F(3, 4), -2], [F(1, 5), 0]])
-    m, d = _conjugate(g, x)
-    assert tuple(tuple(F(v, d) for v in row) for row in m) == qmul(qmul(qinverse(g), x), g)
-    assert conjugate_by((), [], []) == ([], 1)
-    with pytest.raises(ValueError, match="singular"):
+    assert _conjugate(g, x) == qmul(qmul(qinverse(g), x), g)
+    assert _conjugate((), ()) == ()
+    with pytest.raises(ValueError, match="^matrix is singular$"):
         _conjugate(qmat([[1, 2], [F(1, 2), 1]]), x)
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
         _conjugate(g, qmat([[1, 2, 3], [4, 5, 6]]))
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+        _conjugate(g, qmat([[1, 2]]))
+    with pytest.raises(ValueError, match="^g must be a square matrix$"):
         _conjugate(qmat([[1, 2, 3], [4, 5, 6]]), x)
 
 
