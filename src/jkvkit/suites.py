@@ -75,6 +75,20 @@ def _in_one_orbit(rep, v, w) -> bool:
     return g is not None and act(rep, g, v) == w
 
 
+def _orbit_test(rep, w):
+    """in_orbit(v), which is _in_one_orbit(rep, v, w) decided once per
+    distinct value of v; a vector passed in must not be mutated later."""
+    verdicts = {}
+
+    def in_orbit(v) -> bool:
+        key = v.key()
+        if key not in verdicts:
+            verdicts[key] = _in_one_orbit(rep, v, w)
+        return verdicts[key]
+
+    return in_orbit
+
+
 def _suite_limits(rng, cfg: FuzzConfig):
     """Dual-implementation agreement for limit existence and value."""
     rep, gamma = oracles.sample_torus_instance(rng, cfg)
@@ -150,16 +164,22 @@ def _suite_theorem(rng, cfg: FuzzConfig):
 def _suite_jkv_survey(rng, cfg: FuzzConfig):
     """Decompositions assembled from semisimple survey entries: whenever the
     clauses certify, the semisimple part is orbit-equivalent to the
-    constructive one."""
+    constructive one.  n = gamma - s is built, and the orbit decided, once
+    per distinct s; certify is called for every entry."""
     rep, gamma = oracles.sample_torus_instance(rng, cfg)
     certify = jkv_certifier(rep, gamma)
     dec = torus._decompose_with(rep, gamma, certify)
     if not dec.report.ok:
         clause = "constructive decomposition failed its own certificate"
         return clause, torus_problem_to_json(rep, gamma)
+    in_orbit = _orbit_test(rep, dec.s)
+    nilpotent_parts = {}
     for e in limit_survey(rep, gamma, cfg.box).semisimple_entries():
         s = e.value
-        if certify(s, vec_sub(gamma, s), e.cocharacter).ok and not _in_one_orbit(rep, s, dec.s):
+        key = s.key()
+        if key not in nilpotent_parts:
+            nilpotent_parts[key] = vec_sub(gamma, s)
+        if certify(s, nilpotent_parts[key], e.cocharacter).ok and not in_orbit(s):
             clause = f"certified semisimple part not in the orbit at {e.cocharacter}"
             return clause, torus_problem_to_json(rep, gamma)
     return None
@@ -373,9 +393,9 @@ def _suite_commuting(rng, cfg: FuzzConfig):
         _, wits = torus._lambda_min_of_survey(rep, survey)
     except torus.BoxTooSmallError:
         return None
-    v0 = limit(wits[0], gamma)
+    in_orbit = _orbit_test(rep, limit(wits[0], gamma))
     for e in survey.semisimple_entries():
-        if not _in_one_orbit(rep, e.value, v0):
+        if not in_orbit(e.value):
             clause = f"limit at {e.cocharacter} not in the orbit of the minimizer"
             return clause, torus_problem_to_json(rep, gamma)
     return None

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .checks import require
 from .intlinalg import (
     IntMat,
     IntVec,
@@ -104,20 +105,22 @@ def _validate_finite_group(rep: TorusRep):
     grp = rep.finite
     dims = rep.dims()
     weights = set(dims)
+    images = []  # per element: chi -> its image under the lattice action
     for el in grp.elements:
         if not is_unimodular(el.lattice):
             raise ValueError("lattice action must be unimodular")
-        image = {mat_vec(el.lattice, chi) for chi in weights}
-        if image != weights:
+        image = {chi: mat_vec(el.lattice, chi) for chi in weights}
+        if set(image.values()) != weights:
             raise ValueError("lattice action must permute the weight set")
         if set(el.blocks) != weights:
             raise ValueError("block maps must cover exactly the weight set")
         for chi, block in el.blocks.items():
-            tgt = mat_vec(el.lattice, chi)
+            tgt = image[chi]
             if len(block) != dims[tgt] or any(len(r) != dims[chi] for r in block):
                 raise ValueError("block map shape mismatch")
             if qdet(block) == 0:
                 raise ValueError("block maps must be invertible")
+        images.append(image)
     # Compositional consistency with the table: blocks of a product factor
     # through the blocks of the factors.
     t = grp.table
@@ -126,8 +129,7 @@ def _validate_finite_group(rep: TorusRep):
             gk = grp.elements[t[i][j]]
             if intlinalg.mat_mul(gi.lattice, gj.lattice) != gk.lattice:
                 raise ValueError("lattice actions do not respect the table")
-            for chi in weights:
-                mid = mat_vec(gj.lattice, chi)
+            for chi, mid in images[j].items():
                 lhs = qmul(gi.blocks[mid], gj.blocks[chi])
                 if lhs != qmat(gk.blocks[chi]):
                     raise ValueError("block maps do not respect the table")
@@ -151,6 +153,10 @@ class RepVector:
 
     def is_zero(self) -> bool:
         return not self.components
+
+    def key(self):
+        """A hashable key of the value: equal vectors have equal keys."""
+        return self.rank, frozenset(self.components.items())
 
     def __eq__(self, other):
         return (
@@ -244,8 +250,8 @@ def act(rep: TorusRep, g: GroupElement, v: RepVector) -> RepVector:
         else:
             tgt = chi
         factor = chi_eval(g.torus, tgt)
-        assert tgt not in out
         out[tgt] = tuple(factor * c for c in coords)
+    require(len(out) == len(v.components), "the finite part must move weights to distinct weights")
     return RepVector(v.rank, out)
 
 
@@ -254,16 +260,26 @@ def limit(lam: IntVec, v: RepVector) -> RepVector | None:
     and then equals the projection onto the zero-pairing components."""
     if len(lam) != v.rank:
         raise ValueError("cocharacter rank mismatch")
-    kept: dict[IntVec, tuple[Fraction, ...]] = {}
-    for chi, coords in v.components.items():
+    zero = _zero_set(lam, v)
+    if zero is None:
+        return None
+    comps = v.components
+    return RepVector(v.rank, {chi: comps[chi] for chi in zero})
+
+
+def _zero_set(lam: IntVec, v: RepVector) -> tuple[IntVec, ...] | None:
+    """The support weights of v that pair to 0 with lam, in component order,
+    or None when some support weight pairs negatively (no limit)."""
+    zero = []
+    for chi in v.components:
         p = 0
         for a, b in zip(lam, chi):
             p += a * b
         if p < 0:
             return None
         if p == 0:
-            kept[chi] = coords
-    return RepVector(v.rank, kept)
+            zero.append(chi)
+    return tuple(zero)
 
 
 def graded_dim(rep: TorusRep, lam: IntVec, n: int) -> int:
@@ -292,7 +308,7 @@ def is_semisimple(v: RepVector) -> SemisimpleCertificate:
         return SemisimpleCertificate(True, res.barycentric, None)
     lam = res.separator
     lim = limit(lam, v)
-    assert lim is not None and lim != v, "separator must witness a proper degeneration"
+    require(lim is not None and lim != v, "separator must witness a proper degeneration")
     return SemisimpleCertificate(False, None, lam)
 
 
@@ -386,7 +402,10 @@ def solve_multiplicative(
                 val *= Fraction(p) ** exps[i][k]
         out.append(val)
     a = tuple(out)
-    assert all(chi_eval(a, chi) == ratios[chi] for chi in chis)
+    require(
+        all(chi_eval(a, chi) == ratios[chi] for chi in chis),
+        "the torus point must have the requested character values",
+    )
     return a
 
 
@@ -415,7 +434,7 @@ def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
         if a is None:
             continue
         g = GroupElement(a, idx)
-        assert act(rep, g, v) == target
+        require(act(rep, g, v) == target, "the transfer must carry v to the target")
         yield g
 
 
@@ -429,9 +448,30 @@ def same_orbit(rep: TorusRep, v: RepVector, v2: RepVector) -> GroupElement | Non
     validate_vector(rep, v2)
     if v == v2:
         g = group_identity(rep)
-        assert act(rep, g, v) == v2
+        require(act(rep, g, v) == v2, "the identity must fix v")
         return g
     return next(_transfers(rep, v, v2), None)
+
+
+class _PairVerdicts:
+    """The clauses of a decomposition check that depend on (s, n) alone."""
+
+    def __init__(self, rep, gamma, stabilizers, s, n):
+        validate_vector(rep, s)
+        validate_vector(rep, n)
+        self.sum = vec_add(s, n) == gamma
+        self.semisimple = is_semisimple(s).semisimple
+        self.supp_s = support(s)
+        self.support = set(self.supp_s.points) <= set(gamma.components)
+        self.checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
+        self.n = n
+        self._nilpotent = None
+
+    def nilpotent(self) -> tuple[bool, IntVec | None]:
+        """is_nilpotent(n, supp s), solved on first use only."""
+        if self._nilpotent is None:
+            self._nilpotent = is_nilpotent(self.n, self.supp_s)
+        return self._nilpotent
 
 
 def jkv_certifier(rep: TorusRep, gamma: RepVector):
@@ -442,31 +482,39 @@ def jkv_certifier(rep: TorusRep, gamma: RepVector):
     checks that each of them also stabilizes s.  A lam that vanishes on
     supp s and pairs to >= 1 with every weight of supp n is itself the
     nilpotency witness; only otherwise does the LP of `is_nilpotent` run.
+
+    The clauses that depend on (s, n) alone -- validating both vectors,
+    sum, semisimple, support, the stabilizer checks and the LP fallback --
+    are computed once per distinct value of (s, n) and shared by later
+    calls of this certifier; fixes_s, limit and whether lam is itself the
+    witness are checked on every call, and every call returns a fresh
+    JkvReport.  The verdicts are keyed by the vectors' values when first
+    seen, so a vector passed to certify must not be mutated afterwards.
     """
     validate_vector(rep, gamma)
-    supp_gamma = set(gamma.components)
     stabilizers = []
     if rep.finite is not None:
         stabilizers = sorted(_transfers(rep, gamma, gamma), key=lambda g: g.finite_index)
+    verdicts: dict[tuple, _PairVerdicts] = {}
 
     def certify(s: RepVector, n: RepVector, lam: IntVec) -> JkvReport:
-        validate_vector(rep, s)
-        validate_vector(rep, n)
+        key = (s.key(), n.key())
+        pair = verdicts.get(key)
+        if pair is None:
+            pair = verdicts[key] = _PairVerdicts(rep, gamma, stabilizers, s, n)
         clauses: dict[str, bool] = {}
-        clauses["sum"] = vec_add(s, n) == gamma
-        clauses["semisimple"] = is_semisimple(s).semisimple
-        supp_s = support(s)
-        clauses["fixes_s"] = all(pairing(lam, chi) == 0 for chi in supp_s.points)
+        clauses["sum"] = pair.sum
+        clauses["semisimple"] = pair.semisimple
+        clauses["fixes_s"] = all(pairing(lam, chi) == 0 for chi in pair.supp_s.points)
         clauses["limit"] = limit(lam, gamma) == s
-        clauses["support"] = set(supp_s.points) <= supp_gamma
+        clauses["support"] = pair.support
         if clauses["fixes_s"] and all(pairing(lam, chi) >= 1 for chi in n.components):
             nilp, witness = True, lam
         else:
-            nilp, witness = is_nilpotent(n, supp_s)
+            nilp, witness = pair.nilpotent()
         clauses["nilpotent"] = nilp
-        checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
-        clauses["stabilizer"] = clauses["support"] and all(ok for _, ok in checks)
-        return JkvReport(all(clauses.values()), clauses, witness, checks)
+        clauses["stabilizer"] = pair.support and all(ok for _, ok in pair.checks)
+        return JkvReport(all(clauses.values()), clauses, witness, list(pair.checks))
 
     return certify
 
@@ -501,7 +549,7 @@ def _decompose_with(rep: TorusRep, gamma: RepVector, certify) -> JkvDecompositio
         s = zero_vector(rep.rank)
         n = gamma
         lam = destabilizer(supp)
-        assert lam is not None
+        require(lam is not None, "a hull missing the origin must have a destabilizer")
     else:
         face = set(cert.face)
         s = RepVector(
@@ -510,7 +558,7 @@ def _decompose_with(rep: TorusRep, gamma: RepVector, certify) -> JkvDecompositio
         n = vec_sub(gamma, s)
         lam = cert.supporter
     report = certify(s, n, lam)
-    assert report.ok, f"construction must certify: {report.clauses}"
+    require(report.ok, "the construction must certify")
     return JkvDecomposition(s, n, lam, cert, report)
 
 
@@ -571,9 +619,9 @@ def compose_cocharacters(rep: TorusRep, lam0: IntVec, lam: IntVec):
     mu = tuple(n * a + b for a, b in zip(lam0, lam))
     for chi in weights:
         pm = pairing(mu, chi)
-        assert (pm == 0) == (p0[chi] == 0 and p1[chi] == 0)
-        assert not p0[chi] > 0 or pm > 0
-        assert not pm >= 0 or p0[chi] >= 0
+        require((pm == 0) == (p0[chi] == 0 and p1[chi] == 0), "mu must vanish where lam0 and lam do")
+        require(not p0[chi] > 0 or pm > 0, "mu must be positive where lam0 is")
+        require(not pm >= 0 or p0[chi] >= 0, "mu must be negative where lam0 is")
     return n, mu
 
 
@@ -597,16 +645,26 @@ class LimitSurvey:
 
 def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
     """Record limit existence, value and semisimplicity for every cocharacter
-    in the box, in lexicographic order."""
+    in the box, in lexicographic order.
+
+    A limit is the projection of gamma onto the support weights that pair
+    to 0 with the cocharacter, so the value and its relint verdict are
+    computed once per distinct zero set: every entry with that zero set
+    holds the same RepVector object, which must therefore not be mutated.
+    """
     if box < 1:
         raise ValueError("box bound must be >= 1")
     validate_vector(rep, gamma)
     entries = []
+    faces: dict[tuple[IntVec, ...], tuple[RepVector, bool]] = {}
     for lam in _box_iter(rep.rank, box):
-        val = limit(lam, gamma)
-        if val is None:
+        zero = _zero_set(lam, gamma)
+        if zero is None:
             entries.append(SurveyEntry(lam, False, None, False))
-        else:
-            ss = origin_in_relint(support(val)).inside
-            entries.append(SurveyEntry(lam, True, val, ss))
+            continue
+        face = faces.get(zero)
+        if face is None:
+            val = limit(lam, gamma)
+            face = faces[zero] = val, origin_in_relint(support(val)).inside
+        entries.append(SurveyEntry(lam, True, *face))
     return LimitSurvey(box, rep.rank, entries)

@@ -10,7 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "jkvkit"
 
 
-@pytest.mark.parametrize("module", ["gln.py", "cli.py", "polys.py"])
+@pytest.mark.parametrize("module", ["gln.py", "cli.py", "polys.py", "torus.py"])
 def test_module_has_no_assert_statement(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

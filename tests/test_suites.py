@@ -128,3 +128,63 @@ def test_matrix_suite_failure_payloads_replay(monkeypatch):
     for f, x in zip(report.failures, sampled, strict=True):
         assert f.clause == "certificate disagrees with the classical semisimple part"
         assert load_gln_matrix(f.payload) == qmat(x)
+
+
+def _reference_semisimple_limits(rep, gamma, box):
+    """(cocharacter, limit) of every semisimple box limit, one limit per entry."""
+    from jkvkit.polytope import origin_in_relint
+    from jkvkit.torus import _box_iter, limit, support
+
+    for lam in _box_iter(rep.rank, box):
+        val = limit(lam, gamma)
+        if val is not None and origin_in_relint(support(val)).inside:
+            yield lam, val
+
+
+def _reference_jkv_survey(rng, cfg):
+    """jkv-survey with a fresh jkv_certify and orbit check for every entry."""
+    from jkvkit import torus
+    from jkvkit.serialize import torus_problem_to_json
+
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    dec = torus.jkv_decompose(rep, gamma)
+    for lam, s in _reference_semisimple_limits(rep, gamma, cfg.box):
+        n = torus.vec_sub(gamma, s)
+        if torus.jkv_certify(rep, gamma, s, n, lam).ok and not suites._in_one_orbit(rep, s, dec.s):
+            clause = f"certified semisimple part not in the orbit at {lam}"
+            return clause, torus_problem_to_json(rep, gamma)
+    return None
+
+
+def _reference_commuting(rng, cfg):
+    """commuting with an orbit check for every semisimple entry."""
+    from jkvkit import torus
+    from jkvkit.serialize import torus_problem_to_json
+
+    rep, gamma = oracles.sample_torus_instance(rng, cfg)
+    try:
+        _, wits = torus.lambda_min(rep, gamma, cfg.box)
+    except torus.BoxTooSmallError:
+        return None
+    v0 = torus.limit(wits[0], gamma)
+    for lam, val in _reference_semisimple_limits(rep, gamma, cfg.box):
+        if not suites._in_one_orbit(rep, val, v0):
+            clause = f"limit at {lam} not in the orbit of the minimizer"
+            return clause, torus_problem_to_json(rep, gamma)
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 7, 19])
+def test_orbit_failures_name_the_first_entry_as_the_per_entry_loop_does(monkeypatch, seed):
+    """With same_orbit failing everywhere, jkv-survey and commuting report
+    the same index, clause and payload as loops that check every entry."""
+    monkeypatch.setattr(suites, "same_orbit", lambda rep, v, w: None)
+    monkeypatch.setitem(suites._SUITES, "ref-jkv-survey", (_reference_jkv_survey, 1))
+    monkeypatch.setitem(suites._SUITES, "ref-commuting", (_reference_commuting, 1))
+    for name in ("jkv-survey", "commuting"):
+        cfg = FuzzConfig(seed=seed, count=4)
+        got = run_suite(name, cfg).failures
+        want = run_suite(f"ref-{name}", cfg).failures
+        assert got and [(f.index, f.clause, f.payload) for f in got] == [
+            (f.index, f.clause, f.payload) for f in want
+        ]

@@ -5,7 +5,7 @@ import pytest
 
 from jkvkit.intlinalg import pairing
 from jkvkit.oracles import FuzzConfig, sample_torus_instance
-from jkvkit.polytope import WeightSet
+from jkvkit.polytope import WeightSet, origin_in_relint
 from jkvkit.torus import (
     BOX_BUDGET,
     BoxTooSmallError,
@@ -250,6 +250,44 @@ def test_certifier_equals_jkv_certify_on_finite_group_instances():
                 assert certify(e.value, n, lam) == jkv_certify(rep, gamma, e.value, n, lam)
 
 
+def test_certifier_reuse_matches_fresh_certify(monkeypatch):
+    """One certifier on interleaved inputs answers as a fresh jkv_certify
+    each time, and runs the nilpotency LP once per distinct (s, n)."""
+    import jkvkit.polytope as polytope
+
+    rep = rep1()
+    g = rv(1, {(0,): (F(2),), (1,): (F(3),)})
+    s, n, n_wrong = rv(1, {(0,): (F(2),)}), rv(1, {(1,): (F(3),)}), rv(1, {(1,): (F(5),)})
+    s_wrong, n_of_wrong = rv(1, {(1,): (F(3),)}), rv(1, {(0,): (F(2),)})
+    calls = [
+        (s, n, (2,)),  # lam is the witness
+        (s, n, (0,)),  # lam pairs to 0 with supp n: the LP
+        (s, n_wrong, (0,)),  # same s, another n: a second LP
+        (s_wrong, n_of_wrong, (0,)),  # not semisimple, n not nilpotent: a third LP
+        (s, rv(1, {(1,): (F(3),)}), (-1,)),  # an equal copy of n: no new LP
+        (s, n_wrong, (2,)),
+        (s_wrong, n_of_wrong, (1,)),
+        (s, n, (2,)),
+        (g, zero_vector(1), (0,)),  # n = 0: lam is the witness; g is not semisimple
+    ]
+    fresh = [jkv_certify(rep, g, *call) for call in calls]  # also warms the relint cache
+    lp_calls = []
+    original = polytope.solve_lp
+    monkeypatch.setattr(
+        polytope, "solve_lp", lambda *a, **k: lp_calls.append(a) or original(*a, **k)
+    )
+    certify = jkv_certifier(rep, g)
+    for call, expected in zip(calls, fresh, strict=True):
+        report = certify(*call)
+        assert report == expected
+        # every report is fresh: changing one leaves the later ones alone
+        report.clauses["sum"] = False
+        report.stabilizer_checks.append((9, False))
+    assert len(lp_calls) == 3
+    assert [r.ok for r in fresh] == [True, False, False, False, False, False, False, True, False]
+    assert [r.nilpotent_witness for r in fresh] == [(2,), (1,), (1,), None, (1,), (2,), None, (2,), (0,)]
+
+
 def test_lambda_min_examples():
     rep = rep1()
     g = rv(1, {(0,): (F(1),), (1,): (F(1),)})
@@ -387,6 +425,28 @@ def test_limit_survey_examples():
     assert len(ss) == 1 and ss[0].cocharacter == (0,) and ss[0].value == g2
 
 
+def test_limit_survey_matches_limit_and_relint_per_cocharacter():
+    rng = random.Random(12)
+    cfg = FuzzConfig(max_rank=3)
+    finite = 0
+    for _ in range(16):
+        rep, gamma = sample_torus_instance(rng, cfg)
+        finite += rep.finite is not None
+        shared = {}
+        entries = limit_survey(rep, gamma, 2).entries
+        for e in entries:
+            value = limit(e.cocharacter, gamma)
+            assert e.value == value and e.exists == (value is not None)
+            if value is None:
+                assert not e.semisimple
+                continue
+            assert e.semisimple == origin_in_relint(support(value)).inside
+            zero = frozenset(chi for chi in gamma.components if pairing(e.cocharacter, chi) == 0)
+            assert shared.setdefault(zero, e.value) is e.value
+        assert len(shared) < len(entries)
+    assert finite >= 3
+
+
 def test_pure_torus_rigidity():
     rep = TorusRep(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((2, 1), 1)))
     g = rv(
@@ -421,6 +481,27 @@ def test_vector_arithmetic():
 
 
 def test_finite_group_validation_errors():
+    weights = (((1, 0), 1), ((0, 1), 1))
+    one = ((F(1),),)
+    ident = FiniteElement(((1, 0), (0, 1)), {(1, 0): one, (0, 1): one})
+    swap = FiniteElement(((0, 1), (1, 0)), {(1, 0): one, (0, 1): one})
+    cases = [
+        (FiniteElement(((2, 0), (0, 1)), ident.blocks), "lattice action must be unimodular"),
+        (FiniteElement(((-1, 0), (0, 1)), ident.blocks), "must permute the weight set"),
+        (FiniteElement(swap.lattice, {(1, 0): one}), "must cover exactly the weight set"),
+        (FiniteElement(swap.lattice, {(1, 0): ((F(1), F(0)),), (0, 1): one}), "shape mismatch"),
+        (FiniteElement(swap.lattice, {(1, 0): ((F(0),),), (0, 1): one}), "must be invertible"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            TorusRep(2, weights, FiniteGroup((ident, bad), ((0, 1), (1, 0))))
+    # the table names the swap as its identity
+    with pytest.raises(ValueError, match="lattice actions do not respect the table"):
+        TorusRep(2, weights, FiniteGroup((swap, ident), ((0, 1), (1, 0))))
+    # the swap's blocks multiply to 2 at each weight, where the identity's are 1
+    swap2 = FiniteElement(swap.lattice, {(1, 0): ((F(2),),), (0, 1): one})
+    with pytest.raises(ValueError, match="block maps do not respect the table"):
+        TorusRep(2, weights, FiniteGroup((ident, swap2), ((0, 1), (1, 0))))
     bad_lattice = FiniteElement(((1, 1), (0, 1)), {(1, 0): ((F(1),),), (0, 1): ((F(1),),)})
     with pytest.raises(ValueError):
         TorusRep(2, (((1, 0), 1), ((0, 1), 1)), FiniteGroup((bad_lattice,), ((0,),)))
