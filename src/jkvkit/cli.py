@@ -4,9 +4,9 @@ Every subcommand reads JSON problem files and returns its exit code and
 output fields; `main` alone writes them as one JSON document on stdout
 (format_version pinned for downstream scripts), and all diagnostics go
 to stderr.  Exit codes: 0 success or true verdict, 1 false verdict or
-suite failures, 2 parse/usage errors, 3 unsupported-input verdicts
-(non-split semisimple part, box too small, unfactored ratios), 4
-internal errors (traceback on stderr, nothing on stdout).
+suite failures, 2 parse/usage errors, 3 unsupported-input verdicts (box
+too small, unfactored ratios), 4 internal errors (traceback on stderr,
+nothing on stdout).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 
 from . import gln as gln_model
 from . import torus as torus_model
-from .gln import NonSplitError
 from .oracles import FuzzConfig
 from .polytope import WeightSet
 from .rationals import UnfactoredError, format_rational
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (NonSplitError, BoxTooSmallError, UnfactoredError) as exc:
+    except (BoxTooSmallError, UnfactoredError) as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return EXIT_UNSUPPORTED
     except ValueError as exc:

@@ -23,7 +23,7 @@ from operator import mul
 
 from . import polys
 from .checks import CertificateError, require
-from .intlinalg import fraction_free_rref, identity, int_kernel, mat_mul
+from .intlinalg import fraction_free_rref, identity, int_kernel, mat_mul, primitive
 from .polys import (
     Poly,
     degree,
@@ -36,33 +36,22 @@ from .polys import (
     poly_invmod,
     poly_mod,
     poly_sub,
-    rational_roots,
     squarefree_part,
 )
 from .ratlinalg import (
     QMat,
-    QVec,
     int_form,
     is_zero_mat,
-    kernel_basis,
     qdet,
     qidentity,
     qinverse,
     qmat,
-    qmat_vec,
     qmul,
-    qrank,
     qsub,
     qzeros,
-    solve_right,
 )
 
 _WITNESS_SEED = 0x5EED
-
-
-class NonSplitError(ValueError):
-    """The semisimple part has irrational eigenvalues; no separating
-    integer-exponent cocharacter exists over the rationals."""
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -490,77 +479,70 @@ class GlnJkv:
     ok: bool
 
 
-def _eigenbasis_cocharacter(s: QMat, nmat: QMat, roots: list[Fraction]) -> GLnCocharacter:
-    """Cocharacter commuting with s whose limit kills nmat.
+def _flag_cocharacter(s: QMat, nmat: QMat) -> GLnCocharacter:
+    """A cocharacter fixing s whose limit kills nmat, from the kernel flag
+    K_j = ker nmat^j; no eigenvalue of s is needed.
 
-    Columns are eigenvectors of s grouped by eigenvalue (ascending) and
-    layered along the kernel flag of nmat inside each eigenspace, so nmat
-    becomes strictly upper triangular; strictly decreasing exponents then
-    give every nmat entry positive weight.  roots are the eigenvalues of s
-    in ascending order (``rational_roots`` of its minimal polynomial).
+    Each K_j is s-stable, as nmat commutes with s, and s is semisimple, so
+    K_{j-1} has an s-stable complement W_j in K_j.  A basis prev of K_{j-1}
+    is extended by ext to one of K_j, where s is [[A, B], [0, D]]; W_j is
+    spanned by ext + prev T for a solution T of A T - T D = -B.  In the
+    basis W_1, ..., W_m, with exponent m - j on W_j, s is block diagonal and
+    nmat strictly block upper triangular.  Only spans matter, so s, nmat and
+    every basis vector are scaled to integers; nmat = 0 gives the identity
+    with exponents 0.
     """
     size = len(s)
-    eigdim = 0
-    columns: list[QVec] = []
-    for mu in roots:
-        shifted = qmat(
-            tuple(
-                tuple(s[i][j] - (mu if i == j else 0) for j in range(size))
-                for i in range(size)
-            )
-        )
-        basis = kernel_basis(shifted)
-        if not basis:
-            raise NonSplitError("claimed eigenvalue has no eigenvector")
-        eigdim += len(basis)
-        emat = qmat(tuple(zip(*basis)))  # columns span the eigenspace
-        dim = len(basis)
-        nb = qmat([qmat_vec(qmat(nmat), b) for b in basis])  # rows: n*b_i
-        coords = []
-        for row in nb:
-            sol = solve_right(emat, row)
-            require(sol is not None, "the nilpotent part preserves eigenspaces")
-            coords.append(sol)
-        m_small = qmat(tuple(zip(*coords)))  # matrix of nmat on the eigenspace
-        chosen: list[QVec] = []
-        power = qidentity(dim)
-        j = 0
-        while len(chosen) < dim:
-            j += 1
-            require(j <= dim, "the restricted nilpotent part must be nilpotent")
-            power = qmul(power, m_small)
-            for v in kernel_basis(power):
-                if qrank(qmat(chosen + [v])) == len(chosen) + 1:
-                    chosen.append(v)
-        tmat = qmat(tuple(zip(*chosen)))
-        block_cols = qmul(emat, tmat)
-        for c in range(dim):
-            columns.append(tuple(block_cols[r][c] for r in range(size)))
-    if eigdim != size:
-        raise NonSplitError("eigenspaces do not fill the space")
-    g = qmat(tuple(zip(*columns)))
-    exponents = tuple(range(size, 0, -1))
-    return GLnCocharacter(g, exponents)
+    si, ni = int_form(s)[0], int_form(nmat)[0]
+    prev: list[tuple[int, ...]] = []  # W_1, ..., W_{j-1}, a basis of K_{j-1}
+    blocks: list[int] = []  # dim W_j
+    power = identity(size)
+    while len(prev) < size:
+        require(len(blocks) < size, "the nilpotent part must be nilpotent")
+        power = mat_mul(power, ni)
+        cand = prev + int_kernel([row[:] for row in power], size)[0]
+        _, picked = fraction_free_rref([list(r) for r in zip(*cand)])
+        basis = [cand[c] for c in picked]  # prev, then ext
+        p, k = len(prev), len(basis)
+        q = k - p
+        # [basis | s basis] reduces to c [I | C], C the matrix of s on K_j
+        bmat = [list(r) for r in zip(*basis)]
+        m = [b + list(sb) for b, sb in zip(bmat, mat_mul(si, bmat))]
+        fraction_free_rref(m, k)
+        require(not any(map(any, m[k:])), "the kernel flag of nmat is s-stable")
+        # c (A T - T D) = -c B in the unknowns T[l][e], at l * q + e
+        rows = []
+        for i in range(p):
+            for e in range(q):
+                row = [0] * (p * q + 1)
+                for l in range(p):
+                    row[l * q + e] += m[i][k + l]
+                for l in range(q):
+                    row[i * q + l] -= m[p + l][k + p + e]
+                row[-1] = -m[i][k + p + e]
+                rows.append(row)
+        d, pivots = fraction_free_rref(rows, p * q)
+        require(not any(row[-1] for row in rows[len(pivots) :]), "s has an s-stable complement")
+        # W_j: d ext_e + sum over l of d T[l][e] prev_l (free unknowns 0)
+        ext = [[d * v for v in b] for b in basis[p:]]
+        for r, c in enumerate(pivots):
+            l, e = divmod(c, q)
+            ext[e] = [a + rows[r][-1] * b for a, b in zip(ext[e], prev[l])]
+        prev += map(primitive, ext)
+        blocks.append(q)
+    exponents = [len(blocks) - j for j, q in enumerate(blocks, 1) for _ in range(q)]
+    return GLnCocharacter([list(r) for r in zip(*prev)], exponents)
 
 
 def jkv_gln(x: QMat) -> GlnJkv:
     """Classical Jordan-Chevalley decomposition with a limit certificate.
 
-    Requires the semisimple part to split over Q (NonSplitError otherwise);
-    rational_conjugacy and jordan_chevalley themselves have no such
-    restriction.
+    The cocharacter is built from the kernel flag of n (``_flag_cocharacter``),
+    so every rational matrix gets one, whether or not s splits over Q.
     """
     x = qmat(x)
-    size = len(x)
     s, nmat, p = jordan_chevalley(x)
-    if is_zero_mat(nmat):
-        lam = central_cocharacter(size)
-    else:
-        msp = minpoly(s)
-        roots = rational_roots(msp)
-        if len(roots) != degree(msp):
-            raise NonSplitError("non-split semisimple part")
-        lam = _eigenbasis_cocharacter(s, nmat, roots)
+    lam = _flag_cocharacter(s, nmat)
     clauses = jkv_certify_gln(x, s, nmat, lam)
     clauses["centralizer"] = all(qmul(m, s) == qmul(s, m) for m in commutant_basis(x, x))
     return GlnJkv(s, nmat, lam, p, clauses, all(clauses.values()))

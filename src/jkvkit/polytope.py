@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .checks import require
 from .intlinalg import IntVec, pairing, primitive
 from .lp import INFEASIBLE, OPTIMAL, solve_lp
 
@@ -109,7 +110,7 @@ def find_functional(zero_on, pos_on, uniform=False):
     res = solve_lp(rank, cons, [Fraction(0)] * rank, maximize=True)
     if res.status == INFEASIBLE:
         return None
-    assert res.status == OPTIMAL
+    require(res.status == OPTIMAL, "a bounded functional LP is feasible or optimal")
     return clear_to_primitive(res.x)
 
 
@@ -120,27 +121,27 @@ def _relint_cached(rank: int, points: tuple[IntVec, ...]):
     status, eps, coeffs = _barycentric_lp(points)
     if status == INFEASIBLE:
         lam = find_functional((), points, uniform=True)
-        assert lam is not None, "separation must exist when 0 is outside the hull"
-        assert all(pairing(lam, p) >= 1 for p in points)
+        require(lam is not None, "separation must exist when 0 is outside the hull")
+        require(all(pairing(lam, p) >= 1 for p in points), "the separator is >= 1 on every point")
         return False, None, lam
-    assert status == OPTIMAL
+    require(status == OPTIMAL, "the barycentric LP is infeasible or optimal")
     if eps > 0:
         bary = dict(zip(points, coeffs))
         _check_barycentric(points, bary)
         return True, bary, None
     lam = find_functional((), points, uniform=False)
-    assert lam is not None, "a supporting functional must exist on the boundary"
-    assert all(pairing(lam, p) >= 0 for p in points)
-    assert any(pairing(lam, p) > 0 for p in points)
+    require(lam is not None, "a supporting functional must exist on the boundary")
+    require(all(pairing(lam, p) >= 0 for p in points), "the supporter is >= 0 on every point")
+    require(any(pairing(lam, p) > 0 for p in points), "the supporter is > 0 on some point")
     return False, None, lam
 
 
 def _check_barycentric(points, bary):
     rank = len(points[0])
-    assert sum(bary.values()) == 1
-    assert all(c > 0 for c in bary.values())
+    require(sum(bary.values()) == 1, "barycentric coefficients sum to 1")
+    require(all(c > 0 for c in bary.values()), "barycentric coefficients are positive")
     for k in range(rank):
-        assert sum(c * p[k] for p, c in bary.items()) == 0
+        require(sum(c * p[k] for p, c in bary.items()) == 0, "the barycentric combination is 0")
 
 
 def origin_in_relint(ws: WeightSet) -> RelintResult:
@@ -163,13 +164,13 @@ def _minimal_face_cached(rank: int, points: tuple[IntVec, ...]):
     if not kernel:
         return None
     inner = _minimal_face_cached(rank, kernel)
-    assert inner is not None and inner.face, "the origin stays in the hull of the kernel points"
+    require(inner is not None and inner.face, "the origin stays in the hull of the kernel points")
     face = inner.face
     outside = [p for p in points if p not in face]
     supporter = find_functional(face, outside, uniform=True)
-    assert supporter is not None, "polytope faces are exposed"
-    assert all(pairing(supporter, p) == 0 for p in face)
-    assert all(pairing(supporter, p) >= 1 for p in outside)
+    require(supporter is not None, "polytope faces are exposed")
+    require(all(pairing(supporter, p) == 0 for p in face), "the supporter vanishes on the face")
+    require(all(pairing(supporter, p) >= 1 for p in outside), "the supporter is >= 1 off the face")
     return FaceCertificate(face=face, supporter=supporter, barycentric=inner.barycentric)
 
 

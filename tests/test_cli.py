@@ -174,16 +174,21 @@ def test_jkv_gln_and_certify(capsys, tmp_path, matrix_file):
     assert code == 0 and json.loads(out)["valid"]
 
 
-def test_jkv_gln_non_split_exits_3(capsys, tmp_path):
-    # [[A, I], [0, A]] with A = [[1, 2], [1, 1]] (eigenvalues 1 +- sqrt 2) and
-    # with R = [[0, -1], [1, 0]] (minimal polynomial (t^2 + 1)^2)
+def test_jkv_gln_certifies_without_eigenvalues(capsys, tmp_path):
+    # [[A, I], [0, A]] with A = [[1, 2], [1, 1]] (eigenvalues 1 +- sqrt 2), the
+    # same with R = [[0, -1], [1, 0]] (minimal polynomial (t^2 + 1)^2), and
+    # [[p, 1], [0, p]] with p = 2^61 - 1, beyond any trial-division bound
+    p = str(2**61 - 1)
     for name, matrix in [
         ("ns.json", [["1", "2", "1", "0"], ["1", "1", "0", "1"], ["0", "0", "1", "2"], ["0", "0", "1", "1"]]),
         ("rr.json", [["0", "-1", "1", "0"], ["1", "0", "0", "1"], ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]),
+        ("pp.json", [[p, "1"], ["0", p]]),
     ]:
-        f = write(tmp_path, name, {"n": 4, "matrix": matrix})
+        f = write(tmp_path, name, {"n": len(matrix), "matrix": matrix})
         code, out, err = run(capsys, ["jkv", "gln", "--file", f])
-        assert (code, out, err) == (3, "", "unsupported: non-split semisimple part\n")
+        data = json.loads(out)
+        assert (code, err) == (0, "")
+        assert all(data["clauses"].values()) and len(data["clauses"]) == 6
 
 
 def test_lambda_min(capsys, torus_file, tmp_path):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from jkvkit import gln
 from jkvkit.gln import (
     GLnCocharacter,
-    NonSplitError,
     _combination_iter,
     bruhat,
     central_cocharacter,
@@ -26,7 +25,7 @@ from jkvkit.gln import (
 )
 from jkvkit import oracles
 from jkvkit.oracles import charpoly
-from jkvkit.polys import poly
+from jkvkit.polys import poly, poly_mul
 from jkvkit.ratlinalg import (
     is_zero_mat,
     kernel_basis,
@@ -561,11 +560,72 @@ def test_jkv_gln_non_split():
             [0, 0, 1, 1],
         ]
     )
-    s, n, _ = jordan_chevalley(x)
-    if is_zero_mat(n):
-        pytest.skip("construction failed to produce a nilpotent part")
-    with pytest.raises(NonSplitError):
-        jkv_gln(x)
+    cert = jkv_gln(x)
+    assert cert.ok and all(cert.clauses.values())
+    assert not is_zero_mat(cert.n)
+    assert cert.s == jordan_chevalley(x)[0]
+    assert limit_conj(cert.cocharacter, x) == cert.s
+
+
+def _companion_power_conjugate(rng):
+    """h (C(f^k) + an optional 1 x 1 block) h^-1: C(f^k) the companion matrix
+    of the k-th power (k = 2 or 3) of an irreducible quadratic f, h unimodular.
+    The semisimple part never splits over Q and the nilpotent part is nonzero."""
+    while True:
+        b, c = rng.randint(-4, 4), rng.randint(-4, 4)
+        disc = b * b - 4 * c
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            break
+    g = poly([1])
+    for _ in range(rng.randint(2, 3)):
+        g = poly_mul(g, poly([c, b, 1]))
+    d = len(g) - 1
+    size = d + rng.randint(0, 1)
+    block = [[0] * size for _ in range(size)]
+    for i in range(d):
+        block[i][d - 1] = -g[i]
+        if i:
+            block[i][i - 1] = 1
+    if size > d:
+        block[d][d] = rng.randint(-3, 3)
+    h = qmat(oracles._random_unimodular(rng, size))
+    return qmul(qmul(h, qmat(block)), qinverse(h))
+
+
+def _kernel_dims(nmat):
+    """dim ker nmat^j for j = 0, 1, ... up to the first j with nmat^j = 0."""
+    size = len(nmat)
+    dims, power = [0], qidentity(size)
+    while dims[-1] < size:
+        power = qmul(power, nmat)
+        dims.append(len(kernel_basis(power)))
+    return dims
+
+
+def test_jkv_gln_certifies_companion_power_conjugates():
+    rng = random.Random(13)
+    for _ in range(100):
+        x = _companion_power_conjugate(rng)
+        cert = jkv_gln(x)
+        assert cert.ok, cert.clauses
+        assert not is_zero_mat(cert.n)
+        assert cert.s == jordan_chevalley(x)[0]
+        assert limit_conj(cert.cocharacter, x) == cert.s
+
+
+def test_jkv_gln_exponent_blocks_follow_the_kernel_flag():
+    # exponent m - j on W_j, whose dimension is dim K_j - dim K_(j-1)
+    rng = random.Random(17)
+    xs = [_companion_power_conjugate(rng) for _ in range(10)]
+    xs += [oracles.sample_rational_spectrum_matrix(rng, rng.randint(1, 4))[0] for _ in range(40)]
+    for x in xs:
+        cert = jkv_gln(x)
+        dims = _kernel_dims(cert.n)
+        top = len(dims) - 1
+        expected = tuple(
+            top - j for j in range(1, top + 1) for _ in range(dims[j] - dims[j - 1])
+        )
+        assert cert.cocharacter.exponents == expected
 
 
 def test_theorem_check_gln_example():

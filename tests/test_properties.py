@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 from jkvkit.gln import (
-    NonSplitError,
     eval_poly_matrix,
     invariant_factors,
     is_semisimple_matrix,
@@ -93,8 +92,7 @@ def test_minpoly_divides_charpoly_and_cayley_hamilton():
 
 def test_theorem_check_gln_seeded_fuzz():
     """Every semisimple limit along the sampled cocharacters is rationally
-    conjugate to one reference: the semisimple part of x when it splits,
-    otherwise the first semisimple limit."""
+    conjugate to the semisimple part of x, split over Q or not."""
     from jkvkit.oracles import sample_gln_cocharacter, sample_rational_spectrum_matrix
 
     rng = random.Random(31)
@@ -106,16 +104,11 @@ def test_theorem_check_gln_seeded_fuzz():
         else:
             x = sample_gln_matrix(rng, n)
         lams = [sample_gln_cocharacter(rng, n) for _ in range(5)]
-        try:
-            reference = jkv_gln(x).s
-        except NonSplitError:
-            reference = None
+        reference = jkv_gln(x).s
         for lam in lams:
             val = limit_conj(lam, x)
             if val is None or not is_semisimple_matrix(val):
                 continue
-            if reference is None:
-                reference = val
             assert rational_conjugacy(val, reference) is not None
             checked += 1
     assert checked >= 10, checked
