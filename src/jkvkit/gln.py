@@ -122,13 +122,22 @@ def central_cocharacter(n: int, weight: int = 0) -> GLnCocharacter:
 def _in_basis(lam: GLnCocharacter, xi: list[list[int]]):
     """X = xi in lam's basis, entry by entry: entry(i, j) is entry (i, j) of
     H X G, with G = lam.g_int and H = lam.inv_int, which is lam.inv_den
-    times G^-1 X G.  X G is formed once; each entry costs one dot product."""
+    times G^-1 X G.  Column j of X G is formed the first time an entry of
+    column j is read, and kept; each entry then costs one dot product, so a
+    limit try rejected at its first entry forms one column, not n."""
     n = lam.n
     if len(xi) != n or any(len(r) != n for r in xi):
         raise ValueError("shape mismatch in matrix product")
-    h = lam.inv_int
-    xg_cols = [[sum(map(mul, row, col)) for row in xi] for col in zip(*lam.g_int)]
-    return lambda i, j: sum(map(mul, h[i], xg_cols[j]))
+    h, g_cols = lam.inv_int, tuple(zip(*lam.g_int))
+    xg_cols = [None] * n
+
+    def entry(i, j):
+        col = xg_cols[j]
+        if col is None:
+            col = xg_cols[j] = [sum(map(mul, row, g_cols[j])) for row in xi]
+        return sum(map(mul, h[i], col))
+
+    return entry
 
 
 def _limit(lam: GLnCocharacter, xi: list[list[int]], c: int) -> QMat | None:

@@ -89,6 +89,33 @@ def _orbit_test(rep, w):
     return in_orbit
 
 
+def _limit_clause(val, x) -> str | None:
+    """The first clause that the limit val of the semisimple x breaks, or
+    None: val is semisimple and rational_conjugacy finds a g with
+    g val = x g, re-verified by multiplication."""
+    if not is_semisimple_matrix(val):
+        return "limit of a semisimple matrix must stay semisimple"
+    g = rational_conjugacy(val, x)
+    if g is None:
+        return "limit not conjugate to the input"
+    if qmul(g, val) != qmul(x, g):
+        return "conjugacy witness failed re-verification"
+    return None
+
+
+def _limit_test(x):
+    """clause_of(val), which is _limit_clause(val, x) decided once per
+    distinct value of val (a QMat, hashable)."""
+    clauses = {}
+
+    def clause_of(val) -> str | None:
+        if val not in clauses:
+            clauses[val] = _limit_clause(val, x)
+        return clauses[val]
+
+    return clause_of
+
+
 def _suite_limits(rng, cfg: FuzzConfig):
     """Dual-implementation agreement for limit existence and value."""
     rep, gamma = oracles.sample_torus_instance(rng, cfg)
@@ -213,10 +240,12 @@ def _suite_compose(rng, cfg: FuzzConfig):
 
 def _suite_limit_conjugacy(rng, cfg: FuzzConfig):
     """Semisimple matrices: every existing limit is rationally conjugate to
-    the input."""
+    the input.  Each limit found is checked by ``_limit_test``, so a value
+    that several cocharacters reach is decided once."""
     n = rng.randint(2, cfg.max_size)
     x, _, _ = oracles.sample_rational_spectrum_matrix(rng, n, diagonalizable=True)
     limit_of = conj_limiter(x)
+    clause_of = _limit_test(x)
     clause = None
     found = 0
     tries = 0
@@ -227,15 +256,8 @@ def _suite_limit_conjugacy(rng, cfg: FuzzConfig):
         if val is None:
             continue
         found += 1
-        if not is_semisimple_matrix(val):
-            clause = "limit of a semisimple matrix must stay semisimple"
-            break
-        g = rational_conjugacy(val, x)
-        if g is None:
-            clause = "limit not conjugate to the input"
-            break
-        if qmul(g, val) != qmul(x, g):
-            clause = "conjugacy witness failed re-verification"
+        clause = clause_of(val)
+        if clause:
             break
     if found < 5 and clause is None:
         # pad with the central cocharacter, whose limit is x itself

@@ -30,7 +30,7 @@ from .polytope import (
     origin_in_relint,
 )
 from .rationals import DEFAULT_FACTOR_BOUND, factorize_fraction
-from .ratlinalg import QMat, qdet, qmat, qmat_vec, qmul
+from .ratlinalg import QMat, int_form, qmat_vec
 from . import intlinalg
 
 
@@ -106,6 +106,7 @@ def _validate_finite_group(rep: TorusRep):
     dims = rep.dims()
     weights = set(dims)
     images = []  # per element: chi -> its image under the lattice action
+    scaled = []  # per element: chi -> (B, c), its block times c, as int rows
     for el in grp.elements:
         if not is_unimodular(el.lattice):
             raise ValueError("lattice action must be unimodular")
@@ -114,24 +115,29 @@ def _validate_finite_group(rep: TorusRep):
             raise ValueError("lattice action must permute the weight set")
         if set(el.blocks) != weights:
             raise ValueError("block maps must cover exactly the weight set")
+        blocks = {}
         for chi, block in el.blocks.items():
             tgt = image[chi]
             if len(block) != dims[tgt] or any(len(r) != dims[chi] for r in block):
                 raise ValueError("block map shape mismatch")
-            if qdet(block) == 0:
+            blocks[chi] = int_form(block)
+            if intlinalg.det(blocks[chi][0]) == 0:
                 raise ValueError("block maps must be invertible")
         images.append(image)
+        scaled.append(blocks)
     # Compositional consistency with the table: blocks of a product factor
-    # through the blocks of the factors.
+    # through the blocks of the factors.  (A / a)(B / b) = C / c exactly
+    # when A B c = C a b.
     t = grp.table
     for i, gi in enumerate(grp.elements):
         for j, gj in enumerate(grp.elements):
-            gk = grp.elements[t[i][j]]
-            if intlinalg.mat_mul(gi.lattice, gj.lattice) != gk.lattice:
+            k = t[i][j]
+            if intlinalg.mat_mul(gi.lattice, gj.lattice) != grp.elements[k].lattice:
                 raise ValueError("lattice actions do not respect the table")
             for chi, mid in images[j].items():
-                lhs = qmul(gi.blocks[mid], gj.blocks[chi])
-                if lhs != qmat(gk.blocks[chi]):
+                (a, ca), (b, cb), (c, cc) = scaled[i][mid], scaled[j][chi], scaled[k][chi]
+                lhs = [[v * cc for v in row] for row in intlinalg.mat_mul(a, b)]
+                if lhs != [[v * ca * cb for v in row] for row in c]:
                     raise ValueError("block maps do not respect the table")
 
 

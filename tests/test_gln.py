@@ -273,6 +273,38 @@ def test_limiter_keeps_the_shape_errors():
         conj_limiter([[1, 2], [3]])
 
 
+def test_in_basis_entries_equal_the_full_product_in_any_read_order():
+    """Columns of X G are formed as entries ask for them; in whatever order
+    the entries are read, and when read twice, they are those of H X G."""
+    rng = random.Random(1968)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        lam = oracles.sample_gln_cocharacter(rng, n)
+        if rng.random() < 0.5:
+            lam = GLnCocharacter(_invertible(rng, n), lam.exponents)
+        xi = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        h, g = lam.inv_int, lam.g_int
+        want = [
+            [
+                sum(h[i][k] * xi[k][l] * g[l][j] for k in range(n) for l in range(n))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        row_major = [(i, j) for i in range(n) for j in range(n)]
+        column_major = [(i, j) for j in range(n) for i in range(n)]
+        for order in (row_major, column_major, row_major[::-1]):
+            entry = gln._in_basis(lam, xi)
+            for _ in range(2):
+                assert [entry(i, j) for i, j in order] == [want[i][j] for i, j in order]
+    empty = central_cocharacter(0)
+    assert callable(gln._in_basis(empty, [])) and limit_conj(empty, ()) == ()
+    lam = central_cocharacter(2)
+    for bad in ([[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+            gln._in_basis(lam, bad)
+
+
 def test_gln_rechecks_are_not_asserts():
     """gln's certificate re-checks call require, which python -O keeps;
     tests/test_no_asserts.py scans gln for any assert left."""

@@ -188,3 +188,125 @@ def test_orbit_failures_name_the_first_entry_as_the_per_entry_loop_does(monkeypa
         assert got and [(f.index, f.clause, f.payload) for f in got] == [
             (f.index, f.clause, f.payload) for f in want
         ]
+
+
+def _reference_limit_conjugacy(rng, cfg):
+    """limit-conjugacy with the three limit checks run for every limit found."""
+    from jkvkit.gln import central_cocharacter, conj_limiter
+    from jkvkit.ratlinalg import qmul
+    from jkvkit.serialize import gln_problem_to_json
+
+    n = rng.randint(2, cfg.max_size)
+    x, _, _ = oracles.sample_rational_spectrum_matrix(rng, n, diagonalizable=True)
+    limit_of = conj_limiter(x)
+    clause = None
+    found = tries = 0
+    while found < 5 and tries < 200:
+        tries += 1
+        val = limit_of(oracles.sample_gln_cocharacter(rng, n))
+        if val is None:
+            continue
+        found += 1
+        if not suites.is_semisimple_matrix(val):
+            clause = "limit of a semisimple matrix must stay semisimple"
+            break
+        g = suites.rational_conjugacy(val, x)
+        if g is None:
+            clause = "limit not conjugate to the input"
+            break
+        if qmul(g, val) != qmul(x, g):
+            clause = "conjugacy witness failed re-verification"
+            break
+    if found < 5 and clause is None:
+        val = limit_of(central_cocharacter(n))
+        if val != x or suites.rational_conjugacy(val, x) is None:
+            clause = "central limit must be the matrix itself"
+    if clause:
+        return clause, gln_problem_to_json(x)
+    return None
+
+
+def _double_corner(g):
+    return tuple(tuple(2 * v if i == j == 0 else v for j, v in enumerate(row)) for i, row in enumerate(g))
+
+
+@pytest.mark.parametrize("failing", ["not conjugate", "not semisimple", "by value"])
+def test_limit_conjugacy_reports_match_the_per_limit_loop(monkeypatch, failing):
+    """With the limit checks failing everywhere or on a value-dependent
+    subset of limits, limit-conjugacy reports the same index, clause and
+    payload as a loop that checks every limit it finds."""
+    conjugacy, semisimple = suites.rational_conjugacy, suites.is_semisimple_matrix
+    if failing == "not conjugate":
+        monkeypatch.setattr(suites, "rational_conjugacy", lambda v, x: None)
+    elif failing == "not semisimple":
+        monkeypatch.setattr(suites, "is_semisimple_matrix", lambda v: False)
+    else:
+
+        def by_value(v, x):
+            g = conjugacy(v, x)
+            return {0: g, 1: None, 2: _double_corner(g)}[hash(v) % 3]
+
+        monkeypatch.setattr(suites, "rational_conjugacy", by_value)
+        monkeypatch.setattr(suites, "is_semisimple_matrix", lambda v: hash(v) % 5 != 0 and semisimple(v))
+    monkeypatch.setitem(suites._SUITES, "ref-limit-conjugacy", (_reference_limit_conjugacy, 1))
+    clauses = set()
+    for seed in (0, 7, 19, 23):
+        cfg = FuzzConfig(seed=seed, count=6)
+        got = run_suite("limit-conjugacy", cfg).failures
+        want = run_suite("ref-limit-conjugacy", cfg).failures
+        assert got and [(f.index, f.clause, f.payload) for f in got] == [
+            (f.index, f.clause, f.payload) for f in want
+        ]
+        clauses.update(f.clause for f in got)
+    if failing == "by value":
+        assert len(clauses) == 3, clauses
+
+
+def test_limit_conjugacy_decides_each_distinct_limit_once(monkeypatch):
+    """is_semisimple_matrix and rational_conjugacy run once per distinct
+    limit value of an instance; only the central padding calls
+    rational_conjugacy again, on x."""
+    instances = []
+    limiter, central = suites.conj_limiter, suites.central_cocharacter
+    conjugacy, semisimple = suites.rational_conjugacy, suites.is_semisimple_matrix
+
+    def recorded_limiter(x):
+        rec = {"x": x, "found": [], "padded": False, "semisimple": [], "conjugacy": []}
+        instances.append(rec)
+        limit_of = limiter(x)
+
+        def limit(lam):
+            val = limit_of(lam)
+            if val is not None and not rec["padded"]:
+                rec["found"].append(val)
+            return val
+
+        return limit
+
+    def recorded_central(n, weight=0):
+        instances[-1]["padded"] = True
+        return central(n, weight)
+
+    def recorded_conjugacy(v, x):
+        assert x == instances[-1]["x"]
+        instances[-1]["conjugacy"].append(v)
+        return conjugacy(v, x)
+
+    def recorded_semisimple(v):
+        instances[-1]["semisimple"].append(v)
+        return semisimple(v)
+
+    monkeypatch.setattr(suites, "conj_limiter", recorded_limiter)
+    monkeypatch.setattr(suites, "central_cocharacter", recorded_central)
+    monkeypatch.setattr(suites, "rational_conjugacy", recorded_conjugacy)
+    monkeypatch.setattr(suites, "is_semisimple_matrix", recorded_semisimple)
+    assert run_suite("limit-conjugacy", FuzzConfig(seed=5, count=40)).passed
+    assert len(instances) == 40
+    repeats = padded = 0
+    for rec in instances:
+        distinct = list(dict.fromkeys(rec["found"]))
+        repeats += len(rec["found"]) - len(distinct)
+        padded += rec["padded"]
+        assert rec["semisimple"] == distinct
+        assert rec["conjugacy"] == distinct + [rec["x"]] * rec["padded"]
+    assert repeats >= 20 and padded >= 1, (repeats, padded)

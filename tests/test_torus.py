@@ -511,3 +511,98 @@ def test_finite_group_validation_errors():
         FiniteGroup((el,), ((0,),)) and TorusRep(
             2, (((1, 0), 1), ((0, 1), 1)), FiniteGroup((el,), ((0,),))
         )
+
+
+# The block checks of the finite-group validation as they were, on
+# Fraction matrices through qmul and qdet, kept here only as an oracle.
+
+
+def _old_validation_error(weight_spaces, grp):
+    from jkvkit.intlinalg import is_unimodular, mat_mul, mat_vec
+    from jkvkit.ratlinalg import qdet, qmat, qmul
+
+    dims = dict(weight_spaces)
+    weights = set(dims)
+    images = []
+    for el in grp.elements:
+        if not is_unimodular(el.lattice):
+            return "lattice action must be unimodular"
+        image = {chi: mat_vec(el.lattice, chi) for chi in weights}
+        if set(image.values()) != weights:
+            return "lattice action must permute the weight set"
+        if set(el.blocks) != weights:
+            return "block maps must cover exactly the weight set"
+        for chi, block in el.blocks.items():
+            if len(block) != dims[image[chi]] or any(len(r) != dims[chi] for r in block):
+                return "block map shape mismatch"
+            if qdet(block) == 0:
+                return "block maps must be invertible"
+        images.append(image)
+    for i, gi in enumerate(grp.elements):
+        for j, gj in enumerate(grp.elements):
+            gk = grp.elements[grp.table[i][j]]
+            if mat_mul(gi.lattice, gj.lattice) != gk.lattice:
+                return "lattice actions do not respect the table"
+            for chi, mid in images[j].items():
+                if qmul(gi.blocks[mid], gj.blocks[chi]) != qmat(gk.blocks[chi]):
+                    return "block maps do not respect the table"
+    return None
+
+
+def _new_validation_error(weight_spaces, grp):
+    try:
+        TorusRep(len(weight_spaces[0][0]), weight_spaces, grp)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _rotation_group(rng):
+    """The cyclic group of order 4 generated by the quarter turn of Z^2 on
+    the weights +-e1, +-e2, with 1 x 1 blocks whose product around the
+    orbit is 1, and its powers composed through the blocks."""
+    from jkvkit.intlinalg import mat_mul, mat_vec
+
+    turn = ((0, -1), (1, 0))
+    orbit = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    cs = [F(rng.choice([1, -2, 3]), rng.choice([1, 2, 5])) for _ in range(3)]
+    gen = dict(zip(orbit, [((c,),) for c in cs + [1 / (cs[0] * cs[1] * cs[2])]]))
+    elements = []
+    lattice = ((1, 0), (0, 1))
+    blocks = {chi: ((F(1),),) for chi in orbit}
+    for _ in range(4):
+        elements.append(FiniteElement(lattice, blocks))
+        blocks = {chi: ((gen[mat_vec(lattice, chi)][0][0] * b[0][0],),) for chi, b in blocks.items()}
+        lattice = mat_mul(turn, lattice)
+    table = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
+    return tuple((chi, 1) for chi in sorted(orbit)), FiniteGroup(tuple(elements), table)
+
+
+def test_finite_group_validation_matches_the_fraction_block_check():
+    """Integer block checks give the same verdict and message as the
+    Fraction product check, on sampled groups and on copies with one
+    block entry perturbed."""
+    rng = random.Random(2012)
+    groups = [_rotation_group(rng) for _ in range(5)]
+    while len(groups) < 40:
+        rep, _ = sample_torus_instance(rng, FuzzConfig(max_rank=3))
+        if rep.finite is not None:
+            groups.append((rep.weight_spaces, rep.finite))
+    seen = {}
+    for spaces, grp in groups:
+        assert _old_validation_error(spaces, grp) is None
+        assert _new_validation_error(spaces, grp) is None
+        for idx, el in enumerate(grp.elements):
+            for chi, block in sorted(el.blocks.items()):
+                for delta in (F(1), F(-1, 3)):
+                    rows = [list(r) for r in block]
+                    rows[0][0] += delta
+                    blocks = {**el.blocks, chi: tuple(map(tuple, rows))}
+                    bad = list(grp.elements)
+                    bad[idx] = FiniteElement(el.lattice, blocks)
+                    bad_grp = FiniteGroup(tuple(bad), grp.table)
+                    want = _old_validation_error(spaces, bad_grp)
+                    assert _new_validation_error(spaces, bad_grp) == want
+                    seen[want] = seen.get(want, 0) + 1
+    assert seen.get("block maps do not respect the table", 0) >= 50, seen
+    assert seen.get("block maps must be invertible", 0) >= 5, seen
