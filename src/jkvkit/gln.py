@@ -14,11 +14,11 @@ fraction-free reduction of integer rows.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 
 from . import polys
@@ -275,16 +275,30 @@ def is_semisimple_matrix(x: QMat) -> bool:
 
 
 def eval_poly_matrix(f: Poly, x: QMat) -> QMat:
-    n = len(x)
-    acc = qzeros(n, n)
-    for c in reversed(f):
-        acc = qmul(acc, x)
-        if c:
-            acc = tuple(
-                tuple(acc[i][j] + (c if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-    return acc
+    """f(x), by Horner on the integer matrix X = c x (``int_form``).
+
+    With d = deg f, f(x) = sum_k f_k c^(d-k) X^k / c^d; one lcm L brings the
+    coefficients f_k c^(d-k) to integers a_k, so f(x) is the integer Horner
+    value of sum_k a_k X^k over L c^d, one Fraction per entry.
+    """
+    xi, c = int_form(x)
+    n = len(xi)
+    if any(len(r) != n for r in xi):
+        raise ValueError("shape mismatch in matrix product")
+    d = max(len(f) - 1, 0)
+    coeffs = [Fraction(v) * c ** (d - k) for k, v in enumerate(f)]
+    scale = lcm(*[v.denominator for v in coeffs])
+    ints = [v.numerator * (scale // v.denominator) for v in coeffs]
+    top = ints[-1] if ints else 0
+    acc = [[top if i == j else 0 for j in range(n)] for i in range(n)]
+    cols = tuple(zip(*xi))
+    for a in reversed(ints[:-1]):
+        acc = [
+            [sum(map(mul, row, col)) + (a if i == j else 0) for j, col in enumerate(cols)]
+            for i, row in enumerate(acc)
+        ]
+    den = scale * c**d
+    return tuple(tuple(Fraction(v, den) for v in row) for row in acc)
 
 
 def jordan_chevalley(x: QMat) -> tuple[QMat, QMat, Poly]:
@@ -433,6 +447,13 @@ def commutant_basis(x: QMat, y: QMat) -> list[QMat]:
 
 
 def _combination_iter(k: int, grid_top: int):
+    """Integer combinations of k intertwiners to try as a witness, at most
+    2k - 1 + 51,000 of them.  Past the unit vectors and prefix sums come
+    50,000 draws from {-3, ..., 3}^k, then 1,000 from {-n, ..., n}^k for
+    n = grid_top.  det of the combination is a polynomial of degree <= n in
+    the coefficients, nonzero when an invertible intertwiner exists, so by
+    Schwartz-Zippel each late draw misses with probability at most
+    n / (2n + 1) < 1/2."""
     for i in range(k):
         t = [0] * k
         t[i] = 1
@@ -442,9 +463,8 @@ def _combination_iter(k: int, grid_top: int):
     rng = random.Random(_WITNESS_SEED)
     for _ in range(50_000):
         yield tuple(rng.randint(-3, 3) for _ in range(k))
-    # Exhaustive fallback: a degree-<= grid_top determinant cannot vanish on
-    # the whole integer grid below, so this is guaranteed to terminate.
-    yield from itertools.product(range(grid_top + 1), repeat=k)
+    for _ in range(1_000):
+        yield tuple(rng.randint(-grid_top, grid_top) for _ in range(k))
 
 
 def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
@@ -471,8 +491,8 @@ def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
         for c, v in zip(coeffs, kern):
             if c:
                 flat = [a + c * b for a, b in zip(flat, v)]
-        g = _over(flat, d, n)
-        if qdet(g) != 0:
+        if qdet([flat[i * n : (i + 1) * n] for i in range(n)]) != 0:
+            g = _over(flat, d, n)
             require(qmul(g, x) == qmul(y, g), "the witness must intertwine x and y")
             return g
     raise CertificateError("an invertible intertwiner exists for conjugate matrices")
@@ -553,8 +573,22 @@ def jkv_gln(x: QMat) -> GlnJkv:
     s, nmat, p = jordan_chevalley(x)
     lam = _flag_cocharacter(s, nmat)
     clauses = jkv_certify_gln(x, s, nmat, lam)
-    clauses["centralizer"] = all(qmul(m, s) == qmul(s, m) for m in commutant_basis(x, x))
+    clauses["centralizer"] = _centralizes(x, s)
     return GlnJkv(s, nmat, lam, p, clauses, all(clauses.values()))
+
+
+def _centralizes(x: QMat, s: QMat) -> bool:
+    """s commutes with every element of C(x) = { M : M x = x M }, checked as
+    M S == S M on the integer kernel vectors M of ``_commutant_rows(x, x)``
+    and the integer form S of s; their scales cancel."""
+    n = len(x)
+    si, _ = int_form(s)
+    kern, _ = int_kernel(_commutant_rows(x, x), n * n)
+    for v in kern:
+        m = [v[i * n : (i + 1) * n] for i in range(n)]
+        if mat_mul(m, si) != mat_mul(si, m):
+            return False
+    return True
 
 
 def jkv_certify_gln(x: QMat, s: QMat, n: QMat, lam: GLnCocharacter) -> dict[str, bool]:
@@ -573,7 +607,10 @@ def jkv_certify_gln(x: QMat, s: QMat, n: QMat, lam: GLnCocharacter) -> dict[str,
 
 
 def mat_power(x: QMat, k: int) -> QMat:
-    out = qidentity(len(x))
+    """x^k as X^k / c^k, X = c x the integer form of x."""
+    xi, c = int_form(x)
+    out = identity(len(xi))
     for _ in range(k):
-        out = qmul(out, x)
-    return out
+        out = mat_mul(out, xi)
+    den = c**k
+    return tuple(tuple(Fraction(v, den) for v in row) for row in out)

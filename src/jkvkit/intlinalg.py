@@ -7,6 +7,7 @@ Row-major, immutable once built.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -46,9 +47,7 @@ def mat_mul(a: IntMat, b: IntMat) -> IntMat:
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: IntMat, v: IntVec) -> IntVec:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gln import GLnCocharacter
-from .intlinalg import IntVec, mat_vec, pairing
+from .intlinalg import IntVec, fraction_free_rref, mat_mul, mat_vec, pairing
 from .polys import Poly, degree, poly, poly_mod
 from .polytope import WeightSet
 from .ratlinalg import QMat, kernel_basis, qdet, qidentity, qinverse, qmat, qmul
@@ -274,6 +274,15 @@ def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return m
 
 
+def _unimodular_inverse(h: list[list[int]]) -> list[list[int]]:
+    """The integer inverse of an integer matrix of determinant +-1: one
+    fraction-free reduction of [h | I] leaves d h^-1, d the last pivot."""
+    n = len(h)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(h)]
+    d, _ = fraction_free_rref(m, n)
+    return [[v // d for v in row[n:]] for row in m]
+
+
 def sample_rational_spectrum_matrix(rng: random.Random, n: int, diagonalizable=False):
     """h * J * h^-1 from a random Jordan-form J and unimodular h.
 
@@ -286,25 +295,23 @@ def sample_rational_spectrum_matrix(rng: random.Random, n: int, diagonalizable=F
         k = 1 if diagonalizable else rng.randint(1, left)
         sizes.append(k)
         left -= k
-    j = [[F(0)] * n for _ in range(n)]
-    d = [[F(0)] * n for _ in range(n)]
+    j = [[0] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]
     pos = 0
     for k in sizes:
-        ev = F(rng.randint(-5, 5))
+        ev = rng.randint(-5, 5)
         for t in range(k):
             j[pos + t][pos + t] = ev
             d[pos + t][pos + t] = ev
             if t + 1 < k:
-                j[pos + t][pos + t + 1] = F(1)
+                j[pos + t][pos + t + 1] = 1
         pos += k
-    h = qmat(_random_unimodular(rng, n))
-    hinv = qinverse(h)
-    x = qmul(qmul(h, qmat(j)), hinv)
-    s_true = qmul(qmul(h, qmat(d)), hinv)
-    n_true = tuple(
-        tuple(x[a][b] - s_true[a][b] for b in range(n)) for a in range(n)
-    )
-    return x, s_true, n_true
+    h = _random_unimodular(rng, n)
+    hinv = _unimodular_inverse(h)
+    x = mat_mul(mat_mul(h, j), hinv)
+    s_true = mat_mul(mat_mul(h, d), hinv)
+    n_true = [[a - b for a, b in zip(rx, rs)] for rx, rs in zip(x, s_true)]
+    return qmat(x), qmat(s_true), qmat(n_true)
 
 
 def sample_gln_matrix(rng: random.Random, n: int) -> QMat:

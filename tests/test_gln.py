@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt, lcm
@@ -679,3 +680,46 @@ def test_commutant_contains_polynomials():
     assert any(qdet(b) != 0 for b in basis)
     for b in basis:
         assert qmul(b, x) == qmul(x, b)
+
+
+def _reference_centralizes(x, s):
+    """s commutes with every element of the Fraction commutant basis of x."""
+    return all(qmul(b, s) == qmul(s, b) for b in _reference_commutant_basis(x, x))
+
+
+def test_centralizer_clause_matches_the_fraction_reference():
+    # false: C(diag(1, 1, 2)) holds the swap of the first two coordinates,
+    # which s does not commute with; C(0) is every matrix
+    x = m([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    s = m([[1, F(1, 2), 0], [0, 1, 0], [0, 0, 2]])
+    assert gln._centralizes(x, s) is _reference_centralizes(x, s) is False
+    assert gln._centralizes(qzeros(2, 2), m([[1, 0], [0, 2]])) is False
+    assert gln._centralizes(qzeros(2, 2), m([[F(3, 7), 0], [0, F(3, 7)]])) is True
+    assert gln._centralizes((), ()) is True
+    # true on sampled matrices and their semisimple parts; mostly false for
+    # an unrelated s with mixed denominators
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        x, s_true, _ = oracles.sample_rational_spectrum_matrix(rng, n)
+        assert gln._centralizes(x, s_true) is _reference_centralizes(x, s_true) is True
+        s = qmat([[F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(n)] for _ in range(n)])
+        verdict = gln._centralizes(x, s)
+        assert verdict is _reference_centralizes(x, s)
+        seen[verdict] += 1
+    assert seen[False] >= 20, seen
+
+
+def test_witness_combinations_are_bounded():
+    # 81 unit vectors, 80 prefix sums, 50,000 small draws, 1,000 wide draws
+    bound = 81 + 80 + 51_000
+    assert sum(1 for _ in itertools.islice(_combination_iter(81, 9), bound + 1)) == bound
+    wide = list(itertools.islice(_combination_iter(2, 5), 3 + 50_000, None))
+    assert len(wide) == 1_000 and {c for t in wide for c in t} == set(range(-5, 6))
+
+
+def test_witness_search_ends_with_a_certificate_error(monkeypatch):
+    monkeypatch.setattr(gln, "qdet", lambda a: 0)
+    with pytest.raises(gln.CertificateError, match="^an invertible intertwiner exists"):
+        rational_conjugacy(m([[1, 0], [0, 1]]), m([[1, 0], [0, 1]]))

@@ -1,5 +1,6 @@
 """The integer-numerator polynomial product and division, the integer
-minimal polynomial and the integer-form cocharacter limit, each against the
+minimal polynomial, the integer-form cocharacter limit, polynomial
+evaluation, matrix powers and the rational-spectrum sampler, each against the
 Fraction-per-step routine it replaced, kept here only as an oracle.  Every
 result must be equal, with every coefficient and entry a Fraction."""
 
@@ -12,10 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jkvkit import oracles
-from jkvkit.gln import CertificateError, GLnCocharacter, conj_limiter, levi_part, limit_conj, minpoly
+from jkvkit.gln import (
+    CertificateError,
+    GLnCocharacter,
+    conj_limiter,
+    eval_poly_matrix,
+    levi_part,
+    limit_conj,
+    mat_power,
+    minpoly,
+)
 from jkvkit.intlinalg import fraction_free_rref
 from jkvkit.polys import monic, poly, poly_divmod, poly_mul
-from jkvkit.ratlinalg import int_rows, kernel_basis, qdet, qidentity, qinverse, qmat, qmul
+from jkvkit.ratlinalg import int_rows, kernel_basis, qdet, qidentity, qinverse, qmat, qmul, qzeros
 
 F = Fraction
 
@@ -94,6 +104,52 @@ def _ref_limit(g, exps, x):
         tuple(F(y[i][j], d) if exps[i] == exps[j] else F(0) for j in range(n)) for i in range(n)
     )
     return qmul(qmul(g, z), qinverse(g))
+
+
+def _ref_eval_poly_matrix(f, x):
+    n = len(x)
+    acc = qzeros(n, n)
+    for c in reversed(f):
+        acc = qmul(acc, x)
+        if c:
+            acc = tuple(
+                tuple(acc[i][j] + (c if i == j else 0) for j in range(n))
+                for i in range(n)
+            )
+    return acc
+
+
+def _ref_mat_power(x, k):
+    out = qidentity(len(x))
+    for _ in range(k):
+        out = qmul(out, x)
+    return out
+
+
+def _ref_sample_rational_spectrum_matrix(rng, n, diagonalizable=False):
+    sizes = []
+    left = n
+    while left > 0:
+        k = 1 if diagonalizable else rng.randint(1, left)
+        sizes.append(k)
+        left -= k
+    j = [[F(0)] * n for _ in range(n)]
+    d = [[F(0)] * n for _ in range(n)]
+    pos = 0
+    for k in sizes:
+        ev = F(rng.randint(-5, 5))
+        for t in range(k):
+            j[pos + t][pos + t] = ev
+            d[pos + t][pos + t] = ev
+            if t + 1 < k:
+                j[pos + t][pos + t + 1] = F(1)
+        pos += k
+    h = qmat(oracles._random_unimodular(rng, n))
+    hinv = qinverse(h)
+    x = qmul(qmul(h, qmat(j)), hinv)
+    s_true = qmul(qmul(h, qmat(d)), hinv)
+    n_true = tuple(tuple(x[a][b] - s_true[a][b] for b in range(n)) for a in range(n))
+    return x, s_true, n_true
 
 
 def _all_fractions(value):
@@ -176,6 +232,32 @@ def test_minpoly_matches_reference_below_full_degree():
     assert short >= 100
     with pytest.raises(CertificateError):
         minpoly(())
+
+
+# ---------------------------------------------------------------------------
+# Polynomial evaluation, powers and the sampler
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(_matrices), _polys, st.integers(0, 5))
+def test_eval_poly_matrix_and_mat_power_match_reference(x, f, k):
+    for g in (f, poly([]), poly([F(-5, 3)]), poly([0, 1])):
+        got = eval_poly_matrix(g, x)
+        assert got == _ref_eval_poly_matrix(g, x) and _all_fractions(got)
+    for e in (0, k):
+        got = mat_power(x, e)
+        assert got == _ref_mat_power(x, e) and _all_fractions(got)
+
+
+def test_sampler_matches_reference_and_leaves_the_same_rng_state():
+    for seed in range(200):
+        for n in range(1, 6):
+            for diagonalizable in (False, True):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = oracles.sample_rational_spectrum_matrix(rng, n, diagonalizable=diagonalizable)
+                ref = _ref_sample_rational_spectrum_matrix(ref_rng, n, diagonalizable)
+                assert got == ref and _all_fractions(got)
+                assert rng.getstate() == ref_rng.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -107,26 +107,21 @@ def test_failure_payloads_replay(monkeypatch):
 
 
 def test_matrix_suite_failure_payloads_replay(monkeypatch):
-    """Swap the classical parts so every jkv-gln instance fails, then reload
-    each failure's matrix and find the sampled one."""
+    """Swap the sampler's ground-truth parts so every jkv-gln instance fails,
+    then reload each failure's matrix and find the sampled one."""
     sampled = []
-    sample, decompose = oracles.sample_rational_spectrum_matrix, suites.jordan_chevalley
+    sample = oracles.sample_rational_spectrum_matrix
 
     def recorded_sample(rng, n, **kw):
         x, s, nm = sample(rng, n, **kw)
         sampled.append(x)
-        return x, s, nm
-
-    def swapped(x):
-        s, nm, p = decompose(x)
-        return nm, s, p
+        return x, nm, s
 
     monkeypatch.setattr(oracles, "sample_rational_spectrum_matrix", recorded_sample)
-    monkeypatch.setattr(suites, "jordan_chevalley", swapped)
     report = run_suite("jkv-gln", FuzzConfig(seed=4, count=4))
     assert [f.index for f in report.failures] == [0, 1, 2, 3]
     for f, x in zip(report.failures, sampled, strict=True):
-        assert f.clause == "certificate disagrees with the classical semisimple part"
+        assert f.clause == "decomposition disagrees with the construction ground truth"
         assert load_gln_matrix(f.payload) == qmat(x)
 
 
