@@ -18,6 +18,7 @@ import sys
 
 from . import gln as gln_model
 from . import torus as torus_model
+from .checks import require
 from .oracles import FuzzConfig
 from .polytope import WeightSet
 from .rationals import UnfactoredError, format_rational
@@ -135,7 +136,7 @@ def _cmd_jkv(args) -> tuple[int, dict]:
         }
     x = load_gln_matrix(read_json(args.file))
     cert = gln_model.jkv_gln(x)
-    gln_model.require(cert.ok, "the decomposition must pass its own certificate")
+    require(cert.ok, "the decomposition must pass its own certificate")
     return EXIT_OK, {
         "model": "gln",
         "s": matrix_to_json(cert.s),
@@ -210,10 +211,10 @@ def _cmd_bruhat(args) -> tuple[int, dict]:
 def _cmd_jordan_chevalley(args) -> tuple[int, dict]:
     x = load_gln_matrix(read_json(args.file))
     s, n, p = gln_model.jordan_chevalley(x)
-    gln_model.require(
+    require(
         qsub(x, s) == n and qmul(s, n) == qmul(n, s), "x must be s + n with s and n commuting"
     )
-    gln_model.require(gln_model.eval_poly_matrix(p, x) == s, "the polynomial must give s at x")
+    require(gln_model.eval_poly_matrix(p, x) == s, "the polynomial must give s at x")
     return EXIT_OK, {
         "s": matrix_to_json(s),
         "n": matrix_to_json(n),

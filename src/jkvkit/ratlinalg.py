@@ -112,32 +112,9 @@ def qinverse(a: QMat) -> QMat:
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
 
 
-def _reduced(a: QMat) -> tuple[list[list[int]], int, list[int]]:
-    """(m, d, pivots): m is d times the reduced row-echelon form of a."""
-    m, _ = int_rows(a)
-    d, pivots = fraction_free_rref(m)
-    return m, d, pivots
-
-
-def qrank(a: QMat) -> int:
-    return len(_reduced(a)[2])
-
-
 def kernel_basis(a: QMat) -> list[QVec]:
     """Basis of the right null space, deterministic order (one per free column)."""
     m, _ = int_rows(a)
     kern, d = int_kernel(m, len(a[0]) if a else 0)
     return [tuple(Fraction(x, d) for x in v) for v in kern]
 
-
-def solve_right(a: QMat, b: QVec):
-    """One solution x of a*x = b, or None; free coordinates set to 0."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m, d, pivots = _reduced(qmat([list(row) + [rhs] for row, rhs in zip(a, b)]))
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = Fraction(m[r][cols], d)
-    return tuple(x)

@@ -160,10 +160,6 @@ class RepVector:
     def is_zero(self) -> bool:
         return not self.components
 
-    def key(self):
-        """A hashable key of the value: equal vectors have equal keys."""
-        return self.rank, frozenset(self.components.items())
-
     def __eq__(self, other):
         return (
             isinstance(other, RepVector)
@@ -459,68 +455,48 @@ def same_orbit(rep: TorusRep, v: RepVector, v2: RepVector) -> GroupElement | Non
     return next(_transfers(rep, v, v2), None)
 
 
-class _PairVerdicts:
-    """The clauses of a decomposition check that depend on (s, n) alone."""
+def jkv_certifier(rep: TorusRep, gamma: RepVector, s: RepVector, n: RepVector):
+    """certify(lam): the per-clause check that (s, n, lam) is a valid
+    decomposition of gamma, for one (s, n) and any number of cocharacters.
 
-    def __init__(self, rep, gamma, stabilizers, s, n):
-        validate_vector(rep, s)
-        validate_vector(rep, n)
-        self.sum = vec_add(s, n) == gamma
-        self.semisimple = is_semisimple(s).semisimple
-        self.supp_s = support(s)
-        self.support = set(self.supp_s.points) <= set(gamma.components)
-        self.checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
-        self.n = n
-        self._nilpotent = None
-
-    def nilpotent(self) -> tuple[bool, IntVec | None]:
-        """is_nilpotent(n, supp s), solved on first use only."""
-        if self._nilpotent is None:
-            self._nilpotent = is_nilpotent(self.n, self.supp_s)
-        return self._nilpotent
-
-
-def jkv_certifier(rep: TorusRep, gamma: RepVector):
-    """The per-clause checker of decompositions (s, n, lam) of gamma.
-
-    Validates gamma and finds, once, every finite element that stabilizes
-    gamma jointly with some torus element; the returned certify(s, n, lam)
-    checks that each of them also stabilizes s.  A lam that vanishes on
-    supp s and pairs to >= 1 with every weight of supp n is itself the
-    nilpotency witness; only otherwise does the LP of `is_nilpotent` run.
-
-    The clauses that depend on (s, n) alone -- validating both vectors,
-    sum, semisimple, support, the stabilizer checks and the LP fallback --
-    are computed once per distinct value of (s, n) and shared by later
-    calls of this certifier; fixes_s, limit and whether lam is itself the
-    witness are checked on every call, and every call returns a fresh
-    JkvReport.  The verdicts are keyed by the vectors' values when first
-    seen, so a vector passed to certify must not be mutated afterwards.
+    Validates the vectors, finds every finite element that stabilizes gamma
+    jointly with some torus element, and computes the clauses that depend
+    on (s, n) alone -- sum, semisimple, support and whether each of those
+    stabilizers also fixes s -- once.  Each call checks fixes_s and limit
+    and returns a fresh JkvReport.  A lam that vanishes on supp s and pairs
+    to >= 1 with every weight of supp n is itself the nilpotency witness;
+    only otherwise does the LP of `is_nilpotent` run.  The vectors are
+    held, not copied, so they must not be mutated while certify is in use.
     """
     validate_vector(rep, gamma)
     stabilizers = []
     if rep.finite is not None:
         stabilizers = sorted(_transfers(rep, gamma, gamma), key=lambda g: g.finite_index)
-    verdicts: dict[tuple, _PairVerdicts] = {}
+    validate_vector(rep, s)
+    validate_vector(rep, n)
+    sums = vec_add(s, n) == gamma
+    semisimple = is_semisimple(s).semisimple
+    supp_s = support(s)
+    in_support = set(supp_s.points) <= set(gamma.components)
+    checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
+    stabilizer = in_support and all(ok for _, ok in checks)
 
-    def certify(s: RepVector, n: RepVector, lam: IntVec) -> JkvReport:
-        key = (s.key(), n.key())
-        pair = verdicts.get(key)
-        if pair is None:
-            pair = verdicts[key] = _PairVerdicts(rep, gamma, stabilizers, s, n)
-        clauses: dict[str, bool] = {}
-        clauses["sum"] = pair.sum
-        clauses["semisimple"] = pair.semisimple
-        clauses["fixes_s"] = all(pairing(lam, chi) == 0 for chi in pair.supp_s.points)
-        clauses["limit"] = limit(lam, gamma) == s
-        clauses["support"] = pair.support
-        if clauses["fixes_s"] and all(pairing(lam, chi) >= 1 for chi in n.components):
+    def certify(lam: IntVec) -> JkvReport:
+        fixes_s = all(pairing(lam, chi) == 0 for chi in supp_s.points)
+        if fixes_s and all(pairing(lam, chi) >= 1 for chi in n.components):
             nilp, witness = True, lam
         else:
-            nilp, witness = pair.nilpotent()
-        clauses["nilpotent"] = nilp
-        clauses["stabilizer"] = pair.support and all(ok for _, ok in pair.checks)
-        return JkvReport(all(clauses.values()), clauses, witness, list(pair.checks))
+            nilp, witness = is_nilpotent(n, supp_s)
+        clauses = {
+            "sum": sums,
+            "semisimple": semisimple,
+            "fixes_s": fixes_s,
+            "limit": limit(lam, gamma) == s,
+            "support": in_support,
+            "nilpotent": nilp,
+            "stabilizer": stabilizer,
+        }
+        return JkvReport(all(clauses.values()), clauses, witness, list(checks))
 
     return certify
 
@@ -533,7 +509,7 @@ def jkv_certify(
     lam: IntVec,
 ) -> JkvReport:
     """Per-clause check that (s, n, lam) is a valid decomposition of gamma."""
-    return jkv_certifier(rep, gamma)(s, n, lam)
+    return jkv_certifier(rep, gamma, s, n)(lam)
 
 
 def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
@@ -544,28 +520,24 @@ def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
     the hull), and the cocharacter is the face supporter (respectively a
     destabilizer).
     """
-    return _decompose_with(rep, gamma, jkv_certifier(rep, gamma))
+    s, n, lam, face = _constructive_parts(rep, gamma)
+    report = jkv_certify(rep, gamma, s, n, lam)
+    require(report.ok, "the construction must certify")
+    return JkvDecomposition(s, n, lam, face, report)
 
 
-def _decompose_with(rep: TorusRep, gamma: RepVector, certify) -> JkvDecomposition:
-    """jkv_decompose, certified by certify = jkv_certifier(rep, gamma)."""
+def _constructive_parts(rep: TorusRep, gamma: RepVector):
+    """(s, n, lam, face) of jkv_decompose, not yet certified."""
+    validate_vector(rep, gamma)
     supp = support(gamma)
-    cert = minimal_face_origin(supp)
-    if cert is None:
-        s = zero_vector(rep.rank)
-        n = gamma
+    face = minimal_face_origin(supp)
+    if face is None:
         lam = destabilizer(supp)
         require(lam is not None, "a hull missing the origin must have a destabilizer")
-    else:
-        face = set(cert.face)
-        s = RepVector(
-            rep.rank, {chi: c for chi, c in gamma.components.items() if chi in face}
-        )
-        n = vec_sub(gamma, s)
-        lam = cert.supporter
-    report = certify(s, n, lam)
-    require(report.ok, "the construction must certify")
-    return JkvDecomposition(s, n, lam, cert, report)
+        return zero_vector(rep.rank), gamma, lam, None
+    points = set(face.face)
+    s = RepVector(rep.rank, {chi: c for chi, c in gamma.components.items() if chi in points})
+    return s, vec_sub(gamma, s), face.supporter, face
 
 
 # The most cocharacters one box sweep may visit.  A survey keeps an entry

@@ -50,17 +50,15 @@ def _brute_force_max(num_vars, rows, objective):
     """Vertex-enumeration oracle: try every square subsystem of active
     constraints (A x = b), keep feasible solutions, compare objectives.
     Only sound for bounded-or-infeasible programs."""
-    from jkvkit.ratlinalg import qmat, qrank, solve_right
+    from jkvkit.intlinalg import fraction_free_rref
 
     best = None
     for subset in combinations(range(len(rows)), num_vars):
-        a = qmat([rows[i][0] for i in subset])
-        b = tuple(Fraction(rows[i][2]) for i in subset)
-        if qrank(a) < num_vars:
+        m = [list(rows[i][0]) + [rows[i][2]] for i in subset]
+        d, pivots = fraction_free_rref(m, num_vars)
+        if len(pivots) < num_vars:
             continue
-        x = solve_right(a, b)
-        if x is None:
-            continue
+        x = tuple(Fraction(row[num_vars], d) for row in m)
         ok = True
         for coeffs, rel, rhs in rows:
             lhs = sum(c * xv for c, xv in zip(coeffs, x))

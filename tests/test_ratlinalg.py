@@ -14,8 +14,6 @@ from jkvkit.ratlinalg import (
     qmat,
     qmat_vec,
     qmul,
-    qrank,
-    solve_right,
 )
 
 F = Fraction
@@ -114,17 +112,6 @@ def _ref_kernel_basis(a):
             v[c] = -red[r][f]
         basis.append(tuple(v))
     return basis
-
-
-def _ref_solve_right(a, b):
-    cols = len(a[0]) if a else 0
-    red, pivots = _ref_rref([list(row) + [rhs] for row, rhs in zip(a, b)])
-    if cols in pivots:
-        return None
-    x = [F(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +223,17 @@ def test_conjugate_by_examples():
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices(), st.data())
-def test_elimination_kernels_match_reference(a, data):
-    _, ref_pivots = _ref_rref(a)
-    assert qrank(a) == len(ref_pivots)
+@given(matrices())
+def test_elimination_kernels_match_reference(a):
     basis = kernel_basis(a)
     assert basis == _ref_kernel_basis(a)
     assert all(_all_fractions(v) for v in basis)
-    b = data.draw(st.tuples(*[_entries] * len(a)))
-    x = solve_right(a, b)
-    assert x == _ref_solve_right(a, b)
-    assert x is None or _all_fractions(x)
 
 
 def test_edge_shapes():
     assert qdet(()) == 1 and type(qdet(())) is Fraction
     assert qmul((), qmat([[1]])) == ()
     assert qinverse(()) == ()
-    assert qrank(qmat([[], []])) == 0
     assert kernel_basis(qmat([[], []])) == []
     assert qinverse(qmat([[F(-2, 3)]])) == ((F(-3, 2),),)
     with pytest.raises(ValueError, match="singular"):

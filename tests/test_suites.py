@@ -125,34 +125,74 @@ def test_matrix_suite_failure_payloads_replay(monkeypatch):
         assert load_gln_matrix(f.payload) == qmat(x)
 
 
+def _scaled(v):
+    """2v, a new vector."""
+    from jkvkit.torus import RepVector
+
+    return RepVector(v.rank, {chi: tuple(2 * c for c in t) for chi, t in v.components.items()})
+
+
+def _corrupted_cocharacter(rep, gamma, box):
+    """The last cocharacter in the box whose limit is semisimple and nonzero,
+    or None: the one entry whose value the patched survey scales."""
+    from jkvkit.torus import limit_survey
+
+    found = None
+    for e in limit_survey(rep, gamma, box).semisimple_entries():
+        if not e.value.is_zero():
+            found = e.cocharacter
+    return found
+
+
+def _scaling_survey(limit_survey):
+    """limit_survey with the value of one semisimple entry, the one at
+    _corrupted_cocharacter, replaced by a scaled copy."""
+    from dataclasses import replace
+
+    def survey(rep, gamma, box=3):
+        res = limit_survey(rep, gamma, box)
+        bad = _corrupted_cocharacter(rep, gamma, box)
+        res.entries = [
+            replace(e, value=_scaled(e.value)) if e.cocharacter == bad else e for e in res.entries
+        ]
+        return res
+
+    return survey
+
+
 def _reference_semisimple_limits(rep, gamma, box):
-    """(cocharacter, limit) of every semisimple box limit, one limit per entry."""
+    """(cocharacter, limit) of every semisimple box limit, one limit per
+    entry, with the limit at _corrupted_cocharacter scaled."""
     from jkvkit.polytope import origin_in_relint
     from jkvkit.torus import _box_iter, limit, support
 
+    bad = _corrupted_cocharacter(rep, gamma, box)
     for lam in _box_iter(rep.rank, box):
         val = limit(lam, gamma)
         if val is not None and origin_in_relint(support(val)).inside:
-            yield lam, val
+            yield lam, _scaled(val) if lam == bad else val
 
 
 def _reference_jkv_survey(rng, cfg):
-    """jkv-survey with a fresh jkv_certify and orbit check for every entry."""
+    """jkv-survey with a fresh jkv_certify for every entry."""
     from jkvkit import torus
     from jkvkit.serialize import torus_problem_to_json
 
     rep, gamma = oracles.sample_torus_instance(rng, cfg)
     dec = torus.jkv_decompose(rep, gamma)
     for lam, s in _reference_semisimple_limits(rep, gamma, cfg.box):
-        n = torus.vec_sub(gamma, s)
-        if torus.jkv_certify(rep, gamma, s, n, lam).ok and not suites._in_one_orbit(rep, s, dec.s):
-            clause = f"certified semisimple part not in the orbit at {lam}"
-            return clause, torus_problem_to_json(rep, gamma)
+        if s != dec.s:
+            clause = f"semisimple limit at {lam} is not the constructive part"
+        elif not torus.jkv_certify(rep, gamma, dec.s, dec.n, lam).ok:
+            clause = f"semisimple limit at {lam} failed its certificate"
+        else:
+            continue
+        return clause, torus_problem_to_json(rep, gamma)
     return None
 
 
 def _reference_commuting(rng, cfg):
-    """commuting with an orbit check for every semisimple entry."""
+    """commuting with a fresh limit at the minimizer for every entry."""
     from jkvkit import torus
     from jkvkit.serialize import torus_problem_to_json
 
@@ -161,28 +201,53 @@ def _reference_commuting(rng, cfg):
         _, wits = torus.lambda_min(rep, gamma, cfg.box)
     except torus.BoxTooSmallError:
         return None
-    v0 = torus.limit(wits[0], gamma)
     for lam, val in _reference_semisimple_limits(rep, gamma, cfg.box):
-        if not suites._in_one_orbit(rep, val, v0):
-            clause = f"limit at {lam} not in the orbit of the minimizer"
+        if val != torus.limit(wits[0], gamma):
+            clause = f"limit at {lam} differs from the limit at the minimizer"
             return clause, torus_problem_to_json(rep, gamma)
     return None
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19])
 def test_orbit_failures_name_the_first_entry_as_the_per_entry_loop_does(monkeypatch, seed):
-    """With same_orbit failing everywhere, jkv-survey and commuting report
-    the same index, clause and payload as loops that check every entry."""
-    monkeypatch.setattr(suites, "same_orbit", lambda rep, v, w: None)
+    """With one semisimple survey value scaled, jkv-survey and commuting
+    report the same index, clause and payload as loops that check every
+    entry."""
+    monkeypatch.setattr(suites, "limit_survey", _scaling_survey(suites.limit_survey))
     monkeypatch.setitem(suites._SUITES, "ref-jkv-survey", (_reference_jkv_survey, 1))
     monkeypatch.setitem(suites._SUITES, "ref-commuting", (_reference_commuting, 1))
     for name in ("jkv-survey", "commuting"):
-        cfg = FuzzConfig(seed=seed, count=4)
+        cfg = FuzzConfig(seed=seed, count=8)
         got = run_suite(name, cfg).failures
         want = run_suite(f"ref-{name}", cfg).failures
         assert got and [(f.index, f.clause, f.payload) for f in got] == [
             (f.index, f.clause, f.payload) for f in want
         ]
+
+
+def test_a_constructive_decomposition_that_fails_its_certificate_is_a_clause(monkeypatch):
+    """Corrupt the constructive n of instance 2 only: jkv-survey names the
+    instance, with the clause, rather than raising CertificateError."""
+    from jkvkit import torus
+    from jkvkit.serialize import torus_problem_to_json
+
+    parts = torus._constructive_parts
+    instances = []
+
+    def corrupted(rep, gamma):
+        s, n, lam, face = parts(rep, gamma)
+        instances.append((rep, gamma))
+        if len(instances) == 3:
+            n = torus.vec_add(n, gamma)  # s + n is now 2 gamma
+        return s, n, lam, face
+
+    monkeypatch.setattr(torus, "_constructive_parts", corrupted)
+    report = run_suite("jkv-survey", FuzzConfig(seed=0, count=5))
+    rep, gamma = instances[2]
+    assert len(instances) == 5 and not gamma.is_zero()
+    assert [(f.index, f.clause, f.payload) for f in report.failures] == [
+        (2, "constructive decomposition failed its own certificate", torus_problem_to_json(rep, gamma))
+    ]
 
 
 def _reference_limit_conjugacy(rng, cfg):

@@ -186,7 +186,7 @@ def test_certifier_uses_lam_as_witness_without_lp(monkeypatch):
     calls = []
     original = polytope.solve_lp
     monkeypatch.setattr(polytope, "solve_lp", lambda *a, **k: calls.append(a) or original(*a, **k))
-    report = jkv_certifier(rep, g)(s, n, (2,))
+    report = jkv_certifier(rep, g, s, n)((2,))
     assert report.ok and report.nilpotent_witness == (2,)
     assert calls == []
 
@@ -195,28 +195,27 @@ def test_certifier_falls_back_to_the_lp():
     rep = rep1()
     g = rv(1, {(0,): (F(2),), (1,): (F(3),)})
     s, n = rv(1, {(0,): (F(2),)}), rv(1, {(1,): (F(3),)})
-    certify = jkv_certifier(rep, g)
+    certify = jkv_certifier(rep, g, s, n)
     for lam in ((0,), (-1,)):
-        report = certify(s, n, lam)
+        report = certify(lam)
         assert not report.ok
         assert (report.clauses["nilpotent"], report.nilpotent_witness) == is_nilpotent(n, support(s))
     # n = 0 with lam fixing s: lam is the witness
-    report = certify(g, zero_vector(1), (0,))
+    report = jkv_certifier(rep, g, g, zero_vector(1))((0,))
     assert report.clauses["nilpotent"] and report.nilpotent_witness == (0,)
     # n not nilpotent relative to supp s: no witness at all
-    s2 = rv(1, {(0,): (F(2),), (1,): (F(1),)})
-    report = certify(s2, rv(1, {(1,): (F(2),)}), (0,))
+    s2, n2 = rv(1, {(0,): (F(2),), (1,): (F(1),)}), rv(1, {(1,): (F(2),)})
+    report = jkv_certifier(rep, g, s2, n2)((0,))
     assert report.clauses["nilpotent"] is False and report.nilpotent_witness is None
-    assert is_nilpotent(rv(1, {(1,): (F(2),)}), support(s2)) == (False, None)
+    assert is_nilpotent(n2, support(s2)) == (False, None)
 
 
 def test_certifier_checks_every_stabilizer_of_gamma():
     rep = swap_rep()
     g = rv(2, {(1, 0): (F(2),), (0, 1): (F(2),)})
-    certify = jkv_certifier(rep, g)
-    full = certify(g, zero_vector(2), (0, 0))
+    full = jkv_certifier(rep, g, g, zero_vector(2))((0, 0))
     assert full.clauses["stabilizer"] and full.stabilizer_checks == [(0, True), (1, True)]
-    half = certify(rv(2, {(1, 0): (F(2),)}), rv(2, {(0, 1): (F(2),)}), (1, 0))
+    half = jkv_certifier(rep, g, rv(2, {(1, 0): (F(2),)}), rv(2, {(0, 1): (F(2),)}))((1, 0))
     assert half.stabilizer_checks == [(0, True), (1, False)]
     assert not half.clauses["stabilizer"]
     # no torus part makes the swap fix this gamma: a1 = 1 but a1^2 = 1/2
@@ -226,10 +225,12 @@ def test_certifier_checks_every_stabilizer_of_gamma():
     swap = FiniteElement(((0, 1), (1, 0)), {chi: one for chi in weights})
     rep2 = TorusRep(2, tuple((chi, 1) for chi in weights), FiniteGroup((ident, swap), ((0, 1), (1, 0))))
     g2 = rv(2, {(1, 0): (F(1),), (0, 1): (F(1),), (2, 0): (F(1),), (0, 2): (F(2),)})
-    assert jkv_certifier(rep2, g2)(g2, zero_vector(2), (0, 0)).stabilizer_checks == [(0, True)]
+    assert jkv_certifier(rep2, g2, g2, zero_vector(2))((0, 0)).stabilizer_checks == [(0, True)]
 
 
 def test_certifier_equals_jkv_certify_on_finite_group_instances():
+    """Every box cocharacter on one certifier gives the report of a fresh
+    jkv_certify, for the constructive parts and for s = 0, n = gamma."""
     import random
 
     from jkvkit import oracles
@@ -243,49 +244,66 @@ def test_certifier_equals_jkv_certify_on_finite_group_instances():
         if rep.finite is None:
             continue
         seen += 1
-        certify = jkv_certifier(rep, gamma)
-        for e in limit_survey(rep, gamma, 2).semisimple_entries():
-            n = vec_sub(gamma, e.value)
-            for lam in (e.cocharacter, (0,) * rep.rank):
-                assert certify(e.value, n, lam) == jkv_certify(rep, gamma, e.value, n, lam)
+        dec = jkv_decompose(rep, gamma)
+        for s, n in ((dec.s, dec.n), (zero_vector(rep.rank), gamma)):
+            certify = jkv_certifier(rep, gamma, s, n)
+            for lam in _box_iter(rep.rank, 1):
+                assert certify(lam) == jkv_certify(rep, gamma, s, n, lam)
 
 
 def test_certifier_reuse_matches_fresh_certify(monkeypatch):
-    """One certifier on interleaved inputs answers as a fresh jkv_certify
-    each time, and runs the nilpotency LP once per distinct (s, n)."""
-    import jkvkit.polytope as polytope
+    """One certifier of (s, n) answers every cocharacter as a fresh
+    jkv_certify does, returns a fresh report each time, and calls
+    is_nilpotent exactly for the cocharacters that are not witnesses."""
+    import jkvkit.torus as torus_mod
 
     rep = rep1()
     g = rv(1, {(0,): (F(2),), (1,): (F(3),)})
-    s, n, n_wrong = rv(1, {(0,): (F(2),)}), rv(1, {(1,): (F(3),)}), rv(1, {(1,): (F(5),)})
-    s_wrong, n_of_wrong = rv(1, {(1,): (F(3),)}), rv(1, {(0,): (F(2),)})
-    calls = [
-        (s, n, (2,)),  # lam is the witness
-        (s, n, (0,)),  # lam pairs to 0 with supp n: the LP
-        (s, n_wrong, (0,)),  # same s, another n: a second LP
-        (s_wrong, n_of_wrong, (0,)),  # not semisimple, n not nilpotent: a third LP
-        (s, rv(1, {(1,): (F(3),)}), (-1,)),  # an equal copy of n: no new LP
-        (s, n_wrong, (2,)),
-        (s_wrong, n_of_wrong, (1,)),
-        (s, n, (2,)),
-        (g, zero_vector(1), (0,)),  # n = 0: lam is the witness; g is not semisimple
+    lams = [(2,), (0,), (-1,), (1,), (2,)]
+    cases = [
+        # (s, n), then per lam: ok and nilpotency witness; then how many
+        # lams are not witnesses themselves, so is_nilpotent runs
+        ((rv(1, {(0,): (F(2),)}), rv(1, {(1,): (F(3),)})),
+         [True, False, False, True, True], [(2,), (1,), (1,), (1,), (2,)], 2),
+        # wrong n: the sum fails, the witnesses are as above
+        ((rv(1, {(0,): (F(2),)}), rv(1, {(1,): (F(5),)})),
+         [False] * 5, [(2,), (1,), (1,), (1,), (2,)], 2),
+        # s not semisimple and n not nilpotent relative to supp s
+        ((rv(1, {(1,): (F(3),)}), rv(1, {(0,): (F(2),)})), [False] * 5, [None] * 5, 5),
+        # n = 0: only lam = 0 fixes s = g, which is not semisimple
+        ((g, zero_vector(1)), [False] * 5, [(0,)] * 5, 4),
     ]
-    fresh = [jkv_certify(rep, g, *call) for call in calls]  # also warms the relint cache
-    lp_calls = []
-    original = polytope.solve_lp
-    monkeypatch.setattr(
-        polytope, "solve_lp", lambda *a, **k: lp_calls.append(a) or original(*a, **k)
-    )
-    certify = jkv_certifier(rep, g)
-    for call, expected in zip(calls, fresh, strict=True):
-        report = certify(*call)
-        assert report == expected
-        # every report is fresh: changing one leaves the later ones alone
-        report.clauses["sum"] = False
-        report.stabilizer_checks.append((9, False))
-    assert len(lp_calls) == 3
-    assert [r.ok for r in fresh] == [True, False, False, False, False, False, False, True, False]
-    assert [r.nilpotent_witness for r in fresh] == [(2,), (1,), (1,), None, (1,), (2,), None, (2,), (0,)]
+    original = torus_mod.is_nilpotent
+    for (s, n), oks, witnesses, lp_lams in cases:
+        fresh = [jkv_certify(rep, g, s, n, lam) for lam in lams]
+        nilpotent_calls = []
+        monkeypatch.setattr(
+            torus_mod, "is_nilpotent", lambda *a: nilpotent_calls.append(a) or original(*a)
+        )
+        certify = jkv_certifier(rep, g, s, n)
+        for lam, expected in zip(lams, fresh, strict=True):
+            report = certify(lam)
+            assert report == expected
+            # every report is fresh: changing one leaves the later ones alone
+            report.clauses["sum"] = False
+            report.stabilizer_checks.append((9, False))
+        monkeypatch.setattr(torus_mod, "is_nilpotent", original)
+        assert [r.ok for r in fresh] == oks
+        assert [r.nilpotent_witness for r in fresh] == witnesses
+        assert len(nilpotent_calls) == lp_lams
+
+
+def test_jkv_survey_never_solves_the_nilpotency_lp(monkeypatch):
+    """Every jkv-survey entry certifies along its own cocharacter, which is
+    its own nilpotency witness."""
+    import jkvkit.suites as suites
+    import jkvkit.torus as torus_mod
+
+    calls = []
+    original = torus_mod.is_nilpotent
+    monkeypatch.setattr(torus_mod, "is_nilpotent", lambda *a: calls.append(a) or original(*a))
+    report = suites.run_suite("jkv-survey", FuzzConfig(seed=0, count=30, max_rank=3))
+    assert report.passed and calls == []
 
 
 def test_lambda_min_examples():
