@@ -17,7 +17,7 @@ def pairing(lam: IntVec, chi: IntVec) -> int:
     """Dot product of a cocharacter and a character in lattice coordinates."""
     if len(lam) != len(chi):
         raise ValueError(f"rank mismatch: {len(lam)} vs {len(chi)}")
-    return sum(a * b for a, b in zip(lam, chi))
+    return sum(map(mul, lam, chi))
 
 
 def primitive(v: IntVec) -> IntVec:
@@ -53,7 +53,7 @@ def mat_mul(a: IntMat, b: IntMat) -> IntMat:
 def mat_vec(a: IntMat, v: IntVec) -> IntVec:
     if len(a[0]) != len(v):
         raise ValueError("shape mismatch in matrix-vector product")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def det(a: IntMat) -> int:

@@ -85,7 +85,12 @@ def _run_simplex(tab, zrow, basis, d):
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def _scaled(q: Fraction, scale: int) -> int:
+def _exact(c) -> int | Fraction:
+    """c itself when it is an int, else Fraction(c)."""
+    return c if type(c) is int else Fraction(c)
+
+
+def _scaled(q: int | Fraction, scale: int) -> int:
     """q * scale, for a scale that q's denominator divides."""
     return q.numerator * (scale // q.denominator)
 
@@ -95,20 +100,23 @@ def solve_lp(num_vars, constraints, objective, maximize=True, nonneg=None):
 
     constraints: iterable of (coeffs, rel, rhs) with rel one of "<=", ">=", "=".
     nonneg[j] declares x_j >= 0; variables default to free (split internally).
+    int coefficients are used as they are, any other through Fraction.
     """
-    objective = [Fraction(c) for c in objective]
+    objective = [_exact(c) for c in objective]
     if len(objective) != num_vars:
         raise ValueError("objective length mismatch")
     if nonneg is None:
         nonneg = [False] * num_vars
+    elif len(nonneg) != num_vars:
+        raise ValueError("nonneg length mismatch")
     rows = []
     for coeffs, rel, rhs in constraints:
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != num_vars:
             raise ValueError("constraint length mismatch")
         if rel not in ("<=", ">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        rows.append((coeffs, rel, Fraction(rhs)))
+        rows.append((coeffs, rel, _exact(rhs)))
     row_scale = lcm(*(c.denominator for coeffs, _, rhs in rows for c in (*coeffs, rhs)))
     obj_scale = lcm(*(c.denominator for c in objective))
 

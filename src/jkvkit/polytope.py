@@ -5,6 +5,12 @@ whether the origin lies in the relative interior of their convex hull,
 the minimal face containing the origin, and uniformly-positive
 (destabilizing) cocharacters.  All answers carry certificates that are
 re-verified by direct arithmetic before being returned.
+
+The relint test solves the separator LP (a functional >= 1 on every point)
+first; it is feasible exactly when the origin is outside the hull, and then
+no other LP runs.  Only a set whose hull contains the origin reaches the
+barycentric LP, after paying for one infeasible separator LP; eps = 0 there
+(the origin on the boundary) adds a third LP for a supporting functional.
 """
 
 from __future__ import annotations
@@ -71,14 +77,14 @@ def _barycentric_lp(points):
     rank = len(points[0])
     cons = []
     for k in range(rank):
-        cons.append(([Fraction(p[k]) for p in points] + [Fraction(0)], "=", 0))
-    cons.append(([Fraction(1)] * m + [Fraction(0)], "=", 1))
+        cons.append(([p[k] for p in points] + [0], "=", 0))
+    cons.append(([1] * m + [0], "=", 1))
     for i in range(m):
-        row = [Fraction(0)] * (m + 1)
-        row[i] = Fraction(1)
-        row[m] = Fraction(-1)
+        row = [0] * (m + 1)
+        row[i] = 1
+        row[m] = -1
         cons.append((row, ">=", 0))
-    objective = [Fraction(0)] * m + [Fraction(1)]
+    objective = [0] * m + [1]
     res = solve_lp(m + 1, cons, objective, maximize=True, nonneg=[True] * m + [False])
     if res.status != OPTIMAL:
         return res.status, None, None
@@ -90,24 +96,19 @@ def find_functional(zero_on, pos_on, uniform=False):
 
     With uniform=True it must be >= 1 on every point of pos_on; otherwise it
     must be >= 0 on pos_on with total >= 1 (positive somewhere).  Returns a
-    primitive integer vector or None.
+    primitive integer vector, None when there is none, and () when both
+    point lists are empty.
     """
     pts = list(zero_on) + list(pos_on)
     if not pts:
         return ()
     rank = len(pts[0])
-    cons = []
-    for p in zero_on:
-        cons.append(([Fraction(x) for x in p], "=", 0))
-    if uniform:
-        for p in pos_on:
-            cons.append(([Fraction(x) for x in p], ">=", 1))
-    else:
-        for p in pos_on:
-            cons.append(([Fraction(x) for x in p], ">=", 0))
-        total = [Fraction(sum(p[k] for p in pos_on)) for k in range(rank)]
+    cons = [(p, "=", 0) for p in zero_on]
+    cons += [(p, ">=", 1 if uniform else 0) for p in pos_on]
+    if not uniform:
+        total = [sum(p[k] for p in pos_on) for k in range(rank)]
         cons.append((total, ">=", 1))
-    res = solve_lp(rank, cons, [Fraction(0)] * rank, maximize=True)
+    res = solve_lp(rank, cons, [0] * rank, maximize=True)
     if res.status == INFEASIBLE:
         return None
     require(res.status == OPTIMAL, "a bounded functional LP is feasible or optimal")
@@ -118,13 +119,12 @@ def find_functional(zero_on, pos_on, uniform=False):
 def _relint_cached(rank: int, points: tuple[IntVec, ...]):
     if not points:
         return True, {}, None
-    status, eps, coeffs = _barycentric_lp(points)
-    if status == INFEASIBLE:
-        lam = find_functional((), points, uniform=True)
-        require(lam is not None, "separation must exist when 0 is outside the hull")
+    lam = find_functional((), points, uniform=True)
+    if lam is not None:
         require(all(pairing(lam, p) >= 1 for p in points), "the separator is >= 1 on every point")
         return False, None, lam
-    require(status == OPTIMAL, "the barycentric LP is infeasible or optimal")
+    status, eps, coeffs = _barycentric_lp(points)
+    require(status == OPTIMAL, "the barycentric LP is optimal when no separator exists")
     if eps > 0:
         bary = dict(zip(points, coeffs))
         _check_barycentric(points, bary)
@@ -150,6 +150,9 @@ def origin_in_relint(ws: WeightSet) -> RelintResult:
     True comes with an all-positive barycentric representation of 0 over the
     full set; false with a cocharacter that is >= 0 on the set and positive
     somewhere (strictly separating when 0 is outside the hull entirely).
+    Decided by the separator LP alone when 0 is outside the hull; otherwise
+    that LP is infeasible and the barycentric LP runs after it, followed by
+    a supporting-functional LP when 0 is on the boundary.  Cached per set.
     """
     inside, bary, sep = _relint_cached(ws.rank, ws.sorted_points())
     return RelintResult(inside, dict(bary) if bary is not None else None, sep)

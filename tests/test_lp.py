@@ -2,6 +2,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jkvkit import lp
@@ -38,6 +39,12 @@ def test_equality_only_system():
     res = solve_lp(2, [([1, 1], "=", 2), ([1, -1], "=", 0)], [0, 0])
     assert res.status == OPTIMAL
     assert res.x == (1, 1)
+
+
+def test_nonneg_length_mismatch():
+    for nonneg in ([True], [True, False, True]):
+        with pytest.raises(ValueError, match="nonneg length mismatch"):
+            solve_lp(2, [([1, 1], "<=", 1)], [1, 1], nonneg=nonneg)
 
 
 def test_degenerate_and_redundant_rows():
@@ -293,3 +300,22 @@ def test_negative_drive_out_pivot_matches_reference():
         row[i], row[m] = F(1), F(-1)
         cons.append((row, ">=", 0))
     _assert_matches_reference(m + 1, cons, [F(0)] * m + [F(1)], True, [True] * m + [False])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_int_rows_match_fraction_rows(data):
+    # int entries skip the Fraction boxing; the answer and every pivot must
+    # be those of the same program given as Fractions.
+    nv = data.draw(st.integers(1, 4))
+    ints = st.integers(-5, 5)
+    rows = [
+        ([data.draw(ints) for _ in range(nv)], data.draw(st.sampled_from(["<=", ">=", "="])), data.draw(ints))
+        for _ in range(data.draw(st.integers(0, 6)))
+    ]
+    objective = [data.draw(ints) for _ in range(nv)]
+    args = (data.draw(st.booleans()), [data.draw(st.booleans()) for _ in range(nv)])
+    res, trail = _solve_with_trail(nv, rows, objective, *args)
+    frows = [([F(c) for c in coeffs], rel, F(rhs)) for coeffs, rel, rhs in rows]
+    assert (res, trail) == _solve_with_trail(nv, frows, [F(c) for c in objective], *args)
+    assert all(type(v) is F for v in (res.x or ()))

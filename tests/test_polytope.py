@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jkvkit import polytope
 from jkvkit.intlinalg import pairing
-from jkvkit.lp import OPTIMAL
+from jkvkit.lp import INFEASIBLE, OPTIMAL
 from jkvkit.polytope import (
     WeightSet,
     _barycentric_lp,
@@ -187,3 +188,49 @@ def test_minimal_face_and_destabilizer_match_reference(data):
     assert got == _peeled_minimal_face(rank, pts)
     ref_dest = find_functional((), pts, uniform=True) if pts else (0,) * rank
     assert destabilizer(WeightSet(rank, pts)) == ref_dest
+
+
+def _barycentric_first_relint(points):
+    """The relint decision with the barycentric LP asked first: the separator
+    LP runs only when that LP is infeasible, the supporter when eps = 0."""
+    if not points:
+        return True, {}, None
+    status, eps, coeffs = _barycentric_lp(points)
+    if status == INFEASIBLE:
+        return False, None, find_functional((), points, uniform=True)
+    if eps > 0:
+        return True, dict(zip(points, coeffs)), None
+    return False, None, find_functional((), points, uniform=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_separator_first_matches_barycentric_first(data):
+    rank = data.draw(st.integers(1, 4))
+    npts = data.draw(st.integers(0, 7))
+    pts = tuple(
+        sorted({tuple(data.draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(npts)})
+    )
+    got = polytope._relint_cached.__wrapped__(rank, pts)
+    assert got == _barycentric_first_relint(pts)
+
+
+@pytest.mark.parametrize(
+    "points, lps",
+    [
+        (((0, 1), (1, 0)), 1),  # outside the hull: the separator LP alone
+        (((-1, 0), (0, -1), (0, 1), (1, 0)), 2),  # relative interior
+        (((0, 0), (1, 0)), 3),  # boundary: plus the supporter LP
+    ],
+)
+def test_relint_lp_count(monkeypatch, points, lps):
+    calls = []
+    original = polytope.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "solve_lp", counting)
+    polytope._relint_cached.__wrapped__(2, points)
+    assert len(calls) == lps
