@@ -10,12 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .gln import GLnCocharacter
-from .intlinalg import IntVec, fraction_free_rref, mat_mul, mat_vec, pairing
+from .intlinalg import IntVec, fraction_free_rref, int_kernel, mat_mul, mat_vec
 from .polys import Poly, degree, poly, poly_mod
 from .polytope import WeightSet
-from .ratlinalg import QMat, kernel_basis, qdet, qidentity, qinverse, qmat, qmul
+from .ratlinalg import QMat, qdet, qidentity, qinverse, qmat, qmul
 from .torus import FiniteElement, FiniteGroup, RepVector, TorusRep
 
 F = Fraction
@@ -52,27 +53,42 @@ class FuzzConfig:
 
 def oracle_limit(lam: IntVec, v: RepVector) -> RepVector | None:
     """Re-derivation of the cocharacter limit: bucket the components by the
-    symbolic exponent of t and read off the t -> 0 behavior."""
+    symbolic exponent of t and read off the t -> 0 behavior (None as soon as
+    a negative exponent appears)."""
     if len(lam) != v.rank:
         raise ValueError("cocharacter rank mismatch")
     by_exponent: dict[int, dict] = {}
     for chi, coords in v.components.items():
-        by_exponent.setdefault(pairing(lam, chi), {})[chi] = coords
-    if any(e < 0 for e in by_exponent):
-        return None
-    return RepVector(v.rank, dict(by_exponent.get(0, {})))
+        e = sum(map(mul, lam, chi))
+        bucket = by_exponent.get(e)
+        if bucket is None:
+            if e < 0:
+                return None
+            bucket = by_exponent[e] = {}
+        bucket[chi] = coords
+    return RepVector(v.rank, by_exponent.get(0, {}))
 
 
 def _positive_circuits(points):
     """(any circuit exists, union of circuit supports): a circuit is a
-    support-minimal all-positive rational relation among the points."""
+    support-minimal all-positive rational relation among the points.
+
+    Only subsets of at most rank + 1 points are solved: a larger subset S
+    has a kernel of dimension at least |S| - rank >= 2, so it holds no
+    circuit (Caratheodory).  A subset's kernel is taken on its integer
+    columns; its one vector is d times the rational one, and the sign test
+    reads it as it is, since "all > 0 or all < 0" does not change with the
+    sign of d."""
     m = len(points)
+    rank = len(points[0]) if points else 0
     union: set[int] = set()
     found = False
     for mask in range(1, 2**m):
+        if mask.bit_count() > rank + 1:
+            continue
         subset = [i for i in range(m) if mask >> i & 1]
-        cols = qmat(tuple(zip(*[points[i] for i in subset])))
-        kern = kernel_basis(cols)
+        cols = [list(row) for row in zip(*[points[i] for i in subset])]
+        kern, _ = int_kernel(cols, len(subset))
         if len(kern) != 1:
             continue
         v = kern[0]
@@ -84,7 +100,11 @@ def _positive_circuits(points):
 
 def oracle_relint(ws: WeightSet) -> bool:
     """Ground-truth relative-interior membership of the origin by solving the
-    equality system on every candidate support subset (<= 6 points, rank <= 3)."""
+    equality system on every candidate support subset (<= 6 points, rank <= 3).
+
+    The origin is in the relative interior exactly when the circuits cover
+    every point; a circuit has at most rank + 1 points, because a larger
+    subset has a kernel of dimension >= 2, so no larger subset is solved."""
     if len(ws.points) > 6 or ws.rank > 3:
         raise ValueError("oracle bounds exceeded: needs <= 6 points and rank <= 3")
     if not ws.points:

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from jkvkit import oracles
 from jkvkit.oracles import (
     FuzzConfig,
     oracle_limit,
@@ -15,6 +18,7 @@ from jkvkit.polytope import WeightSet
 from jkvkit.ratlinalg import qdet, qmul
 from jkvkit.torus import RepVector, limit, zero_vector
 from fractions import Fraction
+from itertools import product
 
 F = Fraction
 
@@ -35,11 +39,73 @@ def test_oracle_limit_agrees_with_limit_seeded():
         assert limit(lam, gamma) == oracle_limit(lam, gamma)
 
 
+def test_oracle_limit_rank_mismatch():
+    v = RepVector(2, {(1, 0): (F(1),)})
+    with pytest.raises(ValueError, match="cocharacter rank mismatch"):
+        oracle_limit((1,), v)
+    with pytest.raises(ValueError, match="cocharacter rank mismatch"):
+        oracle_limit((1, 0, 0), zero_vector(2))
+
+
+def test_oracle_limit_first_component_negative():
+    v = RepVector(2, {(-1, 0): (F(3),), (0, 1): (F(1),), (2, 0): (F(1, 2),)})
+    assert list(v.components)[0] == (-1, 0)
+    assert oracle_limit((1, 0), v) is None
+    assert limit((1, 0), v) is None
+    assert oracle_limit((-1, 0), v) is None
+    assert oracle_limit((0, 1), v) == RepVector(2, {(-1, 0): (F(3),), (2, 0): (F(1, 2),)})
+
+
+def test_oracle_limit_matches_limit_over_box_sweep():
+    """Every cocharacter of the box-2 sweep, on 50 seeded instances: the
+    same existence, value and component order as torus.limit."""
+    rng = random.Random(2024)
+    cfg = FuzzConfig(seed=2024, count=50)
+    for _ in range(50):
+        rep, gamma = sample_torus_instance(rng, cfg)
+        for lam in product(range(-2, 3), repeat=rep.rank):
+            got, want = oracle_limit(lam, gamma), limit(lam, gamma)
+            assert got == want
+            if want is not None:
+                assert list(got.components) == list(want.components)
+
+
+def test_oracles_import_only_data_from_checked_modules():
+    """The references share no code with what they check: nothing from
+    jkvkit.lp, only WeightSet from jkvkit.polytope, and only the data types
+    of jkvkit.torus."""
+    allowed = {
+        "polytope": {"WeightSet"},
+        "torus": {"FiniteElement", "FiniteGroup", "RepVector", "TorusRep"},
+        "lp": set(),
+    }
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = {name: set() for name in allowed}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = {a.name.removeprefix("jkvkit.") for a in node.names}
+            assert not modules & set(allowed), modules
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "jkvkit":
+                    continue
+                module = module.removeprefix("jkvkit").lstrip(".")
+            if not module:  # "from . import lp" names a module
+                assert not {a.name for a in node.names} & set(allowed)
+            elif module in allowed:
+                imported[module].update(a.name for a in node.names)
+    for module, names in imported.items():
+        assert names <= allowed[module], (module, names - allowed[module])
+    assert imported["polytope"] == {"WeightSet"}
+
+
 def test_oracle_relint_examples():
     square = WeightSet(2, ((1, 0), (-1, 0), (0, 1), (0, -1)))
     assert oracle_relint(square)
     assert not oracle_relint(WeightSet(2, ((1, 0), (0, 1))))
     assert oracle_relint(WeightSet(2, ((0, 0),)))
+    assert oracle_relint(WeightSet(0, ((),)))  # the origin of a rank-0 lattice
 
 
 def test_oracle_relint_bounds():

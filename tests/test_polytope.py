@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jkvkit import polytope
-from jkvkit.intlinalg import pairing
+from jkvkit import oracles, polytope
+from jkvkit.intlinalg import int_kernel, pairing
 from jkvkit.lp import INFEASIBLE, OPTIMAL
 from jkvkit.polytope import (
     WeightSet,
@@ -106,6 +107,60 @@ def _positive_circuit_union(points):
 def _oracle_relint(points):
     found, union = _positive_circuit_union(points)
     return found and union == set(range(len(points)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_positive_circuits_match_fraction_enumeration(data):
+    """The oracle's integer-column enumeration over subsets of at most
+    rank + 1 points gives the full Fraction enumeration's answer."""
+    rank = data.draw(st.integers(1, 3))
+    npts = data.draw(st.integers(0, 6))
+    pts = set()
+    for _ in range(npts):
+        pts.add(tuple(data.draw(st.integers(-4, 4)) for _ in range(rank)))
+    pts = sorted(pts)
+    assert oracles._positive_circuits(pts) == _positive_circuit_union(pts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(1, 0), (0, 1), (-1, -1)],  # one circuit of exactly rank + 1 points
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        [(-1, 2), (0, 0), (3, 1)],  # contains the origin
+        [(k,) for k in (-3, -2, -1, 1, 2, 3)],  # 6 collinear points
+    ],
+)
+def test_positive_circuits_explicit_cases(pts):
+    pts = sorted(pts)
+    expected = _positive_circuit_union(pts)
+    assert oracles._positive_circuits(pts) == expected
+    assert expected[0]
+
+
+@pytest.mark.parametrize(
+    "pts, calls",
+    [
+        ([(k,) for k in (-3, -2, -1, 1, 2, 3)], 21),
+        ([(1, 0), (0, 1), (-1, -1), (2, 3), (-4, 1)], 25),
+        ([(1, 0, 0), (0, 1, 0)], 3),
+    ],
+)
+def test_positive_circuits_solve_only_small_subsets(monkeypatch, pts, calls):
+    """int_kernel runs once per subset of at most min(m, rank + 1) points."""
+    m, rank = len(pts), len(pts[0])
+    assert calls == sum(comb(m, k) for k in range(1, min(m, rank + 1) + 1))
+    seen = []
+
+    def counting_kernel(rows, cols):
+        seen.append(cols)
+        return int_kernel(rows, cols)
+
+    monkeypatch.setattr(oracles, "int_kernel", counting_kernel)
+    oracles._positive_circuits(sorted(pts))
+    assert len(seen) == calls
+    assert max(seen) == min(m, rank + 1)
 
 
 @settings(max_examples=250, deadline=None)
