@@ -115,8 +115,8 @@ class GLnCocharacter:
         return len(self.exponents)
 
 
-def central_cocharacter(n: int, weight: int = 0) -> GLnCocharacter:
-    return GLnCocharacter(identity(n), (weight,) * n)
+def central_cocharacter(n: int) -> GLnCocharacter:
+    return GLnCocharacter(identity(n), (0,) * n)
 
 
 def _in_basis(lam: GLnCocharacter, xi: list[list[int]]):

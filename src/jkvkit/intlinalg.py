@@ -30,13 +30,6 @@ def primitive(v: IntVec) -> IntVec:
     return tuple(x // g for x in v)
 
 
-def mat(rows) -> IntMat:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
 def identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -1,27 +1,23 @@
 """Exact rational linear programming: two-phase simplex with Bland's rule.
 
+The programs are integer rows, maximized, with relations "=" and ">=".
 No tolerances anywhere.  The tableau is kept fraction-free: an integer
 matrix T and one common denominator d > 0 stand for the rational tableau
 T / d (Edmonds 1967; Bareiss, Math. Comp. 22, 1968).  A pivot on entry p
 updates every other row by the Bareiss step (x*p - f*y) // d, which is an
 exact division, and p becomes the new denominator; a negative pivot (the
 artificial drive-out may pick one) negates its row first so d stays
-positive.  The constraint rows are scaled by one positive integer (the
-artificial columns stay unit vectors, which only rescales the artificial
-variables by that integer) and the objective by another, to clear the
-input denominators.  Such positive scalings keep every sign and every ratio
-order of the rational tableau, and d > 0 keeps them in T, so Bland's rule
-makes exactly the choices it would make on the Fraction tableau; the ratio
-test compares by cross-multiplication.  Bland's rule guarantees
-termination, and the fixed column layout makes every answer deterministic
-given the input order.
+positive.  d > 0 keeps every sign and every ratio order of the rational
+tableau in T, so Bland's rule makes exactly the choices it would make on
+the Fraction tableau; the ratio test compares by cross-multiplication.
+Bland's rule guarantees termination, and the fixed column layout makes
+every answer deterministic given the input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -85,40 +81,30 @@ def _run_simplex(tab, zrow, basis, d):
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def _exact(c) -> int | Fraction:
-    """c itself when it is an int, else Fraction(c)."""
-    return c if type(c) is int else Fraction(c)
+def solve_lp(num_vars, constraints, objective, nonneg=None):
+    """Maximize objective*x subject to constraints.
 
-
-def _scaled(q: int | Fraction, scale: int) -> int:
-    """q * scale, for a scale that q's denominator divides."""
-    return q.numerator * (scale // q.denominator)
-
-
-def solve_lp(num_vars, constraints, objective, maximize=True, nonneg=None):
-    """Solve max/min objective*x subject to constraints.
-
-    constraints: iterable of (coeffs, rel, rhs) with rel one of "<=", ">=", "=".
+    constraints: iterable of (coeffs, rel, rhs) with rel one of ">=", "=".
     nonneg[j] declares x_j >= 0; variables default to free (split internally).
-    int coefficients are used as they are, any other through Fraction.
+    Every coefficient and right-hand side must be an int.
     """
-    objective = [_exact(c) for c in objective]
     if len(objective) != num_vars:
         raise ValueError("objective length mismatch")
+    if any(type(c) is not int for c in objective):
+        raise ValueError("LP entries must be int")
     if nonneg is None:
         nonneg = [False] * num_vars
     elif len(nonneg) != num_vars:
         raise ValueError("nonneg length mismatch")
     rows = []
     for coeffs, rel, rhs in constraints:
-        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != num_vars:
             raise ValueError("constraint length mismatch")
-        if rel not in ("<=", ">=", "="):
+        if rel not in (">=", "="):
             raise ValueError(f"bad relation {rel!r}")
-        rows.append((coeffs, rel, _exact(rhs)))
-    row_scale = lcm(*(c.denominator for coeffs, _, rhs in rows for c in (*coeffs, rhs)))
-    obj_scale = lcm(*(c.denominator for c in objective))
+        if any(type(c) is not int for c in (*coeffs, rhs)):
+            raise ValueError("LP entries must be int")
+        rows.append((coeffs, rel, rhs))
 
     # Column layout: per-variable columns (one or a +/- pair), then slacks.
     col_of_var: list[tuple[int, int | None]] = []
@@ -144,14 +130,13 @@ def solve_lp(num_vars, constraints, objective, maximize=True, nonneg=None):
     for i, (coeffs, rel, rhs) in enumerate(rows):
         line = [0] * (rhs_col + 1)
         for j, c in enumerate(coeffs):
-            c = _scaled(c, row_scale)
             pos, neg = col_of_var[j]
             line[pos] = c
             if neg is not None:
                 line[neg] = -c
         if slack_of_row[i] is not None:
-            line[slack_of_row[i]] = row_scale if rel == "<=" else -row_scale
-        line[-1] = _scaled(rhs, row_scale)
+            line[slack_of_row[i]] = -1
+        line[-1] = rhs
         if line[-1] < 0:
             line = [-x for x in line]
         tab.append(line)
@@ -189,14 +174,12 @@ def solve_lp(num_vars, constraints, objective, maximize=True, nonneg=None):
     # Phase 2 on structural columns only.  Every basic column of tab is now
     # d times a unit vector, so pricing out divides exactly.
     tab = [row[:ncols] + [row[-1]] for row in tab]
-    sense = 1 if maximize else -1
     zrow = [0] * (ncols + 1)
     for j, c in enumerate(objective):
-        c = _scaled(c, obj_scale)
         pos, neg = col_of_var[j]
-        zrow[pos] = -sense * c * d
+        zrow[pos] = -c * d
         if neg is not None:
-            zrow[neg] = sense * c * d
+            zrow[neg] = c * d
     for i, b in enumerate(basis):
         f = zrow[b] // d
         if f != 0:
@@ -213,5 +196,5 @@ def solve_lp(num_vars, constraints, objective, maximize=True, nonneg=None):
         if neg is not None:
             v -= values.get(neg, 0)
         x.append(Fraction(v, d))
-    return LpResult(OPTIMAL, Fraction(sense * zrow[-1], d * obj_scale), tuple(x))
+    return LpResult(OPTIMAL, Fraction(zrow[-1], d), tuple(x))
 

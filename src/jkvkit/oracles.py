@@ -267,10 +267,10 @@ def sample_torus_instance(rng: random.Random, cfg: FuzzConfig):
     return rep, RepVector(rank, comps)
 
 
-def sample_weight_set(rng: random.Random, max_rank: int = 3, max_points: int = 6):
+def sample_weight_set(rng: random.Random, max_rank: int = 3):
     rank = rng.randint(1, max_rank)
     pts = set()
-    for _ in range(rng.randint(1, max_points)):
+    for _ in range(rng.randint(1, 6)):
         pts.add(tuple(rng.randint(-4, 4) for _ in range(rank)))
     return WeightSet(rank, tuple(sorted(pts)))
 

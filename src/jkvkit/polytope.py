@@ -85,7 +85,7 @@ def _barycentric_lp(points):
         row[m] = -1
         cons.append((row, ">=", 0))
     objective = [0] * m + [1]
-    res = solve_lp(m + 1, cons, objective, maximize=True, nonneg=[True] * m + [False])
+    res = solve_lp(m + 1, cons, objective, nonneg=[True] * m + [False])
     if res.status != OPTIMAL:
         return res.status, None, None
     return OPTIMAL, res.value, res.x[:m]
@@ -108,7 +108,7 @@ def find_functional(zero_on, pos_on, uniform=False):
     if not uniform:
         total = [sum(p[k] for p in pos_on) for k in range(rank)]
         cons.append((total, ">=", 1))
-    res = solve_lp(rank, cons, [0] * rank, maximize=True)
+    res = solve_lp(rank, cons, [0] * rank)
     if res.status == INFEASIBLE:
         return None
     require(res.status == OPTIMAL, "a bounded functional LP is feasible or optimal")

@@ -54,11 +54,11 @@ def integer_nth_root(a: int, d: int):
     return x if x**d == a else None
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
-    Raises UnfactoredError when a factor above `bound` remains; callers
-    must surface that verdict instead of guessing.
+    Raises UnfactoredError when a factor above DEFAULT_FACTOR_BOUND remains;
+    callers must surface that verdict instead of guessing.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -69,24 +69,24 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             rem //= p
     p = 5
-    while p * p <= rem and p <= bound:
+    while p * p <= rem and p <= DEFAULT_FACTOR_BOUND:
         for q in (p, p + 2):
             while rem % q == 0:
                 out[q] = out.get(q, 0) + 1
                 rem //= q
         p += 6
     if rem > 1:
-        if rem > bound:
-            raise UnfactoredError(f"prime content above bound {bound}: {rem}")
+        if rem > DEFAULT_FACTOR_BOUND:
+            raise UnfactoredError(f"prime content above bound {DEFAULT_FACTOR_BOUND}: {rem}")
         out[rem] = out.get(rem, 0) + 1
     return out
 
 
-def factorize_fraction(q: Fraction, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
+def factorize_fraction(q: Fraction) -> dict[int, int]:
     """Signed-exponent factorization of a nonzero rational (sign excluded)."""
     if q == 0:
         raise ValueError("cannot factor 0")
-    out = dict(factorize(abs(q.numerator), bound))
-    for p, e in factorize(q.denominator, bound).items():
+    out = dict(factorize(abs(q.numerator)))
+    for p, e in factorize(q.denominator).items():
         out[p] = out.get(p, 0) - e
     return {p: e for p, e in out.items() if e != 0}

@@ -113,7 +113,9 @@ def qinverse(a: QMat) -> QMat:
 
 
 def kernel_basis(a: QMat) -> list[QVec]:
-    """Basis of the right null space, deterministic order (one per free column)."""
+    """Basis of the right null space, deterministic order (one per free column).
+
+    A matrix with no rows is read as having no columns, so its kernel is empty."""
     m, _ = int_rows(a)
     kern, d = int_kernel(m, len(a[0]) if a else 0)
     return [tuple(Fraction(x, d) for x in v) for v in kern]

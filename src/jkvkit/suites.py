@@ -113,7 +113,7 @@ def _suite_limits(rng, cfg: FuzzConfig):
 def _suite_semisimple(rng, cfg: FuzzConfig):
     """Relative-interior test against the circuit-enumeration oracle, with
     certificate verification on both verdicts."""
-    ws = oracles.sample_weight_set(rng, max_rank=min(cfg.max_rank, 3), max_points=6)
+    ws = oracles.sample_weight_set(rng, max_rank=min(cfg.max_rank, 3))
     res = origin_in_relint(ws)
     truth = oracles.oracle_relint(ws)
     clause = None

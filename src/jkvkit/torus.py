@@ -29,7 +29,7 @@ from .polytope import (
     minimal_face_origin,
     origin_in_relint,
 )
-from .rationals import DEFAULT_FACTOR_BOUND, factorize_fraction
+from .rationals import factorize_fraction
 from .ratlinalg import QMat, int_form, qmat_vec
 from . import intlinalg
 
@@ -160,13 +160,6 @@ class RepVector:
     def is_zero(self) -> bool:
         return not self.components
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RepVector)
-            and self.rank == other.rank
-            and self.components == other.components
-        )
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -223,11 +216,6 @@ def validate_vector(rep: TorusRep, v: RepVector):
             raise ValueError(f"vector has a component at an absent weight {chi}")
         if len(coords) != dims[chi]:
             raise ValueError(f"component dimension mismatch at weight {chi}")
-
-
-def group_identity(rep: TorusRep) -> GroupElement:
-    idx = rep.finite.identity if rep.finite is not None else None
-    return GroupElement((Fraction(1),) * rep.rank, idx)
 
 
 def _finite_element(rep: TorusRep, g: GroupElement) -> FiniteElement | None:
@@ -364,16 +352,12 @@ def _component_ratios(reference: RepVector, target: RepVector):
     return ratios
 
 
-def solve_multiplicative(
-    rank: int,
-    ratios: dict[IntVec, Fraction],
-    bound: int = DEFAULT_FACTOR_BOUND,
-) -> tuple[Fraction, ...] | None:
+def solve_multiplicative(rank: int, ratios: dict[IntVec, Fraction]) -> tuple[Fraction, ...] | None:
     """Torus point a with chi(a) = ratios[chi] for every chi, or None.
 
     Solved by factoring the ratios over a shared prime set, one integer
     linear system per prime (via Smith normal form), and a GF(2) system for
-    the signs.  Ratios with prime content above `bound` raise
+    the signs.  Ratios with prime content above DEFAULT_FACTOR_BOUND raise
     UnfactoredError instead of risking a wrong answer.
     """
     if any(q == 0 for q in ratios.values()):
@@ -382,7 +366,7 @@ def solve_multiplicative(
         return (Fraction(1),) * rank
     chis = sorted(ratios)
     rows = tuple(tuple(chi) for chi in chis)
-    facs = {chi: factorize_fraction(ratios[chi], bound) for chi in chis}
+    facs = {chi: factorize_fraction(ratios[chi]) for chi in chis}
     primes = sorted({p for f in facs.values() for p in f})
     exps = [[0] * len(primes) for _ in range(rank)]
     for k, p in enumerate(primes):
@@ -443,15 +427,10 @@ def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
 def same_orbit(rep: TorusRep, v: RepVector, v2: RepVector) -> GroupElement | None:
     """A group element carrying v to v2, verified by `act`, or None.
 
-    Equal vectors get the group identity at once; otherwise every
-    finite-group element is tried, identity first.
+    Every finite-group element is tried, identity first.
     """
     validate_vector(rep, v)
     validate_vector(rep, v2)
-    if v == v2:
-        g = group_identity(rep)
-        require(act(rep, g, v) == v2, "the identity must fix v")
-        return g
     return next(_transfers(rep, v, v2), None)
 
 
@@ -580,20 +559,14 @@ def _lambda_min_of_survey(rep: TorusRep, survey: LimitSurvey):
 
 def compose_cocharacters(rep: TorusRep, lam0: IntVec, lam: IntVec):
     """Smallest n >= 1 making mu = n*lam0 + lam respect lam0's sign pattern
-    on every module weight; the composed limit then factors through mu."""
+    on every module weight; the composed limit then factors through mu.
+
+    Where <lam0, chi> = p0 != 0, the sign of n*p0 + p1 is that of p0
+    exactly when n > -p1/p0, that is n >= floor(-p1/p0) + 1."""
     weights = rep.weights()
     p0 = {chi: pairing(lam0, chi) for chi in weights}
     p1 = {chi: pairing(lam, chi) for chi in weights}
-    n = 1
-    while True:
-        ok = all(
-            (p0[chi] <= 0 or n * p0[chi] + p1[chi] > 0)
-            and (p0[chi] >= 0 or n * p0[chi] + p1[chi] < 0)
-            for chi in weights
-        )
-        if ok:
-            break
-        n += 1
+    n = max([1] + [-p1[chi] // p0[chi] + 1 for chi in weights if p0[chi]])
     mu = tuple(n * a + b for a, b in zip(lam0, lam))
     for chi in weights:
         pm = pairing(mu, chi)

@@ -264,6 +264,15 @@ def test_compose_mu(capsys, tmp_path):
     assert code == 0 and data["n"] == 6 and data["mu"] == [6, 1]
 
 
+def test_compose_mu_with_a_huge_lambda_returns_at_once(torus_file):
+    # n is solved for, not counted up to: 10^12 + 1 steps would take days.
+    code, out = fresh(
+        ["compose-mu", "torus", "--file", torus_file, "--lambda0", "1", "--lambda", "-1000000000000"]
+    )
+    data = json.loads(out)
+    assert code == 0 and data["n"] == 1000000000001 and data["mu"] == [1]
+
+
 def test_bruhat_and_jordan_chevalley(capsys, tmp_path, matrix_file):
     g = write(tmp_path, "inv.json", {"n": 2, "matrix": [["1", "0"], ["1", "1"]]})
     code, out, _ = run(capsys, ["bruhat", "--file", g])

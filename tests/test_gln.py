@@ -25,6 +25,7 @@ from jkvkit.gln import (
     rational_conjugacy,
 )
 from jkvkit import oracles
+from jkvkit.intlinalg import identity
 from jkvkit.oracles import charpoly
 from jkvkit.polys import poly, poly_mul
 from jkvkit.ratlinalg import (
@@ -136,7 +137,7 @@ def test_limit_conj_examples():
     assert limit_conj(lam, m([[1, 1], [0, 1]])) == qidentity(2)
     lam2 = GLnCocharacter(qidentity(2), (1, -1))
     assert limit_conj(lam2, m([[0, 1], [0, 0]])) == m([[0, 0], [0, 0]])
-    lam3 = central_cocharacter(2, 5)
+    lam3 = GLnCocharacter(identity(2), (5, 5))
     x = m([[3, 4], [5, 6]])
     assert limit_conj(lam3, x) == x
     # nonexistence: nonzero entry of negative weight
@@ -249,7 +250,7 @@ def test_one_limiter_per_matrix_matches_the_inverse_product_formula():
             c = lcm(*[v.denominator for row in lam.g for v in row])
             assert lam.g_int == tuple(tuple(int(c * v) for v in row) for row in lam.g)
             lams.append(lam)
-        lams.append(central_cocharacter(n, rng.randint(-3, 3)))
+        lams.append(GLnCocharacter(identity(n), (rng.randint(-3, 3),) * n))
         for x in (_random_rational_matrix(rng, n), oracles.sample_matrix_with_limit(rng, lams[0])):
             limit = conj_limiter(x)
             for lam in lams:

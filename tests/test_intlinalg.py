@@ -5,7 +5,6 @@ from jkvkit.intlinalg import (
     det,
     identity,
     is_unimodular,
-    mat,
     mat_mul,
     pairing,
     primitive,
@@ -52,10 +51,10 @@ def _diag(m):
 def test_snf_examples():
     _, d, _ = smith_normal_form(identity(2))
     assert _diag(d) == [1, 1]
-    u, d, v = smith_normal_form(mat([[2, 0], [0, 3]]))
+    u, d, v = smith_normal_form(((2, 0), (0, 3)))
     assert _diag(d) == [1, 6]
     assert is_unimodular(u) and is_unimodular(v) and not is_unimodular(d)
-    z = mat([[0, 0], [0, 0]])
+    z = ((0, 0), (0, 0))
     u, d, v = smith_normal_form(z)
     assert d == z and u == identity(2) and v == identity(2)
 
@@ -67,12 +66,7 @@ def test_snf_examples():
     st.data(),
 )
 def test_snf_postconditions(rows, cols, data):
-    m = mat(
-        [
-            [data.draw(st.integers(-9, 9)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-    )
+    m = tuple(tuple(data.draw(st.integers(-9, 9)) for _ in range(cols)) for _ in range(rows))
     u, d, v = smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert det(u) in (1, -1) and det(v) in (1, -1)
@@ -92,7 +86,7 @@ def test_snf_postconditions(rows, cols, data):
 @settings(max_examples=200)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_solve_integer_agrees_with_verification(rows, cols, data):
-    a = mat([[data.draw(st.integers(-6, 6)) for _ in range(cols)] for _ in range(rows)])
+    a = tuple(tuple(data.draw(st.integers(-6, 6)) for _ in range(cols)) for _ in range(rows))
     x_true = [data.draw(st.integers(-5, 5)) for _ in range(cols)]
     b = tuple(sum(a[i][j] * x_true[j] for j in range(cols)) for i in range(rows))
     x = solve_integer(a, b)
@@ -101,8 +95,8 @@ def test_solve_integer_agrees_with_verification(rows, cols, data):
 
 
 def test_solve_integer_no_solution():
-    assert solve_integer(mat([[2]]), (1,)) is None
-    assert solve_integer(mat([[1], [2]]), (1, 0)) is None
+    assert solve_integer(((2,),), (1,)) is None
+    assert solve_integer(((1,), (2,)), (1, 0)) is None
 
 
 def test_solve_gf2():

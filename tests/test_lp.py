@@ -44,7 +44,7 @@ def test_equality_only_system():
 def test_nonneg_length_mismatch():
     for nonneg in ([True], [True, False, True]):
         with pytest.raises(ValueError, match="nonneg length mismatch"):
-            solve_lp(2, [([1, 1], "<=", 1)], [1, 1], nonneg=nonneg)
+            solve_lp(2, [([-1, -1], ">=", -1)], [1, 1], nonneg=nonneg)
 
 
 def test_degenerate_and_redundant_rows():
@@ -71,8 +71,6 @@ def _brute_force_max(num_vars, rows, objective):
             lhs = sum(c * xv for c, xv in zip(coeffs, x))
             if rel == ">=" and lhs < rhs:
                 ok = False
-            if rel == "<=" and lhs > rhs:
-                ok = False
             if rel == "=" and lhs != rhs:
                 ok = False
         if ok:
@@ -90,14 +88,14 @@ def test_simplex_matches_vertex_enumeration(data):
     rows = []
     for _ in range(nc):
         coeffs = [data.draw(st.integers(-4, 4)) for _ in range(nv)]
-        rel = data.draw(st.sampled_from([">=", "<="]))
+        sign = data.draw(st.sampled_from([1, -1]))  # -1 writes a "<=" row as ">="
         rhs = data.draw(st.integers(-4, 4))
-        rows.append((coeffs, rel, rhs))
+        rows.append(([sign * c for c in coeffs], ">=", sign * rhs))
     # box constraints keep the program bounded so the oracle is sound
     for j in range(nv):
         e = [0] * nv
         e[j] = 1
-        rows.append((list(e), "<=", 10))
+        rows.append(([-x for x in e], ">=", -10))
         rows.append((list(e), ">=", -10))
     objective = [data.draw(st.integers(-3, 3)) for _ in range(nv)]
     res = solve_lp(nv, rows, objective)
@@ -110,16 +108,12 @@ def test_simplex_matches_vertex_enumeration(data):
         # witness feasibility and value
         for coeffs, rel, rhs in rows:
             lhs = sum(c * xv for c, xv in zip(coeffs, res.x))
-            assert (
-                (rel == ">=" and lhs >= rhs)
-                or (rel == "<=" and lhs <= rhs)
-                or (rel == "=" and lhs == rhs)
-            )
+            assert (rel == ">=" and lhs >= rhs) or (rel == "=" and lhs == rhs)
         assert sum(c * xv for c, xv in zip(objective, res.x)) == res.value
 
 
 def test_deterministic_given_input_order():
-    rows = [([1, 1], "<=", 4), ([1, -1], "<=", 2), ([0, 1], "<=", 3)]
+    rows = [([-1, -1], ">=", -4), ([-1, 1], ">=", -2), ([0, -1], ">=", -3)]
     r1 = solve_lp(2, rows, [1, 1])
     r2 = solve_lp(2, rows, [1, 1])
     assert r1 == r2
@@ -162,7 +156,7 @@ def _ref_simplex(tab, zrow, basis, trail):
         _ref_pivot(tab, zrow, basis, best[1], enter, trail)
 
 
-def _reference_solve_lp(num_vars, constraints, objective, maximize=True, nonneg=None):
+def _reference_solve_lp(num_vars, constraints, objective, nonneg=None):
     """(LpResult, pivot trail) from a two-phase Fraction simplex with the same
     column layout and Bland's rule as jkvkit.lp."""
     trail = []
@@ -187,7 +181,7 @@ def _reference_solve_lp(num_vars, constraints, objective, maximize=True, nonneg=
             if neg is not None:
                 line[neg] = -c
         if slack_of_row[i] is not None:
-            line[slack_of_row[i]] = F(1) if rel == "<=" else F(-1)
+            line[slack_of_row[i]] = F(-1)
         line[-1] = rhs
         if rhs < 0:
             line = [-x for x in line]
@@ -212,13 +206,12 @@ def _reference_solve_lp(num_vars, constraints, objective, maximize=True, nonneg=
         del tab[i]
         del basis[i]
     tab = [row[:ncols] + [row[-1]] for row in tab]
-    sense = 1 if maximize else -1
     zrow = [F(0)] * (ncols + 1)
     for j in range(num_vars):
         pos, neg = col_of_var[j]
-        zrow[pos] = -sense * objective[j]
+        zrow[pos] = -objective[j]
         if neg is not None:
-            zrow[neg] = sense * objective[j]
+            zrow[neg] = objective[j]
     for i, b in enumerate(basis):
         f = zrow[b]
         zrow = [z - f * y for z, y in zip(zrow, tab[i])]
@@ -228,7 +221,7 @@ def _reference_solve_lp(num_vars, constraints, objective, maximize=True, nonneg=
     x = []
     for pos, neg in col_of_var:
         x.append(values.get(pos, F(0)) - (values.get(neg, F(0)) if neg is not None else 0))
-    return LpResult(OPTIMAL, sense * zrow[-1], tuple(x)), trail
+    return LpResult(OPTIMAL, zrow[-1], tuple(x)), trail
 
 
 @contextmanager
@@ -262,7 +255,7 @@ def _assert_matches_reference(*args):
     assert trail == ref_trail
 
 
-_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+_ints = st.integers(-6, 6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,16 +264,16 @@ def test_integer_tableau_matches_fraction_tableau(data):
     nv = data.draw(st.integers(1, 4))
     rows = []
     for _ in range(data.draw(st.integers(0, 6))):
-        coeffs = [data.draw(_fractions) for _ in range(nv)]
-        rhs = data.draw(_fractions)
-        rows.append((coeffs, data.draw(st.sampled_from(["<=", ">=", "="])), rhs))
+        coeffs = [data.draw(_ints) for _ in range(nv)]
+        rhs = data.draw(_ints)
+        rows.append((coeffs, data.draw(st.sampled_from([">=", "="])), rhs))
         if data.draw(st.booleans()):
             # a redundant equality: a positive or negative multiple of the row
-            k = data.draw(_fractions.filter(lambda q: q != 0))
+            k = data.draw(_ints.filter(lambda q: q != 0))
             rows.append(([k * c for c in coeffs], "=", k * rhs))
-    objective = [data.draw(_fractions) for _ in range(nv)]
+    objective = [data.draw(_ints) for _ in range(nv)]
     nonneg = [data.draw(st.booleans()) for _ in range(nv)]
-    _assert_matches_reference(nv, rows, objective, data.draw(st.booleans()), nonneg)
+    _assert_matches_reference(nv, rows, objective, nonneg)
 
 
 def test_negative_drive_out_pivot_matches_reference():
@@ -293,29 +286,24 @@ def test_negative_drive_out_pivot_matches_reference():
         assert _barycentric_lp(points) == (OPTIMAL, 0, (F(1, 2), 0, F(1, 2)))
     assert any(p < 0 for _, _, p in seen)
     m = len(points)
-    cons = [([F(p[k]) for p in points] + [F(0)], "=", 0) for k in range(2)]
-    cons.append(([F(1)] * m + [F(0)], "=", 1))
+    cons = [([p[k] for p in points] + [0], "=", 0) for k in range(2)]
+    cons.append(([1] * m + [0], "=", 1))
     for i in range(m):
-        row = [F(0)] * (m + 1)
-        row[i], row[m] = F(1), F(-1)
+        row = [0] * (m + 1)
+        row[i], row[m] = 1, -1
         cons.append((row, ">=", 0))
-    _assert_matches_reference(m + 1, cons, [F(0)] * m + [F(1)], True, [True] * m + [False])
+    _assert_matches_reference(m + 1, cons, [0] * m + [1], [True] * m + [False])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_int_rows_match_fraction_rows(data):
-    # int entries skip the Fraction boxing; the answer and every pivot must
-    # be those of the same program given as Fractions.
-    nv = data.draw(st.integers(1, 4))
-    ints = st.integers(-5, 5)
-    rows = [
-        ([data.draw(ints) for _ in range(nv)], data.draw(st.sampled_from(["<=", ">=", "="])), data.draw(ints))
-        for _ in range(data.draw(st.integers(0, 6)))
-    ]
-    objective = [data.draw(ints) for _ in range(nv)]
-    args = (data.draw(st.booleans()), [data.draw(st.booleans()) for _ in range(nv)])
-    res, trail = _solve_with_trail(nv, rows, objective, *args)
-    frows = [([F(c) for c in coeffs], rel, F(rhs)) for coeffs, rel, rhs in rows]
-    assert (res, trail) == _solve_with_trail(nv, frows, [F(c) for c in objective], *args)
-    assert all(type(v) is F for v in (res.x or ()))
+def test_only_int_entries_and_known_relations_are_accepted():
+    rows = [([1, 0], ">=", 0), ([0, 1], "=", 1)]
+    assert solve_lp(2, rows, [-1, 0]).status == OPTIMAL
+    for bad in (F(1), 1.0, True):
+        with pytest.raises(ValueError, match="^LP entries must be int$"):
+            solve_lp(2, [([bad, 0], ">=", 0), ([0, 1], "=", 1)], [-1, 0])
+        with pytest.raises(ValueError, match="^LP entries must be int$"):
+            solve_lp(2, [([1, 0], ">=", bad), ([0, 1], "=", 1)], [-1, 0])
+        with pytest.raises(ValueError, match="^LP entries must be int$"):
+            solve_lp(2, rows, [bad, 0])
+    with pytest.raises(ValueError, match="^bad relation '<='$"):
+        solve_lp(2, [([-1, 0], "<=", 0), ([0, 1], "=", 1)], [-1, 0])

@@ -61,7 +61,7 @@ def test_factorize_reconstructs(n):
 
 def test_factorize_bound_is_explicit():
     with pytest.raises(UnfactoredError):
-        factorize(1_000_003, bound=10**3)  # prime above the bound
+        factorize(1_000_003)  # prime above DEFAULT_FACTOR_BOUND
 
 
 def test_factorize_fraction_signed_exponents():

@@ -343,9 +343,9 @@ def test_limit_conjugacy_decides_each_distinct_limit_once(monkeypatch):
 
         return limit
 
-    def recorded_central(n, weight=0):
+    def recorded_central(n):
         instances[-1]["padded"] = True
-        return central(n, weight)
+        return central(n)
 
     def recorded_conjugacy(v, x):
         assert x == instances[-1]["x"]

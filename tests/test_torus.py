@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jkvkit.intlinalg import pairing
 from jkvkit.oracles import FuzzConfig, sample_torus_instance
@@ -18,7 +19,6 @@ from jkvkit.torus import (
     compose_cocharacters,
     fixed_dim,
     graded_dim,
-    group_identity,
     is_nilpotent,
     is_semisimple,
     jkv_certifier,
@@ -357,6 +357,32 @@ def test_compose_cocharacters_examples():
     assert n == 1 and mu == (0, 1)
 
 
+def _compose_by_counting(rep, lam0, lam):
+    """The smallest n >= 1 found by trying n = 1, 2, ... in turn."""
+    weights = rep.weights()
+    n = 1
+    while not all(
+        (pairing(lam0, chi) <= 0 or n * pairing(lam0, chi) + pairing(lam, chi) > 0)
+        and (pairing(lam0, chi) >= 0 or n * pairing(lam0, chi) + pairing(lam, chi) < 0)
+        for chi in weights
+    ):
+        n += 1
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compose_cocharacters_matches_counting(data):
+    rank = data.draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-5, 5)] * rank)
+    weights = data.draw(st.sets(st.tuples(*[st.integers(-4, 4)] * rank), min_size=1, max_size=5))
+    rep = TorusRep(rank, tuple((chi, 1) for chi in sorted(weights)))
+    lam0, lam = data.draw(vec), data.draw(vec)
+    n, mu = compose_cocharacters(rep, lam0, lam)
+    assert n == _compose_by_counting(rep, lam0, lam)
+    assert mu == tuple(n * a + b for a, b in zip(lam0, lam))
+
+
 def test_solve_multiplicative_examples():
     a = solve_multiplicative(2, {(1, 0): F(2), (1, 1): F(6)})
     assert a == (F(2), F(3))
@@ -400,15 +426,16 @@ def test_same_orbit_uses_finite_part():
 
 
 def test_same_orbit_of_equal_vectors_is_the_first_transfer():
-    # Equal vectors take a shortcut; it must return what the full search
-    # over finite elements yields first: the identity, all-ones torus part.
+    # Equal vectors get what the search over finite elements yields first:
+    # the identity, all-ones torus part.
     rng = random.Random(5)
     cfg = FuzzConfig(seed=5, count=1)
     seen = {False: 0, True: 0}
     while min(seen.values()) < 40:
         rep, v = sample_torus_instance(rng, cfg)
         g = same_orbit(rep, v, RepVector(v.rank, dict(v.components)))
-        assert g == next(_transfers(rep, v, v)) == group_identity(rep)
+        assert g == next(_transfers(rep, v, v))
+        assert g == GroupElement((1,) * rep.rank, rep.finite.identity if rep.finite else None)
         assert act(rep, g, v) == v
         seen[rep.finite is not None] += 1
     bad = rv(1, {(7,): (F(1),)})
