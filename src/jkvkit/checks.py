@@ -1,9 +1,15 @@
-"""Certificate re-checks that also run under ``python -O``.
+"""The failures every layer shares: ProblemFormatError for bad input, and
+certificate re-checks that also run under ``python -O``.
 
 This module imports nothing from jkvkit, so every layer can use it.
 """
 
 from __future__ import annotations
+
+
+class ProblemFormatError(ValueError):
+    """A value read from a problem file or flag is malformed: the user's
+    fault, never a bug.  Raised where the value is checked."""
 
 
 class CertificateError(Exception):

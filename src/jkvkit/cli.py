@@ -4,9 +4,11 @@ Every subcommand reads JSON problem files and returns its exit code and
 output fields; `main` alone writes them as one JSON document on stdout
 (format_version pinned for downstream scripts), and all diagnostics go
 to stderr.  Exit codes: 0 success or true verdict, 1 false verdict or
-suite failures, 2 parse/usage errors, 3 unsupported-input verdicts (box
-too small, unfactored ratios), 4 internal errors (traceback on stderr,
-nothing on stdout).
+suite failures, 2 usage errors and every ProblemFormatError (a problem
+file or flag that fails its check, or a path that cannot be opened or
+decoded), 3 unsupported-input verdicts (box too small, unfactored
+ratios), 4 every other exception, ValueError included: an internal
+error (traceback on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import sys
 
 from . import gln as gln_model
 from . import torus as torus_model
-from .checks import require
+from .checks import ProblemFormatError, require
 from .oracles import FuzzConfig
 from .polytope import WeightSet
 from .rationals import UnfactoredError, format_rational
 from .ratlinalg import qmul, qsub
 from .serialize import (
     FORMAT_VERSION,
-    ProblemFormatError,
     barycentric_to_json,
     cocharacter_to_json,
     load_gln_cocharacter,
@@ -156,7 +157,7 @@ def _cmd_certify_jkv(args) -> tuple[int, dict]:
     else:
         x = load_gln_matrix(read_json(args.file))
         s, n, lam = load_gln_decomposition(read_json(args.decomposition))
-        if lam.n != len(x) or len(s) != len(x) or len(n) != len(x):
+        if {lam.n, len(s), len(s[0]), len(n), len(n[0])} != {len(x)}:
             raise ProblemFormatError("decomposition sizes do not match the problem")
         clauses = {"sum": qsub(x, s) == n, **gln_model.jkv_certify_gln(x, s, n, lam)}
         ok = all(clauses.values())
@@ -247,10 +248,7 @@ def _cmd_survey(args) -> tuple[int, dict]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     config = FuzzConfig(seed=args.seed, count=args.count, box=args.box)
-    try:
-        report = run_suite(args.suite, config)
-    except KeyError as exc:
-        raise ProblemFormatError(exc.args[0]) from exc
+    report = run_suite(args.suite, config)
     sys.stderr.write(f"suite {report.suite}: {report.wall_time:.2f}s\n")
     return EXIT_OK if report.passed else EXIT_FALSE, {
         "suite": report.suite,
@@ -360,15 +358,9 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except (BoxTooSmallError, UnfactoredError) as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return EXIT_UNSUPPORTED
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except Exception as exc:
         import traceback  # here, not at the top: it adds ~5 ms to importing cli
 

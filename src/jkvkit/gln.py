@@ -22,7 +22,7 @@ from math import lcm
 from operator import mul
 
 from . import polys
-from .checks import CertificateError, require
+from .checks import CertificateError, ProblemFormatError, require
 from .intlinalg import fraction_free_rref, identity, int_kernel, mat_mul, primitive
 from .polys import (
     Poly,
@@ -77,9 +77,9 @@ class GLnCocharacter:
         exps = tuple(map(int, exponents))
         n = len(gi)
         if any(len(r) != n for r in gi):
-            raise ValueError("g must be a square matrix")
+            raise ProblemFormatError("g must be a square matrix")
         if n != len(exps):
-            raise ValueError("exponent count must match the matrix size")
+            raise ProblemFormatError("exponent count must match the matrix size")
         if list(exps) != sorted(exps, reverse=True):
             # canonical form: sort the exponents and reorder the columns of g
             # to match (stable, so still deterministic)
@@ -89,7 +89,7 @@ class GLnCocharacter:
         m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(gi)]
         d, pivots = fraction_free_rref(m, n)
         if len(pivots) < n:
-            raise ValueError("matrix is singular")
+            raise ProblemFormatError("matrix is singular")
         object.__setattr__(self, "g_int", tuple(map(tuple, gi)))
         object.__setattr__(self, "g_den", c)
         object.__setattr__(self, "exponents", exps)
@@ -170,7 +170,7 @@ def conj_limiter(x: QMat):
 
     def limit(lam: GLnCocharacter) -> QMat | None:
         if len(xi) != lam.n:
-            raise ValueError("shape mismatch")
+            raise ProblemFormatError("shape mismatch")
         return _limit(lam, xi, c)
 
     return limit
@@ -209,7 +209,7 @@ def bruhat(g: QMat) -> tuple[QMat, QMat, QMat]:
     g = qmat(g)
     n = len(g)
     if qdet(g) == 0:
-        raise ValueError("Bruhat factorization needs an invertible matrix")
+        raise ProblemFormatError("Bruhat factorization needs an invertible matrix")
     a = [list(r) for r in g]
     p_inv = [list(r) for r in qidentity(n)]
     u_inv = [list(r) for r in qidentity(n)]

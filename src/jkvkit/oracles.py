@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .checks import ProblemFormatError
 from .gln import GLnCocharacter
 from .intlinalg import IntVec, fraction_free_rref, int_kernel, mat_mul, mat_vec
 from .polys import Poly, degree, poly, poly_mod
@@ -41,7 +42,7 @@ class FuzzConfig:
     def __post_init__(self):
         for name in ("count", "max_rank", "box", "max_size"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ProblemFormatError(f"{name} must be >= 1")
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .checks import ProblemFormatError
 from .gln import GLnCocharacter
 from .intlinalg import IntVec
 from .rationals import format_rational, parse_rational
@@ -17,10 +18,6 @@ from .ratlinalg import QMat, qmat
 from .torus import FiniteElement, FiniteGroup, RepVector, TorusRep, validate_vector
 
 FORMAT_VERSION = 1
-
-
-class ProblemFormatError(ValueError):
-    """Malformed problem file."""
 
 
 def _require_keys(obj, required, optional=(), where="object"):
@@ -108,10 +105,7 @@ def load_torus_problem(obj) -> tuple[TorusRep, RepVector]:
     finite = None
     if "finite_group" in obj:
         finite = _load_finite_group(obj["finite_group"], rank)
-    try:
-        rep = TorusRep(rank, tuple(spaces), finite)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    rep = TorusRep(rank, tuple(spaces), finite)
     return rep, _load_vector(obj["vector"], rep, "vector")
 
 
@@ -126,11 +120,8 @@ def _load_vector(entries, rep: TorusRep, name: str) -> RepVector:
         if chi in comps:
             raise ProblemFormatError(f"duplicate {name} component at weight {chi}")
         comps[chi] = _rational_list(entry["coords"], "coords")
-    try:
-        vec = RepVector(rep.rank, comps)
-        validate_vector(rep, vec)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    vec = RepVector(rep.rank, comps)
+    validate_vector(rep, vec)
     return vec
 
 
@@ -150,15 +141,8 @@ def _load_finite_group(obj, rank) -> FiniteGroup:
         for key, mat in entry["blocks"].items():
             chi = parse_weight_key(key, rank)
             blocks[chi] = _rational_matrix(mat, f"block at {key}")
-        try:
-            elements.append(FiniteElement(lattice, blocks))
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc)) from exc
-    table = _int_matrix(obj["table"], "table")
-    try:
-        return FiniteGroup(tuple(elements), table)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+        elements.append(FiniteElement(lattice, blocks))
+    return FiniteGroup(tuple(elements), _int_matrix(obj["table"], "table"))
 
 
 def load_torus_decomposition(obj, rep: TorusRep):
@@ -199,10 +183,7 @@ def load_gln_cocharacter(obj) -> GLnCocharacter:
     _require_keys(obj, ("g", "exponents"), (), "cocharacter")
     g = _rational_matrix(obj["g"], "g")
     exps = _int_list(obj["exponents"], "exponents")
-    try:
-        return GLnCocharacter(g, exps)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+    return GLnCocharacter(g, exps)
 
 
 def load_gln_decomposition(obj):
@@ -262,10 +243,14 @@ def gln_problem_to_json(x: QMat) -> dict:
 
 
 def read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON document at path; a file that cannot be opened or decoded
+    raises ProblemFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"{path}: invalid JSON ({exc})") from exc
-        except RecursionError as exc:
-            raise ProblemFormatError(f"{path}: invalid JSON (nested too deeply)") from exc
+    except OSError as exc:
+        raise ProblemFormatError(str(exc)) from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
+        raise ProblemFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ProblemFormatError(f"{path}: invalid JSON (nested too deeply)") from exc

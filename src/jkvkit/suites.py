@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gln, oracles, torus
+from .checks import ProblemFormatError
 from .gln import (
     central_cocharacter,
     conj_limiter,
@@ -23,7 +24,6 @@ from .gln import (
     jordan_chevalley,
     levi_part,
     limit_conj,
-    minpoly,
     rational_conjugacy,
 )
 from .intlinalg import pairing
@@ -31,7 +31,6 @@ from .oracles import FuzzConfig
 from .polytope import origin_in_relint
 from .ratlinalg import is_zero_mat, qinverse, qmat, qmul, qsub
 from .serialize import gln_problem_to_json, torus_problem_to_json
-from .polys import degree, poly_derivative, poly_gcd
 from .torus import (
     GroupElement,
     act,
@@ -277,14 +276,13 @@ def _suite_jordan_chevalley(rng, cfg: FuzzConfig):
     clause = None
     s, nm, p = jordan_chevalley(x)
     power = gln.mat_power(nm, n)
-    ms = minpoly(s)
     if qsub(qmat(x), s) != qmat(nm):
         clause = "x != s + n"
     elif qmul(s, nm) != qmul(nm, s):
         clause = "parts do not commute"
     elif not is_zero_mat(power):
         clause = "nilpotency"
-    elif degree(poly_gcd(ms, poly_derivative(ms))) != 0:
+    elif not is_semisimple_matrix(s):
         clause = "semisimplicity of s"
     elif gln.eval_poly_matrix(p, x) != s:
         clause = "polynomial witness"
@@ -411,13 +409,13 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, config: FuzzConfig | None = None) -> VerificationReport:
-    """Run one named suite; unknown names raise KeyError.
+    """Run one named suite; unknown names raise ProblemFormatError.
 
     The only instance loop: one generator from config.rng() feeds
     config.count calls of the suite's check, in index order."""
     canonical = _ALIASES.get(name, name)
     if canonical not in _SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+        raise ProblemFormatError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
     check, default_count = _SUITES[canonical]
     if config is None:
         config = FuzzConfig(count=default_count)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .checks import require
+from .checks import ProblemFormatError, require
 from .intlinalg import (
     IntMat,
     IntVec,
@@ -54,24 +54,24 @@ class FiniteGroup:
         n = len(self.elements)
         t = self.table
         if len(t) != n or any(len(r) != n for r in t):
-            raise ValueError("multiplication table has the wrong shape")
+            raise ProblemFormatError("multiplication table has the wrong shape")
         if any(x not in range(n) for r in t for x in r):
-            raise ValueError("multiplication table entry out of range")
+            raise ProblemFormatError("multiplication table entry out of range")
         ident = None
         for e in range(n):
             if all(t[e][j] == j and t[j][e] == j for j in range(n)):
                 ident = e
                 break
         if ident is None:
-            raise ValueError("multiplication table has no identity")
+            raise ProblemFormatError("multiplication table has no identity")
         for i in range(n):
             if not any(t[i][j] == ident and t[j][i] == ident for j in range(n)):
-                raise ValueError("multiplication table has a non-invertible element")
+                raise ProblemFormatError("multiplication table has a non-invertible element")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     if t[t[i][j]][k] != t[i][t[j][k]]:
-                        raise ValueError("multiplication table is not associative")
+                        raise ProblemFormatError("multiplication table is not associative")
         object.__setattr__(self, "identity", ident)
 
 
@@ -86,11 +86,11 @@ class TorusRep:
         object.__setattr__(self, "weight_spaces", ws)
         weights = [chi for chi, _ in ws]
         if any(len(chi) != self.rank for chi in weights):
-            raise ValueError("weight rank mismatch")
+            raise ProblemFormatError("weight rank mismatch")
         if len(set(weights)) != len(weights):
-            raise ValueError("weights must be pairwise distinct")
+            raise ProblemFormatError("weights must be pairwise distinct")
         if any(d < 1 for _, d in ws):
-            raise ValueError("weight space dimensions must be positive")
+            raise ProblemFormatError("weight space dimensions must be positive")
         if self.finite is not None:
             _validate_finite_group(self)
 
@@ -109,20 +109,20 @@ def _validate_finite_group(rep: TorusRep):
     scaled = []  # per element: chi -> (B, c), its block times c, as int rows
     for el in grp.elements:
         if not is_unimodular(el.lattice):
-            raise ValueError("lattice action must be unimodular")
+            raise ProblemFormatError("lattice action must be unimodular")
         image = {chi: mat_vec(el.lattice, chi) for chi in weights}
         if set(image.values()) != weights:
-            raise ValueError("lattice action must permute the weight set")
+            raise ProblemFormatError("lattice action must permute the weight set")
         if set(el.blocks) != weights:
-            raise ValueError("block maps must cover exactly the weight set")
+            raise ProblemFormatError("block maps must cover exactly the weight set")
         blocks = {}
         for chi, block in el.blocks.items():
             tgt = image[chi]
             if len(block) != dims[tgt] or any(len(r) != dims[chi] for r in block):
-                raise ValueError("block map shape mismatch")
+                raise ProblemFormatError("block map shape mismatch")
             blocks[chi] = int_form(block)
-            if intlinalg.det(blocks[chi][0]) == 0:
-                raise ValueError("block maps must be invertible")
+            if dims[tgt] != dims[chi] or intlinalg.det(blocks[chi][0]) == 0:
+                raise ProblemFormatError("block maps must be invertible")
         images.append(image)
         scaled.append(blocks)
     # Compositional consistency with the table: blocks of a product factor
@@ -133,12 +133,12 @@ def _validate_finite_group(rep: TorusRep):
         for j, gj in enumerate(grp.elements):
             k = t[i][j]
             if intlinalg.mat_mul(gi.lattice, gj.lattice) != grp.elements[k].lattice:
-                raise ValueError("lattice actions do not respect the table")
+                raise ProblemFormatError("lattice actions do not respect the table")
             for chi, mid in images[j].items():
                 (a, ca), (b, cb), (c, cc) = scaled[i][mid], scaled[j][chi], scaled[k][chi]
                 lhs = [[v * cc for v in row] for row in intlinalg.mat_mul(a, b)]
                 if lhs != [[v * ca * cb for v in row] for row in c]:
-                    raise ValueError("block maps do not respect the table")
+                    raise ProblemFormatError("block maps do not respect the table")
 
 
 @dataclass
@@ -151,7 +151,7 @@ class RepVector:
         for chi, coords in self.components.items():
             key = tuple(int(x) for x in chi)
             if len(key) != self.rank:
-                raise ValueError("component weight rank mismatch")
+                raise ProblemFormatError("component weight rank mismatch")
             vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
             if any(c != 0 for c in vals):
                 comps[key] = vals
@@ -210,12 +210,12 @@ def chi_eval(torus: tuple[Fraction, ...], chi: IntVec) -> Fraction:
 def validate_vector(rep: TorusRep, v: RepVector):
     dims = rep.dims()
     if v.rank != rep.rank:
-        raise ValueError("vector rank does not match the module")
+        raise ProblemFormatError("vector rank does not match the module")
     for chi, coords in v.components.items():
         if chi not in dims:
-            raise ValueError(f"vector has a component at an absent weight {chi}")
+            raise ProblemFormatError(f"vector has a component at an absent weight {chi}")
         if len(coords) != dims[chi]:
-            raise ValueError(f"component dimension mismatch at weight {chi}")
+            raise ProblemFormatError(f"component dimension mismatch at weight {chi}")
 
 
 def _finite_element(rep: TorusRep, g: GroupElement) -> FiniteElement | None:
@@ -527,14 +527,14 @@ BOX_BUDGET = 100_000
 
 def _box_iter(rank: int, box: int):
     """The cocharacters of [-box, box]^rank in lexicographic order; raises
-    ValueError, before any work, for a sweep above BOX_BUDGET."""
+    ProblemFormatError, before any work, for a sweep above BOX_BUDGET."""
     count = (2 * box + 1) ** rank
     if count > BOX_BUDGET:
         try:
             held = f"box {box} at rank {rank} holds {count} cocharacters"
         except ValueError:  # too many digits for int-to-str conversion
             held = f"the box at rank {rank} holds too many cocharacters to print"
-        raise ValueError(f"{held}, over the limit of {BOX_BUDGET}")
+        raise ProblemFormatError(f"{held}, over the limit of {BOX_BUDGET}")
     return itertools.product(range(-box, box + 1), repeat=rank)
 
 
@@ -604,7 +604,7 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
     holds the same RepVector object, which must therefore not be mutated.
     """
     if box < 1:
-        raise ValueError("box bound must be >= 1")
+        raise ProblemFormatError("box bound must be >= 1")
     validate_vector(rep, gamma)
     entries = []
     faces: dict[tuple[IntVec, ...], tuple[RepVector, bool]] = {}

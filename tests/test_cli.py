@@ -338,6 +338,62 @@ def test_usage_and_parse_errors(capsys, tmp_path, torus_file):
     assert code == 2
 
 
+def test_paths_that_cannot_be_opened_exit_2_without_a_traceback(capsys, tmp_path, torus_file):
+    for path in (f"{torus_file}/x", str(tmp_path / ("a" * 300))):
+        code, out, err = run(capsys, ["jkv", "torus", "--file", path])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+
+
+def test_files_that_cannot_be_decoded_are_invalid_json(capsys, tmp_path):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes('{"n": 1, "matrix": [["\u00e9"]]}'.encode("latin-1"))
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": ' + "7" * 5000 + ', "matrix": [["1"]]}', encoding="utf-8")
+    for path in (undecodable, huge):
+        code, out, err = run(capsys, ["jkv", "gln", "--file", str(path)])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith(f"error: {path}: invalid JSON (") and err.endswith(")\n")
+        assert err.count("\n") == 1
+
+
+def test_a_finite_group_joining_weights_of_different_dimension_exits_2(capsys, tmp_path):
+    # the flip swaps (1), of dimension 1, and (-1), of dimension 2, so its
+    # blocks are 2x1 and 1x2: they match the shapes but cannot be invertible
+    problem = write(
+        tmp_path,
+        "mixed.json",
+        {
+            "rank": 1,
+            "weights": [{"chi": [1], "dim": 1}, {"chi": [-1], "dim": 2}],
+            "vector": [{"chi": [1], "coords": ["1"]}],
+            "finite_group": {
+                "elements": [
+                    {"lattice": [[1]], "blocks": {"1": [["1"]], "-1": [["1", "0"], ["0", "1"]]}},
+                    {"lattice": [[-1]], "blocks": {"1": [["1"], ["1"]], "-1": [["1", "0"]]}},
+                ],
+                "table": [[0, 1], [1, 0]],
+            },
+        },
+    )
+    code, out, err = run(capsys, ["semisimple", "torus", "--file", problem])
+    assert (code, out, err) == (2, "", "error: block maps must be invertible\n")
+
+
+def test_certify_jkv_gln_checks_the_column_counts(capsys, tmp_path, matrix_file):
+    dec = write(
+        tmp_path,
+        "dec.json",
+        {
+            "s": [["2", "0", "0"], ["0", "2", "0"]],
+            "n": [["0", "1"], ["0", "0"]],
+            "cocharacter": {"g": [["1", "0"], ["0", "1"]], "exponents": [0, 0]},
+        },
+    )
+    argv = ["certify-jkv", "gln", "--file", matrix_file, "--decomposition", dec]
+    assert run(capsys, argv) == (2, "", "error: decomposition sizes do not match the problem\n")
+
+
 def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000, encoding="utf-8")
@@ -364,7 +420,11 @@ def test_determinism_byte_identical(capsys, torus_file, matrix_file, tmp_path):
 
 def test_internal_errors_exit_4_with_a_traceback(capsys, monkeypatch, tmp_path):
     pair = write(tmp_path, "pair.json", {"n": 1, "x": [["1"]], "y": [["1"]]})
-    for exc in (AssertionError("lost certificate"), RuntimeError("pivot limit")):
+    for exc in (
+        AssertionError("lost certificate"),
+        RuntimeError("pivot limit"),
+        ValueError("Exceeds the limit (4300 digits) for integer string conversion"),
+    ):
 
         def broken(x, y, exc=exc):
             raise exc

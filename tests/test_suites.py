@@ -3,6 +3,7 @@ import random
 import pytest
 
 from jkvkit import oracles, suites
+from jkvkit.checks import ProblemFormatError
 from jkvkit.oracles import FuzzConfig
 from jkvkit.ratlinalg import qmat
 from jkvkit.serialize import load_gln_matrix, load_torus_problem
@@ -23,8 +24,10 @@ def test_aliases_resolve():
 
 
 def test_unknown_suite():
-    with pytest.raises(KeyError):
+    known = ", ".join(suite_names())
+    with pytest.raises(ProblemFormatError) as info:
         run_suite("no-such-suite", FuzzConfig(count=1))
+    assert str(info.value) == f"unknown suite 'no-such-suite'; known: {known}"
 
 
 def test_run_suite_feeds_one_seeded_stream_through_every_index(monkeypatch):
