@@ -36,6 +36,7 @@ from .serialize import (
     load_torus_decomposition,
     load_torus_problem,
     matrix_to_json,
+    parse_int_vector,
     read_json,
     vector_to_json,
 )
@@ -49,16 +50,6 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_cochar(text: str, rank: int):
-    try:
-        lam = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ProblemFormatError(f"malformed cocharacter {text!r}") from exc
-    if len(lam) != rank:
-        raise ProblemFormatError(f"cocharacter {text!r} has rank {len(lam)}, expected {rank}")
-    return lam
-
-
 def _poly_to_json(p):
     return [format_rational(c) for c in p]
 
@@ -68,7 +59,7 @@ def _cmd_limit(args) -> tuple[int, dict]:
         if args.cochar is None:
             raise ProblemFormatError("the torus model needs --cochar")
         rep, v = load_torus_problem(read_json(args.file))
-        lam = _parse_cochar(args.cochar, rep.rank)
+        lam = parse_int_vector(args.cochar, rep.rank, "cocharacter")
         val = torus_model.limit(lam, v)
         cocharacter, to_json = list(lam), vector_to_json
     else:
@@ -114,7 +105,7 @@ def _cmd_semisimple(args) -> tuple[int, dict]:
 
 def _cmd_nilpotent(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
-    fixed_pts = tuple(_parse_cochar(t, rep.rank) for t in args.fixed or [])
+    fixed_pts = tuple(parse_int_vector(t, rep.rank, "weight") for t in args.fixed or [])
     fixed = WeightSet(rep.rank, tuple(dict.fromkeys(fixed_pts)))
     verdict, lam = torus_model.is_nilpotent(v, fixed)
     return EXIT_OK if verdict else EXIT_FALSE, {
@@ -193,8 +184,8 @@ def _cmd_orbit_eq(args) -> tuple[int, dict]:
 
 def _cmd_compose_mu(args) -> tuple[int, dict]:
     rep, _ = load_torus_problem(read_json(args.file))
-    lam0 = _parse_cochar(args.lambda0, rep.rank)
-    lam = _parse_cochar(args.lam, rep.rank)
+    lam0 = parse_int_vector(args.lambda0, rep.rank, "cocharacter")
+    lam = parse_int_vector(args.lam, rep.rank, "cocharacter")
     n, mu = torus_model.compose_cocharacters(rep, lam0, lam)
     return EXIT_OK, {"n": n, "mu": list(mu)}
 

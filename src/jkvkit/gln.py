@@ -18,12 +18,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from . import polys
 from .checks import CertificateError, ProblemFormatError, require
-from .intlinalg import fraction_free_rref, identity, int_kernel, mat_mul, primitive
+from .intlinalg import fraction_free_rref, identity, int_kernel, inverse, mat_mul, primitive
 from .polys import (
     Poly,
     degree,
@@ -49,6 +48,7 @@ from .ratlinalg import (
     qmul,
     qsub,
     qzeros,
+    scaled,
 )
 
 _WITNESS_SEED = 0x5EED
@@ -58,12 +58,12 @@ _WITNESS_SEED = 0x5EED
 class GLnCocharacter:
     """t |-> g diag(t^a_1, ..., t^a_n) g^-1, held in integer form.
 
-    g_int is G = g times g_den, the lcm of g's denominators.  One
-    fraction-free reduction of [G | I] checks that G is invertible and
-    leaves inv_int = inv_den * G^-1, both integer.  The exponents are sorted
-    descending, the columns of g reordered to match.  The rational g and
-    g^-1 are built from these on first read; only a limit or Levi part
-    that exists, or a caller outside the conjugation path, reads them.
+    g_int is G = g times g_den, the lcm of g's denominators.
+    ``intlinalg.inverse`` checks that G is invertible and gives inv_int =
+    inv_den * G^-1, both integer.  The exponents are sorted descending, the
+    columns of g reordered to match.  The rational g and g^-1 are built
+    from these on first read; only a limit or Levi part that exists, or a
+    caller outside the conjugation path, reads them.
     """
 
     g_int: tuple[tuple[int, ...], ...]
@@ -86,14 +86,14 @@ class GLnCocharacter:
             order = sorted(range(n), key=lambda j: (-exps[j], j))
             gi = [[row[j] for j in order] for row in gi]
             exps = tuple(exps[j] for j in order)
-        m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(gi)]
-        d, pivots = fraction_free_rref(m, n)
-        if len(pivots) < n:
+        inv = inverse(gi)
+        if inv is None:
             raise ProblemFormatError("matrix is singular")
+        d, inv_rows = inv
         object.__setattr__(self, "g_int", tuple(map(tuple, gi)))
         object.__setattr__(self, "g_den", c)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "inv_int", tuple(tuple(row[n:]) for row in m))
+        object.__setattr__(self, "inv_int", tuple(map(tuple, inv_rows)))
         object.__setattr__(self, "inv_den", d)
 
     def __repr__(self) -> str:
@@ -287,8 +287,7 @@ def eval_poly_matrix(f: Poly, x: QMat) -> QMat:
         raise ValueError("shape mismatch in matrix product")
     d = max(len(f) - 1, 0)
     coeffs = [Fraction(v) * c ** (d - k) for k, v in enumerate(f)]
-    scale = lcm(*[v.denominator for v in coeffs])
-    ints = [v.numerator * (scale // v.denominator) for v in coeffs]
+    ints, scale = scaled(coeffs)
     top = ints[-1] if ints else 0
     acc = [[top if i == j else 0 for j in range(n)] for i in range(n)]
     cols = tuple(zip(*xi))

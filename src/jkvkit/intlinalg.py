@@ -119,6 +119,17 @@ def fraction_free_rref(m: list[list[int]], cols: int | None = None) -> tuple[int
     return prev, pivots
 
 
+def inverse(m) -> tuple[int, list[list[int]]] | None:
+    """(d, d m^-1 as int rows) for a square integer matrix m, d the last pivot
+    of one ``fraction_free_rref`` of [m | I]; None when m is singular."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    d, pivots = fraction_free_rref(a, n)
+    if len(pivots) < n:
+        return None
+    return d, [row[n:] for row in a]
+
+
 def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     """U, D, V with U*a*V = D, U and V unimodular, D diagonal with d1 | d2 | ...
 

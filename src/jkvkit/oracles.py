@@ -14,7 +14,7 @@ from operator import mul
 
 from .checks import ProblemFormatError
 from .gln import GLnCocharacter
-from .intlinalg import IntVec, fraction_free_rref, int_kernel, mat_mul, mat_vec
+from .intlinalg import IntVec, int_kernel, inverse, mat_mul, mat_vec
 from .polys import Poly, degree, poly, poly_mod
 from .polytope import WeightSet
 from .ratlinalg import QMat, qdet, qidentity, qinverse, qmat, qmul
@@ -295,15 +295,6 @@ def _random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return m
 
 
-def _unimodular_inverse(h: list[list[int]]) -> list[list[int]]:
-    """The integer inverse of an integer matrix of determinant +-1: one
-    fraction-free reduction of [h | I] leaves d h^-1, d the last pivot."""
-    n = len(h)
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(h)]
-    d, _ = fraction_free_rref(m, n)
-    return [[v // d for v in row[n:]] for row in m]
-
-
 def sample_rational_spectrum_matrix(rng: random.Random, n: int, diagonalizable=False):
     """h * J * h^-1 from a random Jordan-form J and unimodular h.
 
@@ -328,7 +319,8 @@ def sample_rational_spectrum_matrix(rng: random.Random, n: int, diagonalizable=F
                 j[pos + t][pos + t + 1] = 1
         pos += k
     h = _random_unimodular(rng, n)
-    hinv = _unimodular_inverse(h)
+    pivot, hinv = inverse(h)  # h is unimodular: pivot divides every entry
+    hinv = [[v // pivot for v in row] for row in hinv]
     x = mat_mul(mat_mul(h, j), hinv)
     s_true = mat_mul(mat_mul(h, d), hinv)
     n_true = [[a - b for a, b in zip(rx, rs)] for rx, rs in zip(x, s_true)]

@@ -10,7 +10,6 @@ coefficient, so they return exactly what Fraction arithmetic would.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .checks import require
 from .ratlinalg import scaled
@@ -209,8 +208,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
         roots.add(Fraction(0))
     if not g or len(g) == 1:
         return sorted(roots)
-    den = lcm(*[c.denominator for c in g])
-    ig = [int(c * den) for c in g]
+    ig, _ = scaled(g)
     a0, an = abs(ig[0]), abs(ig[-1])
     for p in _divisors(a0):
         for q in _divisors(an):

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .checks import require
 from .intlinalg import IntVec, pairing, primitive
 from .lp import INFEASIBLE, OPTIMAL, solve_lp
+from .ratlinalg import scaled
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,6 @@ class RelintResult:
     inside: bool
     barycentric: dict[IntVec, Fraction] | None
     separator: IntVec | None
-
-
-def clear_to_primitive(vec) -> IntVec:
-    """Scale a rational vector by a positive rational into primitive integers."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    return primitive([int(f * mult) for f in fracs])
 
 
 def _barycentric_lp(points):
@@ -112,7 +105,7 @@ def find_functional(zero_on, pos_on, uniform=False):
     if res.status == INFEASIBLE:
         return None
     require(res.status == OPTIMAL, "a bounded functional LP is feasible or optimal")
-    return clear_to_primitive(res.x)
+    return primitive(scaled(res.x)[0])
 
 
 @lru_cache(maxsize=200_000)

@@ -2,22 +2,24 @@
 
 Matrices are tuples of tuples of Fractions, row-major and immutable.
 Pivoting is first-nonzero so every routine is deterministic.  The kernels
-scale each row (or column) by the lcm of its denominators, multiply and
-eliminate on plain ints (fraction-free, Bareiss, Math. Comp. 22, 1968; see
-``intlinalg.fraction_free_rref``) and build one canonical Fraction per
-result entry, so they return exactly what Fraction arithmetic would.
+scale each matrix (``int_form``) or vector (``scaled``) by one common
+denominator, multiply and eliminate on plain ints (fraction-free, Bareiss,
+Math. Comp. 22, 1968; see ``intlinalg``) and build one canonical Fraction
+per result entry, so they return exactly what Fraction arithmetic would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
-from .intlinalg import det, fraction_free_rref, int_kernel
+from .intlinalg import det, int_kernel, inverse
 
 QMat = tuple[tuple[Fraction, ...], ...]
 QVec = tuple[Fraction, ...]
+
+_EXACT = {int, Fraction}
 
 
 def qmat(rows) -> QMat:
@@ -33,24 +35,19 @@ def scaled(v) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in v], s
 
 
-def int_rows(a: QMat) -> tuple[list[list[int]], list[int]]:
-    """Row-scaled integer copy of a, and the row scales."""
-    pairs = [scaled(row) for row in a]
-    return [r for r, _ in pairs], [s for _, s in pairs]
-
-
 def int_form(rows) -> tuple[list[list[int]], int]:
     """(m, c): the matrix times the lcm c of all its denominators, as int
-    rows.  Rows of plain ints are taken as they are, with c = 1; anything
-    else goes through qmat."""
-    m = [list(row) for row in rows]
-    if all(type(v) is int for row in m for v in row):
-        if m and any(len(r) != len(m[0]) for r in m):
-            raise ValueError("ragged matrix")
-        return m, 1
-    q = qmat(m)
-    c = lcm(*[v.denominator for row in q for v in row])
-    return [[v.numerator * (c // v.denominator) for v in row] for row in q], c
+    rows.  Ints and Fractions are read as they are (all-int rows are copied,
+    with c = 1); a matrix with any other entry goes through qmat."""
+    types = {type(v) for row in rows for v in row}
+    if not types <= _EXACT:
+        rows = qmat(rows)
+    elif len(rows) > 1 and len(set(map(len, rows))) > 1:
+        raise ValueError("ragged matrix")
+    elif Fraction not in types:
+        return [list(row) for row in rows], 1
+    c = lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (c // v.denominator) for v in row] for row in rows], c
 
 
 def qidentity(n: int) -> QMat:
@@ -72,18 +69,16 @@ def qmul(a: QMat, b: QMat) -> QMat:
         return ()
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
-    ra, sa = int_rows(a)
-    cb, sb = int_rows(tuple(zip(*b)))
-    return tuple(
-        tuple(Fraction(sum(map(mul, row, col)), s * t) for col, t in zip(cb, sb))
-        for row, s in zip(ra, sa)
-    )
+    ra, s = int_form(a)
+    rb, t = int_form(b)
+    cols = tuple(zip(*rb))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), s * t) for col in cols) for row in ra)
 
 
 def qmat_vec(a: QMat, v: QVec) -> QVec:
-    ra, sa = int_rows(a)
+    ra, s = int_form(a)
     iv, t = scaled(v)
-    return tuple(Fraction(sum(map(mul, row, iv)), s * t) for row, s in zip(ra, sa))
+    return tuple(Fraction(sum(map(mul, row, iv)), s * t) for row in ra)
 
 
 def is_zero_mat(a: QMat) -> bool:
@@ -94,29 +89,28 @@ def qdet(a: QMat) -> Fraction:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    m, scales = int_rows(a)
-    return Fraction(det(m), prod(scales))
+    m, c = int_form(a)
+    return Fraction(det(m), c**n)
 
 
 def qinverse(a: QMat) -> QMat:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inverse of a non-square matrix")
-    m, scales = int_rows(a)
-    # Row i of [a | I] scaled by s_i is row i of [m | diag(scales)].
-    for i, row in enumerate(m):
-        row.extend(scales[i] if i == j else 0 for j in range(n))
-    d, pivots = fraction_free_rref(m, n)
-    if len(pivots) < n:
+    m, c = int_form(a)
+    inv = inverse(m)
+    if inv is None:
         raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in m)
+    # a = m / c, so a^-1 = c m^-1 = c rows / d
+    d, rows = inv
+    return tuple(tuple(Fraction(c * x, d) for x in row) for row in rows)
 
 
 def kernel_basis(a: QMat) -> list[QVec]:
     """Basis of the right null space, deterministic order (one per free column).
 
     A matrix with no rows is read as having no columns, so its kernel is empty."""
-    m, _ = int_rows(a)
+    m, _ = int_form(a)
     kern, d = int_kernel(m, len(a[0]) if a else 0)
     return [tuple(Fraction(x, d) for x in v) for v in kern]
 

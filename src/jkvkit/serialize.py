@@ -77,14 +77,16 @@ def weight_key(chi: IntVec) -> str:
     return ",".join(str(int(x)) for x in chi)
 
 
-def parse_weight_key(key: str, rank: int) -> IntVec:
+def parse_int_vector(text: str, rank: int, what: str) -> IntVec:
+    """The comma-separated integers of text (a weight key, a vector flag),
+    e.g. "1,-2,0", checked to have rank entries; what names them in errors."""
     try:
-        chi = tuple(int(part) for part in key.split(","))
+        vec = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ProblemFormatError(f"malformed weight key {key!r}") from exc
-    if len(chi) != rank:
-        raise ProblemFormatError(f"weight key {key!r} has the wrong rank")
-    return chi
+        raise ProblemFormatError(f"malformed {what} {text!r}") from exc
+    if len(vec) != rank:
+        raise ProblemFormatError(f"{what} {text!r} has rank {len(vec)}, expected {rank}")
+    return vec
 
 
 def load_torus_problem(obj) -> tuple[TorusRep, RepVector]:
@@ -139,7 +141,7 @@ def _load_finite_group(obj, rank) -> FiniteGroup:
             raise ProblemFormatError("blocks must be an object keyed by weight")
         blocks = {}
         for key, mat in entry["blocks"].items():
-            chi = parse_weight_key(key, rank)
+            chi = parse_int_vector(key, rank, "weight key")
             blocks[chi] = _rational_matrix(mat, f"block at {key}")
         elements.append(FiniteElement(lattice, blocks))
     return FiniteGroup(tuple(elements), _int_matrix(obj["table"], "table"))

@@ -384,18 +384,18 @@ def _suite_commuting(rng, cfg: FuzzConfig):
 
 
 _SUITES = {
-    "limits": (_suite_limits, 200),
-    "semisimple": (_suite_semisimple, 500),
-    "theorem": (_suite_theorem, 200),
-    "jkv-survey": (_suite_jkv_survey, 200),
-    "compose-mu": (_suite_compose, 200),
-    "limit-conjugacy": (_suite_limit_conjugacy, 50),
-    "jkv-gln": (_suite_jkv_gln, 100),
-    "jordan-chevalley": (_suite_jordan_chevalley, 100),
-    "levi-homomorphism": (_suite_levi, 100),
-    "bruhat": (_suite_bruhat, 200),
-    "lambda-min-shift": (_suite_lambda_min_shift, 100),
-    "commuting": (_suite_commuting, 100),
+    "limits": _suite_limits,
+    "semisimple": _suite_semisimple,
+    "theorem": _suite_theorem,
+    "jkv-survey": _suite_jkv_survey,
+    "compose-mu": _suite_compose,
+    "limit-conjugacy": _suite_limit_conjugacy,
+    "jkv-gln": _suite_jkv_gln,
+    "jordan-chevalley": _suite_jordan_chevalley,
+    "levi-homomorphism": _suite_levi,
+    "bruhat": _suite_bruhat,
+    "lambda-min-shift": _suite_lambda_min_shift,
+    "commuting": _suite_commuting,
 }
 
 _ALIASES = {
@@ -408,7 +408,7 @@ def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
-def run_suite(name: str, config: FuzzConfig | None = None) -> VerificationReport:
+def run_suite(name: str, config: FuzzConfig) -> VerificationReport:
     """Run one named suite; unknown names raise ProblemFormatError.
 
     The only instance loop: one generator from config.rng() feeds
@@ -416,9 +416,7 @@ def run_suite(name: str, config: FuzzConfig | None = None) -> VerificationReport
     canonical = _ALIASES.get(name, name)
     if canonical not in _SUITES:
         raise ProblemFormatError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    check, default_count = _SUITES[canonical]
-    if config is None:
-        config = FuzzConfig(count=default_count)
+    check = _SUITES[canonical]
     report = VerificationReport(canonical, config.seed, config.count, instances=config.count)
     start = time.perf_counter()
     rng = config.rng()

@@ -272,13 +272,9 @@ def _zero_set(lam: IntVec, v: RepVector) -> tuple[IntVec, ...] | None:
     return tuple(zero)
 
 
-def graded_dim(rep: TorusRep, lam: IntVec, n: int) -> int:
-    """Dimension of the subspace where lam acts with exponent n."""
-    return sum(d for chi, d in rep.weight_spaces if pairing(lam, chi) == n)
-
-
 def fixed_dim(rep: TorusRep, lam: IntVec) -> int:
-    return graded_dim(rep, lam, 0)
+    """Dimension of the subspace that lam fixes (acts on with exponent 0)."""
+    return sum(d for chi, d in rep.weight_spaces if pairing(lam, chi) == 0)
 
 
 @dataclass

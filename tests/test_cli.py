@@ -130,6 +130,23 @@ def test_nilpotent(capsys, tmp_path, torus_file):
     assert code == 1 and not json.loads(out)["nilpotent"]
 
 
+
+def test_nilpotent_names_a_fixed_weight_of_the_wrong_rank_a_weight(capsys, tmp_path):
+    rank2 = write(
+        tmp_path,
+        "r2.json",
+        {
+            "rank": 2,
+            "weights": [{"chi": [1, 0], "dim": 1}],
+            "vector": [{"chi": [1, 0], "coords": ["1"]}],
+        },
+    )
+    code, out, err = run(capsys, ["nilpotent", "torus", "--file", rank2, "--fixed", "1,2,3"])
+    assert (code, out) == (2, "")
+    assert err == "error: weight '1,2,3' has rank 3, expected 2\n"
+    code, out, err = run(capsys, ["nilpotent", "torus", "--file", rank2, "--fixed", "1,x"])
+    assert (code, out, err) == (2, "", "error: malformed weight '1,x'\n")
+
 def test_jkv_and_certify(capsys, tmp_path, torus_file):
     code, out, _ = run(capsys, ["jkv", "torus", "--file", torus_file])
     data = json.loads(out)

@@ -25,7 +25,7 @@ from jkvkit.gln import (
 )
 from jkvkit.intlinalg import fraction_free_rref
 from jkvkit.polys import monic, poly, poly_divmod, poly_mul
-from jkvkit.ratlinalg import int_rows, kernel_basis, qdet, qidentity, qinverse, qmat, qmul, qzeros
+from jkvkit.ratlinalg import kernel_basis, qdet, qidentity, qinverse, qmat, qmul, qzeros
 
 F = Fraction
 
@@ -78,6 +78,13 @@ def _ref_minpoly(x):
     raise CertificateError("a dependency must appear by the Cayley-Hamilton bound")
 
 
+def _ref_int_rows(a):
+    """Each row of a times the lcm of its denominators, as ints, and those
+    row scales."""
+    scales = [lcm(*[v.denominator for v in row]) for row in a]
+    return [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(a, scales)], scales
+
+
 def _ref_conjugate_by(gi, xr, xs):
     """g^-1 x g as integer numerators over one denominator: one fraction-free
     solve of g y = x g, with gi any integer multiple of g."""
@@ -97,7 +104,7 @@ def _ref_limit(g, exps, x):
     n = len(exps)
     c = lcm(*[v.denominator for row in g for v in row])
     gi = [[int(v * c) for v in row] for row in g]
-    y, d = _ref_conjugate_by(gi, *int_rows(qmat(x)))
+    y, d = _ref_conjugate_by(gi, *_ref_int_rows(qmat(x)))
     if any(y[i][j] for i in range(n) for j in range(n) if exps[i] < exps[j]):
         return None
     z = tuple(

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from jkvkit.intlinalg import (
     det,
     identity,
+    inverse,
     is_unimodular,
     mat_mul,
     pairing,
@@ -103,3 +104,35 @@ def test_solve_gf2():
     x = solve_gf2([[1, 0], [1, 1]], [1, 0])
     assert x == [1, 1]
     assert solve_gf2([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def test_inverse_of_a_unimodular_matrix_is_integral():
+    m = ((2, 1), (1, 1))
+    d, rows = inverse(m)
+    assert mat_mul(rows, m) == tuple(tuple(d * v for v in row) for row in identity(2))
+    assert [[v // d for v in row] for row in rows] == [[1, -1], [-1, 2]]
+
+
+def test_inverse_of_a_singular_matrix_is_none():
+    assert inverse(((1, 2), (2, 4))) is None
+    assert inverse(((0,),)) is None
+
+
+def test_inverse_of_the_empty_matrix():
+    assert inverse(()) == (1, [])
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_inverse_rows_times_m_is_d_times_identity(m):
+    inv = inverse(m)
+    if inv is None:
+        assert det(m) == 0
+        return
+    d, rows = inv
+    assert d != 0 and det(m) != 0
+    assert mat_mul(rows, m) == tuple(tuple(d * v for v in row) for row in identity(len(m)))

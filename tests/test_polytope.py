@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jkvkit import oracles, polytope
-from jkvkit.intlinalg import int_kernel, pairing
+from jkvkit.intlinalg import int_kernel, pairing, primitive
 from jkvkit.lp import INFEASIBLE, OPTIMAL
 from jkvkit.polytope import (
     WeightSet,
     _barycentric_lp,
-    clear_to_primitive,
     destabilizer,
     find_functional,
     minimal_face_origin,
     origin_in_relint,
 )
+from jkvkit.ratlinalg import scaled
 
 
 def ws(*pts):
@@ -31,9 +31,9 @@ def test_weightset_validation():
 
 
 def test_clear_to_primitive():
-    assert clear_to_primitive((Fraction(1, 2), Fraction(-3, 2))) == (1, -3)
-    assert clear_to_primitive((Fraction(2), Fraction(4))) == (1, 2)
-    assert clear_to_primitive(()) == ()
+    assert primitive(scaled((Fraction(1, 2), Fraction(-3, 2)))[0]) == (1, -3)
+    assert primitive(scaled((Fraction(2), Fraction(4)))[0]) == (1, 2)
+    assert primitive(scaled(())[0]) == ()
 
 
 def test_relint_examples():

@@ -7,7 +7,6 @@ from jkvkit.gln import GLnCocharacter, _in_basis
 from jkvkit.intlinalg import fraction_free_rref, int_kernel
 from jkvkit.ratlinalg import (
     int_form,
-    int_rows,
     kernel_basis,
     qdet,
     qinverse,

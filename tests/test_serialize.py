@@ -139,3 +139,23 @@ def test_duplicate_components_name_their_vector():
 
 def test_weight_key():
     assert weight_key((1, -2)) == "1,-2"
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("1", "weight key '1' has rank 1, expected 2"),
+        ("1,a", "malformed weight key '1,a'"),
+    ],
+)
+def test_weight_key_errors_name_the_key(key, message):
+    obj = sample_problem()
+    obj["weights"] = [{"chi": [1, 0], "dim": 1}]
+    obj["vector"] = [{"chi": [1, 0], "coords": ["3"]}]
+    obj["finite_group"] = {
+        "elements": [{"lattice": [[1, 0], [0, 1]], "blocks": {key: [["1"]]}}],
+        "table": [[0]],
+    }
+    with pytest.raises(ProblemFormatError) as info:
+        load_torus_problem(obj)
+    assert str(info.value) == message

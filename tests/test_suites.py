@@ -40,7 +40,7 @@ def test_run_suite_feeds_one_seeded_stream_through_every_index(monkeypatch):
             return f"clause {idx}", {"draw": draws[idx]}
         return None
 
-    monkeypatch.setitem(suites._SUITES, "stub", (stub, 3))
+    monkeypatch.setitem(suites._SUITES, "stub", stub)
     report = run_suite("stub", FuzzConfig(seed=11, count=7))
     stream = random.Random(11)
     assert draws == [stream.random() for _ in range(7)]
@@ -49,8 +49,6 @@ def test_run_suite_feeds_one_seeded_stream_through_every_index(monkeypatch):
         (i, f"clause {i}", {"draw": draws[i]}) for i in (1, 4, 5)
     ]
     assert not report.passed and report.wall_time > 0
-    draws.clear()
-    assert run_suite("stub").instances == len(draws) == 3
 
 
 def test_jkv_survey_searches_the_stabilizers_of_gamma_once(monkeypatch):
@@ -83,11 +81,6 @@ def test_reports_are_deterministic():
     a = run_suite("theorem", FuzzConfig(seed=5, count=15))
     b = run_suite("theorem", FuzzConfig(seed=5, count=15))
     assert a.failures == b.failures and a.instances == b.instances
-
-
-def test_default_config():
-    report = run_suite("compose-mu")
-    assert report.passed and report.instances == 200
 
 
 def test_failure_payloads_replay(monkeypatch):
@@ -217,8 +210,8 @@ def test_orbit_failures_name_the_first_entry_as_the_per_entry_loop_does(monkeypa
     report the same index, clause and payload as loops that check every
     entry."""
     monkeypatch.setattr(suites, "limit_survey", _scaling_survey(suites.limit_survey))
-    monkeypatch.setitem(suites._SUITES, "ref-jkv-survey", (_reference_jkv_survey, 1))
-    monkeypatch.setitem(suites._SUITES, "ref-commuting", (_reference_commuting, 1))
+    monkeypatch.setitem(suites._SUITES, "ref-jkv-survey", _reference_jkv_survey)
+    monkeypatch.setitem(suites._SUITES, "ref-commuting", _reference_commuting)
     for name in ("jkv-survey", "commuting"):
         cfg = FuzzConfig(seed=seed, count=8)
         got = run_suite(name, cfg).failures
@@ -311,7 +304,7 @@ def test_limit_conjugacy_reports_match_the_per_limit_loop(monkeypatch, failing):
 
         monkeypatch.setattr(suites, "rational_conjugacy", by_value)
         monkeypatch.setattr(suites, "is_semisimple_matrix", lambda v: hash(v) % 5 != 0 and semisimple(v))
-    monkeypatch.setitem(suites._SUITES, "ref-limit-conjugacy", (_reference_limit_conjugacy, 1))
+    monkeypatch.setitem(suites._SUITES, "ref-limit-conjugacy", _reference_limit_conjugacy)
     clauses = set()
     for seed in (0, 7, 19, 23):
         cfg = FuzzConfig(seed=seed, count=6)

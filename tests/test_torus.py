@@ -18,7 +18,6 @@ from jkvkit.torus import (
     act,
     compose_cocharacters,
     fixed_dim,
-    graded_dim,
     is_nilpotent,
     is_semisimple,
     jkv_certifier,
@@ -107,9 +106,7 @@ def test_limit_examples():
 
 def test_graded_dims():
     rep = rep1()
-    assert graded_dim(rep, (0,), 0) == 3
-    assert graded_dim(rep, (0,), 1) == 0
-    assert graded_dim(rep, (1,), 0) == 1
+    assert fixed_dim(rep, (0,)) == 3
     assert fixed_dim(rep, (1,)) == 1
 
 
