@@ -342,6 +342,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if any(v == [] or (isinstance(v, list) and [] in v) for v in vars(args).values()):
+            # argparse (Python 3.11) parses "--flag=--" to [], skipping the flag's type
+            raise ProblemFormatError("a flag given as '--flag=--' has no value")
         code, fields = args.handler(args)
         payload = {"format_version": FORMAT_VERSION, "command": args.subcommand, **fields}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from . import polys
+from . import intlinalg, polys
 from .checks import CertificateError, ProblemFormatError, require
 from .intlinalg import fraction_free_rref, identity, int_kernel, inverse, mat_mul, primitive
 from .polys import (
@@ -328,77 +328,24 @@ def jordan_chevalley(x: QMat) -> tuple[QMat, QMat, Poly]:
     return s, nmat, s_poly
 
 
-def _poly_snf_diagonal(m: list[list[Poly]]) -> list[Poly]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    size = min(rows, cols)
-    t = 0
-    while t < size:
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] and (piv is None or degree(m[i][j]) < degree(m[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        m[t], m[piv[0]] = m[piv[0]], m[t]
-        for row in m:
-            row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            reduced = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q, _ = poly_divmod(m[i][t], m[t][t])
-                    m[i] = [poly_sub(a, polys.poly_mul(q, b)) for a, b in zip(m[i], m[t])]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        reduced = True
-            if reduced:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q, _ = poly_divmod(m[t][j], m[t][t])
-                    for row in m:
-                        row[j] = poly_sub(row[j], polys.poly_mul(q, row[t]))
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        reduced = True
-            if reduced:
-                continue
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] and poly_mod(m[i][j], m[t][t]):
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            m[t] = [polys.poly_add(a, b) for a, b in zip(m[t], m[bad])]
-        t += 1
-    return [monic(m[i][i]) for i in range(size)]
-
-
 def invariant_factors(x: QMat) -> tuple[Poly, ...]:
     """Nonunit invariant factors of tI - X, in divisibility order.
 
     The reference classification: two rational matrices are conjugate over
     Q exactly when these lists coincide (they classify the Frobenius normal
-    form).  rational_conjugacy decides by commutant dimensions instead; the
-    tests compare the two.
+    form): the monic diagonal of the Smith form of tI - X over Q[t], by
+    ``intlinalg.smith_form``.  rational_conjugacy decides by commutant
+    dimensions instead; the tests compare the two.
     """
     x = qmat(x)
     n = len(x)
-    m = [
-        [
-            poly([-x[i][j]] + ([1] if i == j else []))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    diag = _poly_snf_diagonal(m)
+    m = [[poly([-x[i][j]] + ([1] if i == j else [])) for j in range(n)] for i in range(n)]
+
+    def submul(f, q, g):
+        return poly_sub(f, polys.poly_mul(q, g))
+
+    _, d, _ = intlinalg.smith_form(m, degree, poly_divmod, submul, polys.ONE, polys.ZERO)
+    diag = (monic(d[i][i]) for i in range(n))
     return tuple(f for f in diag if degree(f) >= 1)
 
 

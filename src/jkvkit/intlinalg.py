@@ -1,4 +1,5 @@
-"""Integer lattice linear algebra: pairings, Smith normal form, exact solvers.
+"""Integer lattice linear algebra: pairings, exact solvers, and the Smith form,
+over Z and over any Euclidean ring given by its operations.
 
 Matrices are plain tuples of tuples of Python ints (arbitrary precision).
 Row-major, immutable once built.
@@ -6,6 +7,7 @@ Row-major, immutable once built.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from operator import mul
 
@@ -130,114 +132,112 @@ def inverse(m) -> tuple[int, list[list[int]]] | None:
     return d, [row[n:] for row in a]
 
 
-def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
-    """U, D, V with U*a*V = D, U and V unimodular, D diagonal with d1 | d2 | ...
+def smith_form(a, size, divmod_, submul, one, zero):
+    """[U, D, V] as lists of rows, with U*a*V = D, U and V invertible and D
+    diagonal with d1 | d2 | ..., over the Euclidean ring given by: size(x),
+    the Euclidean size of a nonzero x; divmod_(x, y), quotient and
+    remainder; submul(x, q, y) = x - q*y; its one and zero.  Nonzero
+    elements must be truthy.  The diagonal is not normalized.
 
-    Pivots are chosen as the smallest nonzero absolute value in the remaining
-    block, which keeps coefficient growth tame at the ranks in play.
+    Step t pivots on the least-size nonzero entry of the trailing block
+    (row-major, first on ties), which keeps coefficient growth tame, and
+    clears column t, then row t, by Euclidean division, taking any nonzero
+    remainder as the new pivot; once both are clear it adds to row t the
+    first row with an entry the pivot does not divide, and goes on.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    d = [list(r) for r in a]
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
+    # [D | U] as one list of rows, so each row operation acts on both; the
+    # column operations act on the D part and on the rows of V.
+    du = [list(r) + [one if i == j else zero for j in range(rows)] for i, r in enumerate(a)]
+    v = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
+    minus_one = submul(zero, one, one)
 
     def row_op(i, j, q):  # row_i -= q*row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        du[i] = list(map(submul, du[i], repeat(q), du[j]))
 
     def col_op(i, j, q):  # col_i -= q*col_j
-        for r in d:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        for r in du + v:
+            r[i] = submul(r[i], q, r[j])
 
     def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
+        for r in du + v:
             r[i], r[j] = r[j], r[i]
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    t = 0
-    while t < n:
-        # Smallest nonzero pivot in the trailing block.
+    for t in range(min(rows, cols)):
         pivot = None
         for i in range(t, rows):
             for j in range(t, cols):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
+                if du[i][j] and (pivot is None or size(du[i][j]) < size(du[pivot[0]][pivot[1]])):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        du[t], du[pivot[0]] = du[pivot[0]], du[t]
         swap_cols(t, pivot[1])
         while True:
-            # Reduce row/column t; any nonzero remainder is a smaller pivot.
             reduced = False
             for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    row_op(i, t, d[i][t] // d[t][t])
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
+                if du[i][t]:
+                    row_op(i, t, divmod_(du[i][t], du[t][t])[0])
+                    if du[i][t]:
+                        du[t], du[i] = du[i], du[t]
                         reduced = True
             if reduced:
                 continue
             for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    col_op(j, t, d[t][j] // d[t][t])
-                    if d[t][j] != 0:
+                if du[t][j]:
+                    col_op(j, t, divmod_(du[t][j], du[t][t])[0])
+                    if du[t][j]:
                         swap_cols(t, j)
                         reduced = True
             if reduced:
                 continue
-            # Row and column t are clear.  For the divisibility chain the
-            # pivot must divide the whole trailing block; mix in a bad row
-            # and keep reducing otherwise.
-            bad = None
             for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % d[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
+                if any(divmod_(x, du[t][t])[1] for x in du[i][t + 1 : cols]):
+                    row_op(t, i, minus_one)  # row_t += row_i
                     break
-            if bad is None:
+            else:
                 break
-            row_op(t, bad, -1)  # row_t += row_bad
+    return [r[cols:] for r in du], [r[:cols] for r in du], v
+
+
+def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
+    """U, D, V with U*a*V = D, U and V unimodular, D diagonal with
+    0 <= d1 | d2 | ...: ``smith_form`` over Z, then row t of D and U negated
+    where d_tt < 0 (no step after step t reads row t)."""
+    u, d, v = smith_form(a, abs, divmod, lambda x, q, y: x - q * y, 1, 0)
+    for t in range(min(len(d), len(v))):
         if d[t][t] < 0:
-            negate_row(t)
-        t += 1
+            d[t], u[t] = [-x for x in d[t]], [-x for x in u[t]]
     return tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v))
 
 
-def solve_integer(a: IntMat, b: IntVec):
-    """Integer solution x of a*x = b via Smith normal form, or None."""
+def solve_integer(a: IntMat, bs: list[IntVec]) -> list[IntVec] | None:
+    """Integer solutions x of a*x = b, one per b in bs, all from one Smith
+    normal form of a (none when bs is empty); None if some b has none."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if len(b) != rows:
+    if any(len(b) != rows for b in bs):
         raise ValueError("rhs length mismatch")
+    if not bs:
+        return []
     if rows == 0:
-        return (0,) * cols
+        return [(0,) * cols for _ in bs]
     u, d, v = smith_normal_form(a)
-    ub = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di != 0:
-            if ub[i] % di != 0:
+    diag = [d[i][i] if i < cols else 0 for i in range(rows)]
+    out = []
+    for b in bs:
+        ub = mat_vec(u, b)
+        y = [0] * cols
+        for i, di in enumerate(diag):
+            if di != 0:
+                if ub[i] % di != 0:
+                    return None
+                y[i] = ub[i] // di
+            elif ub[i] != 0:
                 return None
-            y[i] = ub[i] // di
-        elif ub[i] != 0:
-            return None
-    return mat_vec(v, tuple(y))
+        out.append(mat_vec(v, tuple(y)))
+    return out
 
 
 def solve_gf2(a: list[list[int]], b: list[int]):

@@ -57,8 +57,10 @@ def integer_nth_root(a: int, d: int):
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
-    Raises UnfactoredError when a factor above DEFAULT_FACTOR_BOUND remains;
-    callers must surface that verdict instead of guessing.
+    A cofactor left once p*p exceeds it is prime, whatever its size.
+    Raises UnfactoredError when the division stops at DEFAULT_FACTOR_BOUND
+    before that, leaving a cofactor not proven prime; callers must surface
+    that verdict instead of guessing.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -76,7 +78,7 @@ def factorize(n: int) -> dict[int, int]:
                 rem //= q
         p += 6
     if rem > 1:
-        if rem > DEFAULT_FACTOR_BOUND:
+        if p * p <= rem:  # stopped at the bound, so rem is not proven prime
             raise UnfactoredError(f"prime content above bound {DEFAULT_FACTOR_BOUND}: {rem}")
         out[rem] = out.get(rem, 0) + 1
     return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import gln, oracles, torus
 from .checks import ProblemFormatError
@@ -30,7 +29,12 @@ from .intlinalg import pairing
 from .oracles import FuzzConfig
 from .polytope import origin_in_relint
 from .ratlinalg import is_zero_mat, qinverse, qmat, qmul, qsub
-from .serialize import gln_problem_to_json, torus_problem_to_json
+from .serialize import (
+    cocharacter_to_json,
+    gln_problem_to_json,
+    matrix_to_json,
+    torus_problem_to_json,
+)
 from .torus import (
     GroupElement,
     act,
@@ -41,8 +45,6 @@ from .torus import (
     limit_survey,
     same_orbit,
 )
-
-F = Fraction
 
 
 @dataclass
@@ -212,10 +214,8 @@ def _suite_compose(rng, cfg: FuzzConfig):
             if vprime is not None and limit(mu, gamma) != vprime:
                 clause = "composed limit mismatch"
     if clause:
-        payload = torus_problem_to_json(rep, gamma)
-        payload["lam0"] = list(lam0)
-        payload["lam"] = list(lam)
-        return clause, payload
+        problem = torus_problem_to_json(rep, gamma)
+        return clause, {"problem": problem, "lambda0": list(lam0), "lambda": list(lam)}
     return None
 
 
@@ -320,9 +320,12 @@ def _suite_levi(rng, cfg: FuzzConfig):
             if lhs != rhs:
                 clause = "limit equivariance"
     if clause:
-        payload = gln_problem_to_json(x)
-        payload["exponents"] = list(lam.exponents)
-        return clause, payload
+        return clause, {
+            "problem": gln_problem_to_json(x),
+            "cocharacter": cocharacter_to_json(lam),
+            "p1": matrix_to_json(p1),
+            "p2": matrix_to_json(p2),
+        }
     return None
 
 
@@ -339,8 +342,8 @@ def _suite_bruhat(rng, cfg: FuzzConfig):
         u[i][i] != 1 for i in range(n)
     ):
         clause = "u not upper unitriangular"
-    elif sorted(row.index(F(1)) for row in w) != list(range(n)) or any(
-        x not in (0, 1) for row in w for x in row
+    elif any(x not in (0, 1) for row in w for x in row) or any(
+        sum(line) != 1 for line in w + tuple(zip(*w))
     ):
         clause = "w not a permutation"
     if clause:

@@ -352,8 +352,9 @@ def solve_multiplicative(rank: int, ratios: dict[IntVec, Fraction]) -> tuple[Fra
     """Torus point a with chi(a) = ratios[chi] for every chi, or None.
 
     Solved by factoring the ratios over a shared prime set, one integer
-    linear system per prime (via Smith normal form), and a GF(2) system for
-    the signs.  Ratios with prime content above DEFAULT_FACTOR_BOUND raise
+    linear system with one right-hand side per prime (one Smith normal
+    form), and a GF(2) system for the signs.  Ratios with a factor above
+    DEFAULT_FACTOR_BOUND that trial division cannot prove prime raise
     UnfactoredError instead of risking a wrong answer.
     """
     if any(q == 0 for q in ratios.values()):
@@ -364,14 +365,10 @@ def solve_multiplicative(rank: int, ratios: dict[IntVec, Fraction]) -> tuple[Fra
     rows = tuple(tuple(chi) for chi in chis)
     facs = {chi: factorize_fraction(ratios[chi]) for chi in chis}
     primes = sorted({p for f in facs.values() for p in f})
-    exps = [[0] * len(primes) for _ in range(rank)]
-    for k, p in enumerate(primes):
-        b = tuple(facs[chi].get(p, 0) for chi in chis)
-        x = intlinalg.solve_integer(rows, b)
-        if x is None:
-            return None
-        for i in range(rank):
-            exps[i][k] = x[i]
+    columns = [tuple(facs[chi].get(p, 0) for chi in chis) for p in primes]
+    exps = intlinalg.solve_integer(rows, columns)
+    if exps is None:
+        return None
     signs = [0 if ratios[chi] > 0 else 1 for chi in chis]
     eps = intlinalg.solve_gf2([[c & 1 for c in chi] for chi in chis], signs)
     if eps is None:
@@ -379,9 +376,9 @@ def solve_multiplicative(rank: int, ratios: dict[IntVec, Fraction]) -> tuple[Fra
     out = []
     for i in range(rank):
         val = Fraction(-1 if eps[i] else 1)
-        for k, p in enumerate(primes):
-            if exps[i][k]:
-                val *= Fraction(p) ** exps[i][k]
+        for p, x in zip(primes, exps):
+            if x[i]:
+                val *= Fraction(p) ** x[i]
         out.append(val)
     a = tuple(out)
     require(

@@ -259,6 +259,23 @@ def test_orbit_eq(capsys, tmp_path, torus_file):
     assert code == 1 and not json.loads(out)["same_orbit"]
 
 
+@pytest.mark.parametrize("prime", [999_983, 1_000_003])
+def test_orbit_eq_with_a_prime_ratio_above_the_factor_bound(capsys, tmp_path, prime):
+    """A prime ratio is solved whether or not it lies above the trial-division
+    bound: trial division proves it prime."""
+    files = [
+        write(
+            tmp_path,
+            f"p{k}.json",
+            {"rank": 1, "weights": [{"chi": [1], "dim": 1}], "vector": [{"chi": [1], "coords": [c]}]},
+        )
+        for k, c in enumerate(("1", str(prime)))
+    ]
+    code, out, err = run(capsys, ["orbit-eq", "torus", "--file", files[0], "--file2", files[1]])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["witness"] == {"torus": [str(prime)], "finite_index": None}
+
+
 def test_compose_mu(capsys, tmp_path):
     f = write(
         tmp_path,
@@ -353,6 +370,19 @@ def test_usage_and_parse_errors(capsys, tmp_path, torus_file):
     assert code == 2  # wrong rank
     code, _, _ = run(capsys, ["unknown-command"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--cochar=--", "--box=--", "--fixed=--", "--lambda0=--"])
+def test_a_flag_given_as_double_dash_is_a_usage_error(capsys, torus_file, flag):
+    """argparse (Python 3.11) parses "--flag=--" to [], skipping the flag's
+    type: main rejects it instead of passing it on."""
+    command = {"--cochar": "limit", "--box": "survey", "--fixed": "nilpotent"}.get(
+        flag.split("=")[0], "compose-mu"
+    )
+    extra = ["--lambda", "1"] if command == "compose-mu" else []
+    code, out, err = run(capsys, [command, "torus", "--file", torus_file, flag, *extra])
+    assert (code, out) == (2, "")
+    assert err == "error: a flag given as '--flag=--' has no value\n"
 
 
 def test_paths_that_cannot_be_opened_exit_2_without_a_traceback(capsys, tmp_path, torus_file):

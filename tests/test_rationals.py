@@ -60,8 +60,11 @@ def test_factorize_reconstructs(n):
 
 
 def test_factorize_bound_is_explicit():
+    # a prime above DEFAULT_FACTOR_BOUND is proven prime once p*p exceeds it
+    assert factorize(1_000_003) == {1_000_003: 1}
+    assert factorize(2 * 1_000_003) == {2: 1, 1_000_003: 1}
     with pytest.raises(UnfactoredError):
-        factorize(1_000_003)  # prime above DEFAULT_FACTOR_BOUND
+        factorize(1_000_003 * 1_000_033)  # no factor at or below the bound
 
 
 def test_factorize_fraction_signed_exponents():

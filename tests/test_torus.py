@@ -393,6 +393,19 @@ def test_solve_multiplicative_examples():
         solve_multiplicative(1, {(1,): F(0)})
 
 
+def test_solve_multiplicative_reduces_the_exponent_system_once(monkeypatch):
+    """One Smith form serves every prime: here 2, 3, 5 and 7."""
+    from jkvkit import intlinalg
+
+    calls = []
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    a = solve_multiplicative(2, {(1, 0): F(10, 7), (1, 1): F(-3)})
+    assert a == (F(10, 7), F(-21, 10)) and calls == [((1, 0), (1, 1))]
+    calls.clear()
+    assert solve_multiplicative(1, {(1,): F(-1)}) == (F(-1),) and calls == []
+
+
 def test_same_orbit_examples():
     rep = rep1()
     v = rv(1, {(0,): (F(2),), (1,): (F(3),)})
