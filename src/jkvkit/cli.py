@@ -81,7 +81,7 @@ def _cmd_semisimple(args) -> tuple[int, dict]:
     if args.model == "torus":
         _, v = load_torus_problem(read_json(args.file))
         res = torus_model.is_semisimple(v)
-        if res.semisimple:
+        if res.inside:
             return EXIT_OK, {
                 "model": "torus",
                 "semisimple": True,
@@ -92,7 +92,7 @@ def _cmd_semisimple(args) -> tuple[int, dict]:
             "model": "torus",
             "semisimple": False,
             "barycentric": None,
-            "cocharacter": list(res.cocharacter),
+            "cocharacter": list(res.separator),
         }
     x = load_gln_matrix(read_json(args.file))
     verdict = gln_model.is_semisimple_matrix(x)
@@ -228,7 +228,7 @@ def _cmd_survey(args) -> tuple[int, dict]:
     entries = [
         {
             "cocharacter": list(e.cocharacter),
-            "exists": e.exists,
+            "exists": e.value is not None,
             "limit": vector_to_json(e.value) if e.value is not None else None,
             "semisimple": e.semisimple,
         }
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("limit", _cmd_limit, help="limit of a vector along a cocharacter")
     p.add_argument("model", choices=["torus", "gln"])
     p.add_argument("--file", required=True, help="problem file")
-    p.add_argument("--cochar", help="integer cocharacter, e.g. '1,0' (torus)")
+    p.add_argument("--cochar", help="integer cocharacter, e.g. --cochar=-1,0 (torus)")
     p.add_argument("--cochar-file", help="cocharacter file (gln)")
 
     p = add("semisimple", _cmd_semisimple, help="closed-orbit certificate")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("nilpotent", _cmd_nilpotent, help="nilpotency relative to fixed weights")
     p.add_argument("model", choices=["torus"])
     p.add_argument("--file", required=True)
-    p.add_argument("--fixed", action="append", help="weight to fix, e.g. '1,0'; repeatable")
+    p.add_argument("--fixed", action="append", help="weight to fix, e.g. --fixed=-1,0; repeatable")
 
     p = add("jkv", _cmd_jkv, help="Jordan-Kac-Vinberg decomposition with certificate")
     p.add_argument("model", choices=["torus", "gln"])
@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compose-mu", _cmd_compose_mu, help="compose two cocharacters")
     p.add_argument("model", choices=["torus"])
     p.add_argument("--file", required=True)
-    p.add_argument("--lambda0", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda0", required=True, help="cocharacter, e.g. --lambda0=-1,0")
+    p.add_argument("--lambda", dest="lam", required=True, help="cocharacter, e.g. --lambda=-1,0")
 
     p = add("bruhat", _cmd_bruhat, help="p * w * u factorization")
     p.add_argument("--file", required=True)

@@ -42,7 +42,6 @@ from .ratlinalg import (
     int_form,
     is_zero_mat,
     qdet,
-    qidentity,
     qinverse,
     qmat,
     qmul,
@@ -202,54 +201,47 @@ def bruhat(g: QMat) -> tuple[QMat, QMat, QMat]:
     """Factor an invertible matrix as p * w * u: p upper triangular, w a
     permutation, u upper unitriangular.
 
-    Gaussian elimination scanning columns left to right, always pivoting on
-    the lowest not-yet-used row with a nonzero entry; the result is unique
-    given that rule.
+    One upper row reduction, scanning columns left to right: each column
+    pivots on the lowest not-yet-used row with a nonzero entry, scales that
+    row to a leading 1 and clears the column above it.  The reduced matrix
+    M = p^-1 g is then w u: w has its 1 in column j at that column's pivot
+    row, and row j of u is M's pivot row for column j, so p = g M^-1.  An
+    entry of u above the diagonal, (i, j) with i < j, is nonzero only where
+    column i's pivot row lies below column j's, an inversion of w; u in
+    U meet w^-1 U^- w makes g = p w u the unique such factorization.
     """
     g = qmat(g)
     n = len(g)
     if qdet(g) == 0:
         raise ProblemFormatError("Bruhat factorization needs an invertible matrix")
     a = [list(r) for r in g]
-    p_inv = [list(r) for r in qidentity(n)]
-    u_inv = [list(r) for r in qidentity(n)]
-    used = [False] * n
-    col_of_pivot_row: dict[int, int] = {}
+    pivot_rows: list[int] = []
     for j in range(n):
-        r = max(i for i in range(n) if not used[i] and a[i][j] != 0)
+        r = max(i for i in range(n) if i not in pivot_rows and a[i][j] != 0)
         inv = 1 / a[r][j]
         a[r] = [x * inv for x in a[r]]
-        p_inv[r] = [x * inv for x in p_inv[r]]
-        # Entries above the pivot go into p (row operations); entries at
-        # earlier pivot rows below it can only be removed on the u side.
         for i in range(r):
             if a[i][j] != 0:
                 c = a[i][j]
                 a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-                p_inv[i] = [x - c * y for x, y in zip(p_inv[i], p_inv[r])]
-        for i in range(r + 1, n):
-            if a[i][j] != 0:
-                c = a[i][j]
-                j2 = col_of_pivot_row[i]
-                for k in range(n):
-                    a[k][j] -= c * a[k][j2]
-                    u_inv[k][j] -= c * u_inv[k][j2]
-        used[r] = True
-        col_of_pivot_row[r] = j
-    w = qmat(a)
-    p = qinverse(qmat(p_inv))
-    u = qinverse(qmat(u_inv))
+        pivot_rows.append(r)
+    w = qmat([[int(pivot_rows[j] == i) for j in range(n)] for i in range(n)])
+    u = tuple(tuple(a[r]) for r in pivot_rows)
+    p = qmul(g, qinverse(qmat(a)))
     require(qmul(qmul(p, w), u) == g, "the Bruhat factors must multiply back to g")
     return p, w, u
 
 
 def minpoly(x: QMat) -> Poly:
-    """Monic minimal polynomial via the first linear dependency among powers.
+    """Monic minimal polynomial: the lowest-degree linear relation among the
+    powers I, x, ..., x^n.
 
-    The powers are those of the integer matrix X = c x (``int_form``), each
-    dependency test one fraction-free kernel of their entries.  A relation
-    sum r_k X^k = 0 is sum r_k c^k x^k = 0, so the monic coefficients for x
-    are r_k / (r_d c^(d-k)), one Fraction each.
+    The powers are those of the integer matrix X = c x (``int_form``), and
+    one fraction-free kernel of the n^2 x (n+1) matrix of their entries
+    holds every relation.  Its first vector belongs to the first non-pivot
+    column d, the first power that depends on the ones below it, and is
+    zero past d.  A relation sum r_k X^k = 0 is sum r_k c^k x^k = 0, so the
+    monic coefficients for x are r_k / (r_d c^(d-k)), one Fraction each.
     """
     xi, c = int_form(x)
     n = len(xi)
@@ -257,15 +249,13 @@ def minpoly(x: QMat) -> Poly:
         raise ValueError("shape mismatch in matrix product")
     power = identity(n)
     vecs = [[v for row in power for v in row]]
-    for d in range(1, n + 1):
+    for _ in range(n):
         power = mat_mul(power, xi)
         vecs.append([v for row in power for v in row])
-        kern, _ = int_kernel([list(r) for r in zip(*vecs)], d + 1)
-        if kern:
-            rel = kern[0]
-            require(rel[d] != 0, "first dependency must involve the top power")
-            return tuple(Fraction(rel[k], rel[d] * c ** (d - k)) for k in range(d + 1))
-    raise CertificateError("a dependency must appear by the Cayley-Hamilton bound")
+    rel = int_kernel([list(r) for r in zip(*vecs)], n + 1)[0][0]
+    d = max(k for k, v in enumerate(rel) if v)
+    require(d > 0, "a dependency must involve a power above the identity")
+    return tuple(Fraction(rel[k], rel[d] * c ** (d - k)) for k in range(d + 1))
 
 
 def is_semisimple_matrix(x: QMat) -> bool:

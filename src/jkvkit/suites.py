@@ -162,7 +162,7 @@ def _suite_jkv_survey(rng, cfg: FuzzConfig):
     entry is literally its semisimple part s and certifies along its own
     cocharacter.  One certifier of (s, n) serves every entry."""
     rep, gamma = oracles.sample_torus_instance(rng, cfg)
-    s, n, lam, _ = torus._constructive_parts(rep, gamma)
+    s, n, lam = torus._constructive_parts(rep, gamma)
     certify = jkv_certifier(rep, gamma, s, n)
     if not certify(lam).ok:
         clause = "constructive decomposition failed its own certificate"

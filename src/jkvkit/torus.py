@@ -22,7 +22,7 @@ from .intlinalg import (
     primitive,
 )
 from .polytope import (
-    FaceCertificate,
+    RelintResult,
     WeightSet,
     destabilizer,
     find_functional,
@@ -277,25 +277,17 @@ def fixed_dim(rep: TorusRep, lam: IntVec) -> int:
     return sum(d for chi, d in rep.weight_spaces if pairing(lam, chi) == 0)
 
 
-@dataclass
-class SemisimpleCertificate:
-    semisimple: bool
-    barycentric: dict[IntVec, Fraction] | None
-    cocharacter: IntVec | None
-
-
-def is_semisimple(v: RepVector) -> SemisimpleCertificate:
+def is_semisimple(v: RepVector) -> RelintResult:
     """Certified closed-orbit test: 0 in relint of the support hull.
 
-    A false verdict carries a cocharacter along which v properly degenerates.
+    The relint result of supp v: inside with its barycentric coefficients,
+    or else a separator along which v properly degenerates.
     """
     res = origin_in_relint(support(v))
-    if res.inside:
-        return SemisimpleCertificate(True, res.barycentric, None)
-    lam = res.separator
-    lim = limit(lam, v)
-    require(lim is not None and lim != v, "separator must witness a proper degeneration")
-    return SemisimpleCertificate(False, None, lam)
+    if not res.inside:
+        lim = limit(res.separator, v)
+        require(lim is not None and lim != v, "separator must witness a proper degeneration")
+    return res
 
 
 def is_nilpotent(v: RepVector, fixed: WeightSet) -> tuple[bool, IntVec | None]:
@@ -330,7 +322,6 @@ class JkvDecomposition:
     s: RepVector
     n: RepVector
     cocharacter: IntVec
-    face: FaceCertificate | None
     report: JkvReport
 
 
@@ -447,7 +438,7 @@ def jkv_certifier(rep: TorusRep, gamma: RepVector, s: RepVector, n: RepVector):
     validate_vector(rep, s)
     validate_vector(rep, n)
     sums = vec_add(s, n) == gamma
-    semisimple = is_semisimple(s).semisimple
+    semisimple = is_semisimple(s).inside
     supp_s = support(s)
     in_support = set(supp_s.points) <= set(gamma.components)
     checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
@@ -492,24 +483,24 @@ def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
     the hull), and the cocharacter is the face supporter (respectively a
     destabilizer).
     """
-    s, n, lam, face = _constructive_parts(rep, gamma)
+    s, n, lam = _constructive_parts(rep, gamma)
     report = jkv_certify(rep, gamma, s, n, lam)
     require(report.ok, "the construction must certify")
-    return JkvDecomposition(s, n, lam, face, report)
+    return JkvDecomposition(s, n, lam, report)
 
 
 def _constructive_parts(rep: TorusRep, gamma: RepVector):
-    """(s, n, lam, face) of jkv_decompose, not yet certified."""
+    """(s, n, lam) of jkv_decompose, not yet certified."""
     validate_vector(rep, gamma)
     supp = support(gamma)
     face = minimal_face_origin(supp)
     if face is None:
         lam = destabilizer(supp)
         require(lam is not None, "a hull missing the origin must have a destabilizer")
-        return zero_vector(rep.rank), gamma, lam, None
+        return zero_vector(rep.rank), gamma, lam
     points = set(face.face)
     s = RepVector(rep.rank, {chi: c for chi, c in gamma.components.items() if chi in points})
-    return s, vec_sub(gamma, s), face.supporter, face
+    return s, vec_sub(gamma, s), face.supporter
 
 
 # The most cocharacters one box sweep may visit.  A survey keeps an entry
@@ -572,7 +563,6 @@ def compose_cocharacters(rep: TorusRep, lam0: IntVec, lam: IntVec):
 @dataclass
 class SurveyEntry:
     cocharacter: IntVec
-    exists: bool
     value: RepVector | None
     semisimple: bool
 
@@ -604,11 +594,11 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
     for lam in _box_iter(rep.rank, box):
         zero = _zero_set(lam, gamma)
         if zero is None:
-            entries.append(SurveyEntry(lam, False, None, False))
+            entries.append(SurveyEntry(lam, None, False))
             continue
         face = faces.get(zero)
         if face is None:
             val = limit(lam, gamma)
             face = faces[zero] = val, origin_in_relint(support(val)).inside
-        entries.append(SurveyEntry(lam, True, *face))
+        entries.append(SurveyEntry(lam, *face))
     return LimitSurvey(box, rep.rank, entries)

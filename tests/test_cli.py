@@ -298,6 +298,34 @@ def test_compose_mu(capsys, tmp_path):
     assert code == 0 and data["n"] == 6 and data["mu"] == [6, 1]
 
 
+def test_a_negative_flag_value_is_joined_with_equals(capsys, tmp_path):
+    """argparse reads "-1,0" as a separate word for an option, so a negative
+    cocharacter or weight is given as --flag=-1,0, as the help says."""
+    f = write(
+        tmp_path,
+        "rep.json",
+        {
+            "rank": 2,
+            "weights": [
+                {"chi": [1, -5], "dim": 1},
+                {"chi": [0, 1], "dim": 1},
+                {"chi": [-1, 3], "dim": 1},
+            ],
+            "vector": [{"chi": [0, 1], "coords": ["2"]}, {"chi": [-1, 3], "coords": ["1"]}],
+        },
+    )
+    code, out, _ = run(capsys, ["limit", "torus", "--file", f, "--cochar=-1,0"])
+    data = json.loads(out)
+    assert code == 0 and data["limit"] == [{"chi": [0, 1], "coords": ["2"]}]
+    code, out, _ = run(capsys, ["limit", "torus", "--file", f, "--cochar", "-1,0"])
+    assert (code, out) == (2, "")
+    code, out, _ = run(
+        capsys, ["compose-mu", "torus", "--file", f, "--lambda0=-1,0", "--lambda=0,1"]
+    )
+    data = json.loads(out)
+    assert code == 0 and data["n"] == 1 and data["mu"] == [-1, 1]
+
+
 def test_compose_mu_with_a_huge_lambda_returns_at_once(torus_file):
     # n is solved for, not counted up to: 10^12 + 1 steps would take days.
     code, out = fresh(

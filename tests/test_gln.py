@@ -356,6 +356,64 @@ def test_bruhat_soundness_random(entries):
     assert all(x in (0, 1) for row in w for x in row)
 
 
+def _ref_bruhat(g):
+    """Reference Bruhat factorization with the same pivots as ``bruhat``:
+    row operations give p^-1, column operations clear the earlier pivot rows
+    below each pivot and give u^-1, and what is left is w."""
+    n = len(g)
+    a = [list(r) for r in g]
+    p_inv = [list(r) for r in qidentity(n)]
+    u_inv = [list(r) for r in qidentity(n)]
+    used = [False] * n
+    col_of_pivot_row = {}
+    for j in range(n):
+        r = max(i for i in range(n) if not used[i] and a[i][j] != 0)
+        inv = 1 / a[r][j]
+        a[r] = [x * inv for x in a[r]]
+        p_inv[r] = [x * inv for x in p_inv[r]]
+        for i in range(r):
+            if a[i][j] != 0:
+                c = a[i][j]
+                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
+                p_inv[i] = [x - c * y for x, y in zip(p_inv[i], p_inv[r])]
+        for i in range(r + 1, n):
+            if a[i][j] != 0:
+                c = a[i][j]
+                j2 = col_of_pivot_row[i]
+                for k in range(n):
+                    a[k][j] -= c * a[k][j2]
+                    u_inv[k][j] -= c * u_inv[k][j2]
+        used[r] = True
+        col_of_pivot_row[r] = j
+    return qinverse(qmat(p_inv)), qmat(a), qinverse(qmat(u_inv))
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# n x n, n = 1-6, with dense entries or sparse ones from {0, 0, 0, 1, -1, 2}
+_SQUARES = st.tuples(
+    st.integers(1, 6), st.sampled_from([st.integers(-5, 5), st.sampled_from([0, 0, 0, 1, -1, 2])])
+).flatmap(lambda t: _square(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SQUARES)
+def test_bruhat_matches_the_column_operation_loop(rows):
+    from hypothesis import assume
+
+    g = m(rows)
+    assume(qdet(g) != 0)
+    p, w, u = bruhat(g)
+    assert (p, w, u) == _ref_bruhat(g)
+    # u is nonzero above the diagonal only at inversions of w, which makes
+    # g = p w u the unique such factorization
+    pivot_row = [next(i for i in range(len(g)) if w[i][j] == 1) for j in range(len(g))]
+    for i, j in itertools.combinations(range(len(g)), 2):
+        assert u[i][j] == 0 or pivot_row[i] > pivot_row[j]
+
+
 def test_charpoly_and_minpoly():
     x = m([[2, 1], [0, 2]])
     assert charpoly(x) == poly([4, -4, 1])

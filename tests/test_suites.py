@@ -231,11 +231,11 @@ def test_a_constructive_decomposition_that_fails_its_certificate_is_a_clause(mon
     instances = []
 
     def corrupted(rep, gamma):
-        s, n, lam, face = parts(rep, gamma)
+        s, n, lam = parts(rep, gamma)
         instances.append((rep, gamma))
         if len(instances) == 3:
             n = torus.vec_add(n, gamma)  # s + n is now 2 gamma
-        return s, n, lam, face
+        return s, n, lam
 
     monkeypatch.setattr(torus, "_constructive_parts", corrupted)
     report = run_suite("jkv-survey", FuzzConfig(seed=0, count=5))

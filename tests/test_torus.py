@@ -111,14 +111,14 @@ def test_graded_dims():
 
 
 def test_is_semisimple_examples():
-    assert is_semisimple(zero_vector(2)).semisimple
+    assert is_semisimple(zero_vector(2)).inside
     v = rv(2, {(1, 0): (F(1),), (-1, 0): (F(1),)})
     res = is_semisimple(v)
-    assert res.semisimple and res.barycentric is not None
+    assert res.inside and res.barycentric is not None and res.separator is None
     w = rv(2, {(1, 0): (F(1),), (1, 1): (F(1),)})
     res = is_semisimple(w)
-    assert not res.semisimple
-    lam = res.cocharacter
+    assert not res.inside and res.barycentric is None
+    lam = res.separator
     lim = limit(lam, w)
     assert lim is not None and lim != w
 
@@ -467,12 +467,12 @@ def test_limit_survey_examples():
     rep = rep1()
     g0 = zero_vector(1)
     survey = limit_survey(rep, g0, 2)
-    assert all(e.exists and e.semisimple and e.value.is_zero() for e in survey.entries)
+    assert all(e.semisimple and e.value.is_zero() for e in survey.entries)
     g = rv(1, {(0,): (F(1),), (1,): (F(1),)})
     survey = limit_survey(rep, g, 2)
     ss = {e.cocharacter for e in survey.semisimple_entries()}
     assert ss == {(1,), (2,)}
-    vals = {e.cocharacter: e.value for e in survey.entries if e.exists}
+    vals = {e.cocharacter: e.value for e in survey.entries if e.value is not None}
     assert vals[(1,)] == rv(1, {(0,): (F(1),)})
     g2 = rv(1, {(-1,): (F(1),), (1,): (F(1),)})
     survey = limit_survey(rep, g2, 1)
@@ -491,7 +491,7 @@ def test_limit_survey_matches_limit_and_relint_per_cocharacter():
         entries = limit_survey(rep, gamma, 2).entries
         for e in entries:
             value = limit(e.cocharacter, gamma)
-            assert e.value == value and e.exists == (value is not None)
+            assert e.value == value
             if value is None:
                 assert not e.semisimple
                 continue
