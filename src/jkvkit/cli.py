@@ -9,6 +9,10 @@ file or flag that fails its check, or a path that cannot be opened or
 decoded), 3 unsupported-input verdicts (box too small, unfactored
 ratios), 4 every other exception, ValueError included: an internal
 error (traceback on stderr, nothing on stdout).
+
+The document is json.dumps(indent=2, sort_keys=True) of the fields, byte
+for byte, but survey entries arrive pre-encoded (`_Encoded`, each
+distinct limit encoded once) and main splices them in at their key.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from . import gln as gln_model
 from . import torus as torus_model
 from .checks import ProblemFormatError, require
 from .oracles import FuzzConfig
+from .polys import is_squarefree
 from .polytope import WeightSet
 from .rationals import UnfactoredError, format_rational
 from .ratlinalg import qmul, qsub
@@ -48,6 +53,11 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
+
+
+class _Encoded(str):
+    """A field's value as json.dumps(value, indent=2, sort_keys=True) writes
+    it; main splices it into the document at its key's depth."""
 
 
 def _poly_to_json(p):
@@ -94,12 +104,12 @@ def _cmd_semisimple(args) -> tuple[int, dict]:
             "barycentric": None,
             "cocharacter": list(res.separator),
         }
-    x = load_gln_matrix(read_json(args.file))
-    verdict = gln_model.is_semisimple_matrix(x)
+    m = gln_model.minpoly(load_gln_matrix(read_json(args.file)))
+    verdict = is_squarefree(m)  # gln.is_semisimple_matrix's criterion, on m computed once
     return EXIT_OK if verdict else EXIT_FALSE, {
         "model": "gln",
         "semisimple": verdict,
-        "minimal_polynomial": _poly_to_json(gln_model.minpoly(x)),
+        "minimal_polynomial": _poly_to_json(m),
     }
 
 
@@ -225,16 +235,24 @@ def _cmd_conjugacy(args) -> tuple[int, dict]:
 def _cmd_survey(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
     survey = torus_model.limit_survey(rep, v, args.box)
-    entries = [
-        {
-            "cocharacter": list(e.cocharacter),
-            "exists": e.value is not None,
-            "limit": vector_to_json(e.value) if e.value is not None else None,
-            "semisimple": e.semisimple,
-        }
-        for e in survey.entries
-    ]
-    return EXIT_OK, {"box": args.box, "entries": entries}
+    # Entries that share a zero set hold the same RepVector (or None), which
+    # alone fixes "exists", "limit" and "semisimple": encode those once, drop
+    # the braces ('{\n  ' and '\n}') and indent the lines for a list entry.
+    bodies: dict[int, str] = {}
+    entries = []
+    for e in survey.entries:
+        body = bodies.get(id(e.value))
+        if body is None:
+            fields = {
+                "exists": e.value is not None,
+                "limit": vector_to_json(e.value) if e.value is not None else None,
+                "semisimple": e.semisimple,
+            }
+            text = json.dumps(fields, indent=2, sort_keys=True)
+            body = bodies[id(e.value)] = "    " + text[4:-2].replace("\n", "\n  ")
+        cochar = ",\n      ".join(map(str, e.cocharacter))
+        entries.append(f'  {{\n    "cocharacter": [\n      {cochar}\n    ],\n{body}\n  }}')
+    return EXIT_OK, {"box": args.box, "entries": _Encoded("[\n" + ",\n".join(entries) + "\n]")}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
@@ -347,7 +365,12 @@ def main(argv=None) -> int:
             raise ProblemFormatError("a flag given as '--flag=--' has no value")
         code, fields = args.handler(args)
         payload = {"format_version": FORMAT_VERSION, "command": args.subcommand, **fields}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        encoded = {k: v for k, v in payload.items() if isinstance(v, _Encoded)}
+        text = json.dumps({**payload, **dict.fromkeys(encoded)}, indent=2, sort_keys=True)
+        for key, value in encoded.items():  # a newline and two spaces start a top-level key only
+            at = f'\n  "{key}": '
+            text = text.replace(at + "null", at + value.replace("\n", "\n  "), 1)
+        sys.stdout.write(text + "\n")
         return code
     except ProblemFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,12 +26,12 @@ from .intlinalg import fraction_free_rref, identity, int_kernel, inverse, mat_mu
 from .polys import (
     Poly,
     degree,
+    is_squarefree,
     monic,
     poly,
     poly_compose_mod,
     poly_derivative,
     poly_divmod,
-    poly_gcd,
     poly_invmod,
     poly_mod,
     poly_sub,
@@ -260,8 +260,7 @@ def minpoly(x: QMat) -> Poly:
 
 def is_semisimple_matrix(x: QMat) -> bool:
     """Squarefree minimal polynomial, the closed-orbit criterion in char 0."""
-    m = minpoly(x)
-    return degree(poly_gcd(m, poly_derivative(m))) == 0
+    return is_squarefree(minpoly(x))
 
 
 def eval_poly_matrix(f: Poly, x: QMat) -> QMat:

@@ -147,6 +147,11 @@ def poly_derivative(f: Poly) -> Poly:
     return poly([i * f[i] for i in range(1, len(f))])
 
 
+def is_squarefree(f: Poly) -> bool:
+    """No repeated irreducible factor: f is prime to its derivative (char 0)."""
+    return degree(poly_gcd(f, poly_derivative(f))) == 0
+
+
 def squarefree_part(f: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of f (char 0)."""
     if degree(f) <= 0:

@@ -93,7 +93,7 @@ def _torus_cases(name: str, rank: int) -> dict[str, list[str]]:
     f = f"{{inputs}}/{name}.json"
     ones = ",".join(["1"] * rank)
     first = ",".join(["1"] + ["0"] * (rank - 1))
-    return {
+    cases = {
         f"{name}-limit": ["limit", "torus", "--file", f, "--cochar", first],
         f"{name}-semisimple": ["semisimple", "torus", "--file", f],
         f"{name}-nilpotent": ["nilpotent", "torus", "--file", f],
@@ -115,6 +115,9 @@ def _torus_cases(name: str, rank: int) -> dict[str, list[str]]:
         ],
         f"{name}-survey": ["survey", "torus", "--file", f, "--box", "1"],
     }
+    if rank == 3:  # box 2 is the survey the cli-files benchmark prints
+        cases[f"{name}-survey-box2"] = ["survey", "torus", "--file", f, "--box", "2"]
+    return cases
 
 
 def _gln_cases(name: str) -> dict[str, list[str]]:

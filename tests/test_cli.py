@@ -1,14 +1,29 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jkvkit import cli, gln
+from jkvkit import cli, gln, oracles
 from jkvkit.cli import main
+from jkvkit.oracles import FuzzConfig
+from jkvkit.serialize import (
+    FORMAT_VERSION,
+    load_torus_problem,
+    read_json,
+    torus_problem_to_json,
+    vector_to_json,
+)
+from jkvkit.torus import limit_survey
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -666,3 +681,105 @@ def test_help_wraps_to_the_width_at_call_time(capsys, monkeypatch, torus_file):
     monkeypatch.setenv("COLUMNS", "50")
     code, out, _ = run(capsys, ["--help"])
     assert code == 0 and out == cli.build_parser().format_help() != wide
+
+
+# ---------------------------------------------------------------------------
+# The survey writer against json.dumps of the whole document
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def _survey_reference(path, box):
+    """stdout of the survey command as json.dumps of every entry's fields."""
+    rep, v = load_torus_problem(read_json(path))
+    entries = [
+        {
+            "cocharacter": list(e.cocharacter),
+            "exists": e.value is not None,
+            "limit": vector_to_json(e.value) if e.value is not None else None,
+            "semisimple": e.semisimple,
+        }
+        for e in limit_survey(rep, v, box).entries
+    ]
+    payload = {"format_version": FORMAT_VERSION, "command": "survey", "box": box, "entries": entries}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _first_difference(got, want):
+    """None, or the first line where two documents differ (a short report:
+    pytest's own diff of two long strings takes minutes)."""
+    if got == want:
+        return None
+    pairs = zip(got.splitlines() + [None], want.splitlines() + [None])
+    return next((i, a, b) for i, (a, b) in enumerate(pairs, 1) if a != b)
+
+
+_COORDS = st.builds(
+    lambda n, d: str(Fraction(n, d)),
+    st.integers(-9, 9).filter(bool),
+    st.sampled_from([1, 1, 2, 3, 7]),
+)
+
+
+@st.composite
+def _survey_problems(draw):
+    """Problem files whose limits are all the whole vector ("whole"), None
+    off the zero cocharacter ("none": the support holds +-e_i for every i),
+    or mixed; the oracle instances bring finite groups."""
+    shape = draw(st.sampled_from(["oracle", "whole", "none", "mixed"]))
+    if shape == "oracle":
+        seed = draw(st.integers(0, 2**32))
+        return torus_problem_to_json(*oracles.sample_torus_instance(random.Random(seed), FuzzConfig()))
+    rank = draw(st.integers(1, 4))
+    if shape == "whole":
+        support = [(0,) * rank]
+    elif shape == "none":
+        support = [tuple(s * (j == i) for j in range(rank)) for i in range(rank) for s in (1, -1)]
+    else:
+        point = st.tuples(*[st.integers(-2, 2)] * rank)
+        support = draw(st.lists(point, min_size=1, max_size=5, unique=True))
+    extra = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), max_size=2))
+    dims = {chi: draw(st.integers(1, 2)) for chi in dict.fromkeys(support + extra)}
+    return {
+        "rank": rank,
+        "weights": [{"chi": list(chi), "dim": d} for chi, d in sorted(dims.items())],
+        "vector": [
+            {"chi": list(chi), "coords": [draw(_COORDS) for _ in range(dims[chi])]}
+            for chi in sorted(set(support))
+        ],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_survey_problems(), box=st.integers(1, 2))
+def test_survey_output_is_json_dumps_of_every_entry(problem, box):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["survey", "torus", "--file", str(path), "--box", str(box)])
+        assert code == 0
+        assert _first_difference(out.getvalue(), _survey_reference(str(path), box)) is None
+
+
+@pytest.mark.parametrize("name", ["t1", "t2w", "t3", "t3w"])
+def test_survey_encodes_each_distinct_limit_once(capsys, monkeypatch, name):
+    path = str(GOLDEN_INPUTS / f"{name}.json")
+    rep, v = load_torus_problem(read_json(path))
+    entries = limit_survey(rep, v, 2).entries
+    distinct = {id(e.value) for e in entries if e.value is not None}
+    calls = []
+    monkeypatch.setattr(cli, "vector_to_json", lambda val: calls.append(val) or vector_to_json(val))
+    code, out, _ = run(capsys, ["survey", "torus", "--file", path, "--box", "2"])
+    assert code == 0 and _first_difference(out, _survey_reference(path, 2)) is None
+    assert len(calls) == len(distinct) < len(entries)
+
+
+@pytest.mark.parametrize("command", [["semisimple", "gln"], ["jordan-chevalley"]])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_minimal_polynomial_per_gln_request(capsys, monkeypatch, command, n):
+    calls = []
+    monkeypatch.setattr(gln, "minpoly", lambda x, f=gln.minpoly: calls.append(x) or f(x))
+    code, _, _ = run(capsys, [*command, "--file", str(GOLDEN_INPUTS / f"m{n}.json")])
+    assert code in (0, 1) and len(calls) == 1

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from jkvkit.polys import (
     degree,
+    is_squarefree,
     monic,
     poly,
     poly_derivative,
@@ -93,6 +94,12 @@ def test_invmod():
 def test_squarefree_part():
     f = poly_mul(poly_mul(poly([-1, 1]), poly([-1, 1])), poly([-2, 1]))
     assert squarefree_part(f) == monic(poly_mul(poly([-1, 1]), poly([-2, 1])))
+
+
+def test_is_squarefree():
+    f = poly_mul(poly_mul(poly([-1, 1]), poly([-1, 1])), poly([-2, 1]))
+    assert not is_squarefree(f) and is_squarefree(squarefree_part(f))
+    assert is_squarefree(poly([1, 0, 1]))  # x^2 + 1, irreducible over Q
 
 
 def test_derivative():
