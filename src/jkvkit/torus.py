@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .checks import ProblemFormatError, require
 from .intlinalg import (
@@ -425,11 +426,14 @@ def jkv_certifier(rep: TorusRep, gamma: RepVector, s: RepVector, n: RepVector):
     Validates the vectors, finds every finite element that stabilizes gamma
     jointly with some torus element, and computes the clauses that depend
     on (s, n) alone -- sum, semisimple, support and whether each of those
-    stabilizers also fixes s -- once.  Each call checks fixes_s and limit
-    and returns a fresh JkvReport.  A lam that vanishes on supp s and pairs
-    to >= 1 with every weight of supp n is itself the nilpotency witness;
-    only otherwise does the LP of `is_nilpotent` run.  The vectors are
-    held, not copied, so they must not be mutated while certify is in use.
+    stabilizers also fixes s -- once.  Each call pairs lam once with every
+    weight of supp gamma, supp s and supp n, reads fixes_s, limit and the
+    witness test off those pairings, and returns a fresh JkvReport.  A lam
+    that vanishes on supp s and pairs to >= 1 with every weight of supp n is
+    itself the nilpotency witness; only otherwise does the LP of
+    `is_nilpotent` run.  The vectors are held, not copied, so they must not
+    be mutated while certify is in use.  A lam of the wrong rank raises
+    ValueError.
     """
     validate_vector(rep, gamma)
     stabilizers = []
@@ -443,10 +447,18 @@ def jkv_certifier(rep: TorusRep, gamma: RepVector, s: RepVector, n: RepVector):
     in_support = set(supp_s.points) <= set(gamma.components)
     checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
     stabilizer = in_support and all(ok for _, ok in checks)
+    weights = {*gamma.components, *s.components, *n.components}
+    # limit(lam, gamma) == s exactly when s is a projection of gamma, lam
+    # fixes s and lam pairs positively with the rest of supp gamma
+    projection = all(gamma.components.get(chi) == c for chi, c in s.components.items())
+    rest = [chi for chi in gamma.components if chi not in s.components]
 
     def certify(lam: IntVec) -> JkvReport:
-        fixes_s = all(pairing(lam, chi) == 0 for chi in supp_s.points)
-        if fixes_s and all(pairing(lam, chi) >= 1 for chi in n.components):
+        if len(lam) != rep.rank:
+            raise ValueError("cocharacter rank mismatch")
+        p = {chi: sum(map(mul, lam, chi)) for chi in weights}
+        fixes_s = all(p[chi] == 0 for chi in s.components)
+        if fixes_s and all(p[chi] >= 1 for chi in n.components):
             nilp, witness = True, lam
         else:
             nilp, witness = is_nilpotent(n, supp_s)
@@ -454,7 +466,7 @@ def jkv_certifier(rep: TorusRep, gamma: RepVector, s: RepVector, n: RepVector):
             "sum": sums,
             "semisimple": semisimple,
             "fixes_s": fixes_s,
-            "limit": limit(lam, gamma) == s,
+            "limit": projection and fixes_s and all(p[chi] > 0 for chi in rest),
             "support": in_support,
             "nilpotent": nilp,
             "stabilizer": stabilizer,
@@ -581,24 +593,36 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
     """Record limit existence, value and semisimplicity for every cocharacter
     in the box, in lexicographic order.
 
-    A limit is the projection of gamma onto the support weights that pair
-    to 0 with the cocharacter, so the value and its relint verdict are
-    computed once per distinct zero set: every entry with that zero set
-    holds the same RepVector object, which must therefore not be mutated.
+    Each support weight of gamma is paired with the whole box at once, and
+    the rows are folded into one code per cocharacter: bit k is set when
+    the k-th support weight pairs to 0, and one bit more when any weight
+    pairs negatively (no limit).  A limit is the projection of gamma onto
+    the zero-pairing weights, so the value and its relint verdict are
+    computed once per distinct code: every entry with that zero set holds
+    the same RepVector object, which must therefore not be mutated.
     """
     if box < 1:
         raise ProblemFormatError("box bound must be >= 1")
     validate_vector(rep, gamma)
-    entries = []
-    faces: dict[tuple[IntVec, ...], tuple[RepVector, bool]] = {}
-    for lam in _box_iter(rep.rank, box):
-        zero = _zero_set(lam, gamma)
-        if zero is None:
-            entries.append(SurveyEntry(lam, None, False))
+    lams = _box_iter(rep.rank, box)
+    comps = gamma.components
+    steps = range(-box, box + 1)
+    negative = 1 << len(comps)
+    codes = [0] * (2 * box + 1) ** rep.rank
+    for k, chi in enumerate(comps):
+        row = [0]
+        for c in chi:
+            row = [p + a * c for p in row for a in steps]
+        bit = 1 << k
+        codes = [code | bit if p == 0 else code | negative if p < 0 else code
+                 for code, p in zip(codes, row)]
+    faces: dict[int, tuple[RepVector | None, bool]] = {}
+    for code in dict.fromkeys(codes):
+        if code & negative:
+            faces[code] = None, False
             continue
-        face = faces.get(zero)
-        if face is None:
-            val = limit(lam, gamma)
-            face = faces[zero] = val, origin_in_relint(support(val)).inside
-        entries.append(SurveyEntry(lam, *face))
+        zero = {chi: c for k, (chi, c) in enumerate(comps.items()) if code >> k & 1}
+        val = RepVector(rep.rank, zero)
+        faces[code] = val, origin_in_relint(support(val)).inside
+    entries = [SurveyEntry(lam, val, ss) for lam, (val, ss) in zip(lams, map(faces.get, codes))]
     return LimitSurvey(box, rep.rank, entries)

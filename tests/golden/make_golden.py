@@ -19,6 +19,7 @@ from pathlib import Path
 from jkvkit import oracles
 from jkvkit.cli import main
 from jkvkit.gln import jkv_gln
+from jkvkit.intlinalg import pairing
 from jkvkit.oracles import FuzzConfig
 from jkvkit.ratlinalg import qinverse, qmul
 from jkvkit.serialize import (
@@ -28,7 +29,7 @@ from jkvkit.serialize import (
     torus_problem_to_json,
     vector_to_json,
 )
-from jkvkit.torus import GroupElement, act, limit_survey, vec_sub
+from jkvkit.torus import GroupElement, RepVector, act, limit_survey, vec_add, vec_sub
 
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
@@ -64,6 +65,18 @@ def _torus_files(name: str, rank: int, finite: bool) -> dict[str, object]:
     }
     files[f"{name}-dec.json"] = dec
     files[f"{name}-dec-zero.json"] = dict(dec, cocharacter=[0] * rep.rank)
+    if name == "t2":
+        # s also gets a component at the first module weight outside supp v
+        # that the cocharacter fixes, and n = v - s keeps the sum right
+        dims = rep.dims()
+        off = next(
+            chi for chi in sorted(dims)
+            if chi not in v.components and pairing(entry.cocharacter, chi) == 0
+        )
+        s = vec_add(entry.value, RepVector(rep.rank, {off: (1,) * dims[off]}))
+        files[f"{name}-dec-offsupport.json"] = dict(
+            dec, s=vector_to_json(s), n=vector_to_json(vec_sub(v, s))
+        )
     return files
 
 
@@ -117,6 +130,13 @@ def _torus_cases(name: str, rank: int) -> dict[str, list[str]]:
     }
     if rank == 3:  # box 2 is the survey the cli-files benchmark prints
         cases[f"{name}-survey-box2"] = ["survey", "torus", "--file", f, "--box", "2"]
+    if name == "t2":
+        cases[f"{name}-certify-offsupport"] = [
+            "certify-jkv", "torus", "--file", f,
+            "--decomposition", f"{{inputs}}/{name}-dec-offsupport.json",
+        ]
+    if name == "t2w":  # box 3 is the survey the jkv-survey suite runs
+        cases[f"{name}-survey-box3"] = ["survey", "torus", "--file", f, "--box", "3"]
     return cases
 
 

@@ -33,7 +33,7 @@ from jkvkit.torus import (
     vec_sub,
     zero_vector,
 )
-from jkvkit.torus import _box_iter, _transfers
+from jkvkit.torus import _box_iter, _constructive_parts, _transfers
 
 F = Fraction
 
@@ -500,6 +500,160 @@ def test_limit_survey_matches_limit_and_relint_per_cocharacter():
             assert shared.setdefault(zero, e.value) is e.value
         assert len(shared) < len(entries)
     assert finite >= 3
+
+
+def _draw_module(data, max_rank):
+    """A module and a vector in it: either a seeded sampler instance (with a
+    finite part about half the time) or drawn weights, then sometimes with
+    a zero weight in the support or a single-weight support."""
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 10_000)))
+        finite = data.draw(st.booleans())
+        while True:
+            rep, gamma = sample_torus_instance(rng, FuzzConfig(max_rank=max_rank))
+            if (rep.finite is not None) == finite:
+                return rep, gamma
+    rank = data.draw(st.integers(0, max_rank))
+    weights = data.draw(st.sets(st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        weights.add((0,) * rank)
+    rep = TorusRep(rank, tuple((chi, data.draw(st.integers(1, 2))) for chi in sorted(weights)))
+    coord = st.integers(-3, 3).filter(bool)
+    if data.draw(st.booleans()):
+        chosen = [data.draw(st.sampled_from(sorted(weights)))]
+    else:
+        chosen = [chi for chi in sorted(weights) if data.draw(st.booleans())]
+    dims = rep.dims()
+    return rep, rv(rank, {chi: tuple(F(data.draw(coord)) for _ in range(dims[chi])) for chi in chosen})
+
+
+def _survey_by_limit(rep, gamma, box):
+    """The survey as one `limit` and one `origin_in_relint` call per
+    cocharacter: (cocharacter, value, semisimple) in box order."""
+    out = []
+    for lam in _box_iter(rep.rank, box):
+        val = limit(lam, gamma)
+        out.append((lam, val, val is not None and origin_in_relint(support(val)).inside))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_limit_survey_matches_the_per_cocharacter_loop(data):
+    import jkvkit.torus as torus_mod
+
+    rep, gamma = _draw_module(data, 4)
+    box = data.draw(st.integers(1, 3))
+    expected = _survey_by_limit(rep, gamma, box)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus_mod, "origin_in_relint", lambda w: calls.append(w) or origin_in_relint(w))
+        entries = limit_survey(rep, gamma, box).entries
+    assert [(e.cocharacter, e.value, e.semisimple) for e in entries] == expected
+    shared = {}
+    for e in entries:
+        if e.value is not None:
+            zero = frozenset(chi for chi in gamma.components if pairing(e.cocharacter, chi) == 0)
+            assert shared.setdefault(zero, e.value) is e.value
+    assert len(calls) == len(shared)
+
+
+def _certifier_by_limit(rep, gamma, s, n):
+    """jkv_certifier with fixes_s, the witness test and `limit(lam, gamma)
+    == s` each pairing lam with the weights on every call."""
+    import jkvkit.torus as torus_mod
+
+    stabilizers = []
+    if rep.finite is not None:
+        stabilizers = sorted(_transfers(rep, gamma, gamma), key=lambda g: g.finite_index)
+    sums = vec_add(s, n) == gamma
+    semisimple = is_semisimple(s).inside
+    supp_s = support(s)
+    in_support = set(supp_s.points) <= set(gamma.components)
+    checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
+    stabilizer = in_support and all(ok for _, ok in checks)
+
+    def certify(lam):
+        fixes_s = all(pairing(lam, chi) == 0 for chi in supp_s.points)
+        if fixes_s and all(pairing(lam, chi) >= 1 for chi in n.components):
+            nilp, witness = True, lam
+        else:
+            nilp, witness = torus_mod.is_nilpotent(n, supp_s)
+        clauses = {
+            "sum": sums,
+            "semisimple": semisimple,
+            "fixes_s": fixes_s,
+            "limit": limit(lam, gamma) == s,
+            "support": in_support,
+            "nilpotent": nilp,
+            "stabilizer": stabilizer,
+        }
+        return all(clauses.values()), clauses, witness, checks
+
+    return certify
+
+
+def _draw_vector(data, rep):
+    """Small integer components at some of the module weights."""
+    dims = rep.dims()
+    chosen = [chi for chi in sorted(dims) if data.draw(st.booleans())]
+    return rv(rep.rank, {chi: tuple(F(data.draw(st.integers(-2, 2))) for _ in range(dims[chi]))
+                         for chi in chosen})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certifier_matches_the_per_call_limit_certifier(data):
+    """(s, n, lam) drawn with s or n off supp gamma, s not a projection of
+    gamma, wrong sums, negative pairings and lam = 0."""
+    import jkvkit.torus as torus_mod
+
+    rep, gamma = _draw_module(data, 3)
+    mode = data.draw(st.sampled_from(["constructive", "projection", "off-support", "random"]))
+    if mode == "constructive":
+        s, n, lam = _constructive_parts(rep, gamma)
+    else:
+        keep = [chi for chi in gamma.components if data.draw(st.booleans())]
+        s = rv(rep.rank, {chi: gamma.components[chi] for chi in keep})
+        if mode == "off-support":
+            s = vec_add(s, _draw_vector(data, rep))
+        elif mode == "random":
+            s = _draw_vector(data, rep)
+        n = vec_sub(gamma, s)
+        if data.draw(st.booleans()):
+            n = vec_add(n, _draw_vector(data, rep))
+        lam = data.draw(st.tuples(*[st.integers(-2, 2)] * rep.rank))
+    lams = [lam, (0,) * rep.rank, tuple(-a for a in lam)]
+    reports = {}
+    for name, make in (("reference", _certifier_by_limit), ("certifier", jkv_certifier)):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            original = torus_mod.is_nilpotent
+            mp.setattr(torus_mod, "is_nilpotent", lambda *a: calls.append(a) or original(*a))
+            certify = make(rep, gamma, s, n)
+            reports[name] = [certify(mu) for mu in lams], len(calls)
+    got, got_calls = reports["certifier"]
+    expected, expected_calls = reports["reference"]
+    assert [(r.ok, r.clauses, r.nilpotent_witness, r.stabilizer_checks) for r in got] == expected
+    assert got_calls == expected_calls
+    with pytest.raises(ValueError):
+        jkv_certifier(rep, gamma, s, n)(lam + (0,))
+
+
+def test_jkv_survey_never_takes_a_limit_or_a_zero_set(monkeypatch):
+    """The survey reads every limit off its pairing rows and the certifier
+    reads the limit clause off its one pairing per weight."""
+    import jkvkit.suites as suites
+    import jkvkit.torus as torus_mod
+
+    calls = []
+    for name in ("limit", "_zero_set"):
+        original = getattr(torus_mod, name)
+        monkeypatch.setattr(
+            torus_mod, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    report = suites.run_suite("jkv-survey", FuzzConfig(seed=0, count=30, max_rank=3))
+    assert report.passed and calls == []
 
 
 def test_pure_torus_rigidity():
