@@ -75,12 +75,6 @@ def qmul(a: QMat, b: QMat) -> QMat:
     return tuple(tuple(Fraction(sum(map(mul, row, col)), s * t) for col in cols) for row in ra)
 
 
-def qmat_vec(a: QMat, v: QVec) -> QVec:
-    ra, s = int_form(a)
-    iv, t = scaled(v)
-    return tuple(Fraction(sum(map(mul, row, iv)), s * t) for row in ra)
-
-
 def is_zero_mat(a: QMat) -> bool:
     return all(x == 0 for row in a for x in row)
 

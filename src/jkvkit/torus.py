@@ -31,7 +31,7 @@ from .polytope import (
     origin_in_relint,
 )
 from .rationals import factorize_fraction
-from .ratlinalg import QMat, int_form, qmat_vec
+from .ratlinalg import QMat, int_form, scaled
 from . import intlinalg
 
 
@@ -76,11 +76,17 @@ class FiniteGroup:
         object.__setattr__(self, "identity", ident)
 
 
+# One finite element's action, validated: weight -> (its image under the
+# lattice map, the block times c as int rows, c).
+_Action = dict[IntVec, tuple[IntVec, list[list[int]], int]]
+
+
 @dataclass(frozen=True)
 class TorusRep:
     rank: int
     weight_spaces: tuple[tuple[IntVec, int], ...]
     finite: FiniteGroup | None = None
+    _actions: tuple[_Action, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ws = tuple((tuple(int(x) for x in chi), int(d)) for chi, d in self.weight_spaces)
@@ -92,8 +98,8 @@ class TorusRep:
             raise ProblemFormatError("weights must be pairwise distinct")
         if any(d < 1 for _, d in ws):
             raise ProblemFormatError("weight space dimensions must be positive")
-        if self.finite is not None:
-            _validate_finite_group(self)
+        actions = () if self.finite is None else _validate_finite_group(self)
+        object.__setattr__(self, "_actions", actions)
 
     def dims(self) -> dict[IntVec, int]:
         return dict(self.weight_spaces)
@@ -102,12 +108,13 @@ class TorusRep:
         return tuple(chi for chi, _ in self.weight_spaces)
 
 
-def _validate_finite_group(rep: TorusRep):
+def _validate_finite_group(rep: TorusRep) -> tuple[_Action, ...]:
+    """The action of every finite element, in element order, once the group
+    is checked to act by invertible blocks compatibly with its table."""
     grp = rep.finite
     dims = rep.dims()
     weights = set(dims)
-    images = []  # per element: chi -> its image under the lattice action
-    scaled = []  # per element: chi -> (B, c), its block times c, as int rows
+    actions = []
     for el in grp.elements:
         if not is_unimodular(el.lattice):
             raise ProblemFormatError("lattice action must be unimodular")
@@ -116,16 +123,16 @@ def _validate_finite_group(rep: TorusRep):
             raise ProblemFormatError("lattice action must permute the weight set")
         if set(el.blocks) != weights:
             raise ProblemFormatError("block maps must cover exactly the weight set")
-        blocks = {}
+        action = {}
         for chi, block in el.blocks.items():
             tgt = image[chi]
             if len(block) != dims[tgt] or any(len(r) != dims[chi] for r in block):
                 raise ProblemFormatError("block map shape mismatch")
-            blocks[chi] = int_form(block)
-            if dims[tgt] != dims[chi] or intlinalg.det(blocks[chi][0]) == 0:
+            b, c = int_form(block)
+            if dims[tgt] != dims[chi] or intlinalg.det(b) == 0:
                 raise ProblemFormatError("block maps must be invertible")
-        images.append(image)
-        scaled.append(blocks)
+            action[chi] = tgt, b, c
+        actions.append(action)
     # Compositional consistency with the table: blocks of a product factor
     # through the blocks of the factors.  (A / a)(B / b) = C / c exactly
     # when A B c = C a b.
@@ -135,11 +142,12 @@ def _validate_finite_group(rep: TorusRep):
             k = t[i][j]
             if intlinalg.mat_mul(gi.lattice, gj.lattice) != grp.elements[k].lattice:
                 raise ProblemFormatError("lattice actions do not respect the table")
-            for chi, mid in images[j].items():
-                (a, ca), (b, cb), (c, cc) = scaled[i][mid], scaled[j][chi], scaled[k][chi]
+            for chi, (mid, b, cb) in actions[j].items():
+                (_, a, ca), (_, c, cc) = actions[i][mid], actions[k][chi]
                 lhs = [[v * cc for v in row] for row in intlinalg.mat_mul(a, b)]
                 if lhs != [[v * ca * cb for v in row] for row in c]:
                     raise ProblemFormatError("block maps do not respect the table")
+    return tuple(actions)
 
 
 @dataclass
@@ -160,6 +168,16 @@ class RepVector:
 
     def is_zero(self) -> bool:
         return not self.components
+
+
+def _normalized(rank: int, components: dict[IntVec, tuple[Fraction, ...]]) -> RepVector:
+    """A RepVector over components already in normal form (int weights of
+    the given rank, Fraction coordinates, no all-zero component), which
+    __post_init__ would leave unchanged."""
+    v = object.__new__(RepVector)
+    v.rank = rank
+    v.components = components
+    return v
 
 
 @dataclass(frozen=True)
@@ -203,7 +221,7 @@ def chi_eval(torus: tuple[Fraction, ...], chi: IntVec) -> Fraction:
     """Value of the character chi on a torus point."""
     out = Fraction(1)
     for a, e in zip(torus, chi):
-        if e:
+        if e and a != 1:
             out *= a**e
     return out
 
@@ -219,12 +237,27 @@ def validate_vector(rep: TorusRep, v: RepVector):
             raise ProblemFormatError(f"component dimension mismatch at weight {chi}")
 
 
-def _finite_element(rep: TorusRep, g: GroupElement) -> FiniteElement | None:
+def _finite_element(rep: TorusRep, g: GroupElement) -> _Action | None:
+    """The action of g's finite element, or None when g has no finite part."""
     if g.finite_index is None:
         return None
     if rep.finite is None:
         raise ValueError("group element references an absent finite part")
-    return rep.finite.elements[g.finite_index]
+    if g.finite_index not in range(len(rep.finite.elements)):
+        raise ValueError(f"finite index {g.finite_index} is outside the group")
+    return rep._actions[g.finite_index]
+
+
+def _move(action: _Action, v: RepVector) -> RepVector:
+    """v moved by one finite element: each component carried to its image
+    weight and multiplied by its block.  v must be validated."""
+    out = {}
+    for chi, coords in v.components.items():
+        tgt, block, c = action[chi]
+        iv, t = scaled(coords)
+        d = c * t
+        out[tgt] = tuple(Fraction(sum(map(mul, row, iv)), d) for row in block)
+    return _normalized(v.rank, out)
 
 
 def act(rep: TorusRep, g: GroupElement, v: RepVector) -> RepVector:
@@ -232,18 +265,17 @@ def act(rep: TorusRep, g: GroupElement, v: RepVector) -> RepVector:
     validate_vector(rep, v)
     if len(g.torus) != rep.rank:
         raise ValueError("torus rank mismatch")
-    el = _finite_element(rep, g)
-    out: dict[IntVec, tuple[Fraction, ...]] = {}
-    for chi, coords in v.components.items():
-        if el is not None:
-            tgt = mat_vec(el.lattice, chi)
-            coords = qmat_vec(el.blocks[chi], coords)
-        else:
-            tgt = chi
-        factor = chi_eval(g.torus, tgt)
-        out[tgt] = tuple(factor * c for c in coords)
-    require(len(out) == len(v.components), "the finite part must move weights to distinct weights")
-    return RepVector(v.rank, out)
+    action = _finite_element(rep, g)
+    moved = v if action is None else _move(action, v)
+    require(
+        len(moved.components) == len(v.components),
+        "the finite part must move weights to distinct weights",
+    )
+    out = {}
+    for chi, coords in moved.components.items():
+        factor = chi_eval(g.torus, chi)
+        out[chi] = coords if factor == 1 else tuple(factor * c for c in coords)
+    return _normalized(v.rank, out)
 
 
 def limit(lam: IntVec, v: RepVector) -> RepVector | None:
@@ -384,8 +416,11 @@ def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
     """Every group element carrying v to target that some finite element
     admits, one per finite element (identity first), each verified by `act`.
 
-    Per weight the moved and target components must be parallel, and the
-    resulting ratio system is solved multiplicatively over the rationals.
+    v, which must be validated, is moved by each element's action.  Per
+    weight the moved and target components must be parallel, and the
+    resulting ratio system is solved multiplicatively over the rationals;
+    a moved vector that already equals the target takes the torus part
+    (1, ..., 1), the solution of the all-one ratios.
     """
     if rep.finite is None:
         order = [None]
@@ -393,17 +428,19 @@ def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
         ident = rep.finite.identity
         order = [ident] + [i for i in range(len(rep.finite.elements)) if i != ident]
     ones = (Fraction(1),) * rep.rank
-    tgt_support = support(target)
     for idx in order:
-        moved = act(rep, GroupElement(ones, idx), v)
-        if support(moved) != tgt_support:
+        moved = v if idx is None else _move(rep._actions[idx], v)
+        if moved.components.keys() != target.components.keys():
             continue
-        ratios = _component_ratios(moved, target)
-        if ratios is None:
-            continue
-        a = solve_multiplicative(rep.rank, ratios)
-        if a is None:
-            continue
+        if moved.components == target.components:
+            a = ones
+        else:
+            ratios = _component_ratios(moved, target)
+            if ratios is None:
+                continue
+            a = solve_multiplicative(rep.rank, ratios)
+            if a is None:
+                continue
         g = GroupElement(a, idx)
         require(act(rep, g, v) == target, "the transfer must carry v to the target")
         yield g
@@ -515,9 +552,10 @@ def _constructive_parts(rep: TorusRep, gamma: RepVector):
     return s, vec_sub(gamma, s), face.supporter
 
 
-# The most cocharacters one box sweep may visit.  A survey keeps an entry
-# per cocharacter, so an unbounded box would run until memory runs out; the
-# sweeps in use stay far below (box 3 at rank 4 is 2,401).
+# The most cocharacters one box sweep may visit.  A survey keeps a code
+# (and, once read, an entry) per cocharacter, so an unbounded box would run
+# until memory runs out; the sweeps in use stay far below (box 3 at rank 4
+# is 2,401).
 BOX_BUDGET = 100_000
 
 
@@ -581,12 +619,36 @@ class SurveyEntry:
 
 @dataclass
 class LimitSurvey:
+    """One code per box cocharacter, in lexicographic order, and per code
+    the (value, semisimple) face.  Entries are built when first read; an
+    assigned entry list replaces them."""
+
     box: int
     rank: int
-    entries: list[SurveyEntry]
+    codes: list[int]
+    faces: dict[int, tuple[RepVector | None, bool]]
+    _entries: list[SurveyEntry] | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def entries(self) -> list[SurveyEntry]:
+        if self._entries is None:
+            lams = _box_iter(self.rank, self.box)
+            faces = map(self.faces.get, self.codes)
+            self._entries = [SurveyEntry(lam, *face) for lam, face in zip(lams, faces)]
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries: list[SurveyEntry]):
+        self._entries = entries
 
     def semisimple_entries(self) -> list[SurveyEntry]:
-        return [e for e in self.entries if e.semisimple]
+        if self._entries is not None:
+            return [e for e in self._entries if e.semisimple]
+        ss = {code: val for code, (val, ok) in self.faces.items() if ok}
+        lams = _box_iter(self.rank, self.box)
+        return [
+            SurveyEntry(lam, ss[code], True) for lam, code in zip(lams, self.codes) if code in ss
+        ]
 
 
 def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
@@ -599,12 +661,13 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
     pairs negatively (no limit).  A limit is the projection of gamma onto
     the zero-pairing weights, so the value and its relint verdict are
     computed once per distinct code: every entry with that zero set holds
-    the same RepVector object, which must therefore not be mutated.
+    the same RepVector object, which must therefore not be mutated.  The
+    survey keeps the codes; its entries are built when they are read.
     """
     if box < 1:
         raise ProblemFormatError("box bound must be >= 1")
     validate_vector(rep, gamma)
-    lams = _box_iter(rep.rank, box)
+    _box_iter(rep.rank, box)  # the budget check, before any work
     comps = gamma.components
     steps = range(-box, box + 1)
     negative = 1 << len(comps)
@@ -622,7 +685,6 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
             faces[code] = None, False
             continue
         zero = {chi: c for k, (chi, c) in enumerate(comps.items()) if code >> k & 1}
-        val = RepVector(rep.rank, zero)
+        val = _normalized(rep.rank, zero)
         faces[code] = val, origin_in_relint(support(val)).inside
-    entries = [SurveyEntry(lam, val, ss) for lam, (val, ss) in zip(lams, map(faces.get, codes))]
-    return LimitSurvey(box, rep.rank, entries)
+    return LimitSurvey(box, rep.rank, codes, faces)

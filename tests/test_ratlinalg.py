@@ -11,7 +11,6 @@ from jkvkit.ratlinalg import (
     qdet,
     qinverse,
     qmat,
-    qmat_vec,
     qmul,
 )
 
@@ -28,10 +27,6 @@ def _ref_qmul(a, b):
         return ()
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def _ref_qmat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def _ref_qdet(a):
@@ -150,15 +145,12 @@ def _all_fractions(value):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_qmul_and_qmat_vec_match_reference(data):
+def test_qmul_matches_reference(data):
     n = data.draw(st.integers(1, 4))
     a = data.draw(matrices(cols=st.just(n)))
     b = data.draw(matrices(rows=st.just(n)))
     out = qmul(a, b)
     assert out == _ref_qmul(a, b) and _all_fractions(out)
-    v = data.draw(st.tuples(*[_entries] * n))
-    out = qmat_vec(a, v)
-    assert out == _ref_qmat_vec(a, v) and _all_fractions(out)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +40,7 @@ from jkvkit.torus import (
 from jkvkit.torus import _box_iter, _constructive_parts, _transfers
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def rep1(finite=None):
@@ -461,6 +466,193 @@ def test_same_orbit_nonparallel_blocks():
     w2 = rv(1, {(1,): (F(3), F(0))})
     g = same_orbit(rep, v, w2)
     assert g is not None and act(rep, g, v) == w2
+
+
+def test_act_rejects_a_finite_index_outside_the_group():
+    rep = swap_rep()
+    v = rv(2, {(1, 0): (F(2),)})
+    for idx in (-1, 2):
+        with pytest.raises(ValueError, match="outside the group"):
+            act(rep, GroupElement((F(1), F(1)), idx), v)
+    assert act(rep, GroupElement((F(1), F(1)), 1), v) == rv(2, {(0, 1): (F(2),)})
+
+
+def _act_by_reference(rep, g, v):
+    """act per component: the lattice map, the block times the coordinates
+    in Fractions, then the character value at the torus part."""
+    from jkvkit.intlinalg import mat_vec
+    from jkvkit.torus import chi_eval
+
+    out = {}
+    for chi, coords in v.components.items():
+        tgt, moved = chi, coords
+        if g.finite_index is not None:
+            el = rep.finite.elements[g.finite_index]
+            tgt = mat_vec(el.lattice, chi)
+            moved = tuple(sum(F(x) * y for x, y in zip(row, coords)) for row in el.blocks[chi])
+        factor = chi_eval(g.torus, tgt)
+        out[tgt] = tuple(factor * c for c in moved)
+    return RepVector(v.rank, out)
+
+
+def _transfers_through_act(rep, v, target):
+    """_transfers as a loop that moves v by act at the all-ones torus point
+    and solves every ratio system, all-one ratios included."""
+    from jkvkit.torus import _component_ratios
+
+    order = [None]
+    if rep.finite is not None:
+        ident = rep.finite.identity
+        order = [ident] + [i for i in range(len(rep.finite.elements)) if i != ident]
+    for idx in order:
+        moved = act(rep, GroupElement((1,) * rep.rank, idx), v)
+        if support(moved) != support(target):
+            continue
+        ratios = _component_ratios(moved, target)
+        a = None if ratios is None else solve_multiplicative(rep.rank, ratios)
+        if a is not None:
+            assert act(rep, GroupElement(a, idx), v) == target
+            yield GroupElement(a, idx)
+
+
+def _finite_instances(rng, count):
+    """count finite-group modules with a vector each: sampled instances
+    and rotation groups, the latter with random vectors."""
+    out = []
+    while len(out) < count - 4:
+        rep, v = sample_torus_instance(rng, FuzzConfig(max_rank=3))
+        if rep.finite is not None:
+            out.append((rep, v))
+    for _ in range(4):
+        spaces, grp = _rotation_group(rng)
+        rep = TorusRep(2, spaces, grp)
+        out.append((rep, rv(2, {chi: (F(rng.randint(-3, 3)),) for chi, _ in spaces})))
+    return out
+
+
+def test_act_by_the_action_table_matches_the_reference():
+    from jkvkit.oracles import random_nonzero_fraction
+
+    rng = random.Random(26)
+    for rep, v in _finite_instances(rng, 40):
+        for idx in [None, *range(len(rep.finite.elements))]:
+            torus = tuple(random_nonzero_fraction(rng, 5) for _ in range(rep.rank))
+            for g in (GroupElement(torus, idx), GroupElement((1,) * rep.rank, idx)):
+                got = act(rep, g, v)
+                assert got == _act_by_reference(rep, g, v)
+                assert all(type(c) is Fraction for t in got.components.values() for c in t)
+                assert all(any(t) for t in got.components.values())
+
+
+def test_transfers_match_the_loop_through_act():
+    """The stabilizers of v and the witnesses of same_orbit are those of the
+    loop that moves by act and solves every ratio system, and the equal
+    case never solves."""
+    import jkvkit.torus as torus_mod
+    from jkvkit.oracles import random_nonzero_fraction
+
+    rng = random.Random(2026)
+    solved = []
+    for rep, v in _finite_instances(rng, 40):
+        stabilizers = sorted(_transfers(rep, v, v), key=lambda g: g.finite_index)
+        assert stabilizers == sorted(_transfers_through_act(rep, v, v), key=lambda g: g.finite_index)
+        idx = rng.randrange(len(rep.finite.elements))
+        torus = tuple(random_nonzero_fraction(rng, 5) for _ in range(rep.rank))
+        w = act(rep, GroupElement(torus, idx), v)
+        doubled_first = RepVector(v.rank, {chi: (2 * c[0], *c[1:]) for chi, c in v.components.items()})
+        for target in (v, w, doubled_first):
+            assert same_orbit(rep, v, target) == next(_transfers_through_act(rep, v, target), None)
+        with pytest.MonkeyPatch.context() as mp:
+            solve = torus_mod.solve_multiplicative
+            mp.setattr(torus_mod, "solve_multiplicative", lambda *a: solved.append(a) or solve(*a))
+            list(_transfers(rep, v, v))
+    assert all(any(q != 1 for q in ratios.values()) for _, ratios in solved)
+
+
+@pytest.mark.parametrize("fault", ["solve", "table"])
+def test_a_wrong_transfer_fails_its_recheck_under_python_O(fault):
+    """same_orbit re-checks every transfer with act.  A wrong torus point
+    from solve_multiplicative, or a search that moves v by a corrupted
+    table block while act reads the validated one, raises
+    CertificateError with asserts stripped."""
+    script = (
+        "from fractions import Fraction as F\n"
+        "from jkvkit import torus\n"
+        "from jkvkit.checks import CertificateError\n"
+        "assert False, 'asserts must be stripped'\n"
+        "one = ((F(1),),)\n"
+        "ident = torus.FiniteElement(((1, 0), (0, 1)), {(1, 0): one, (0, 1): one})\n"
+        "swap = torus.FiniteElement(((0, 1), (1, 0)), {(1, 0): one, (0, 1): one})\n"
+        "group = torus.FiniteGroup((ident, swap), ((0, 1), (1, 0)))\n"
+        "rep = torus.TorusRep(2, (((1, 0), 1), ((0, 1), 1)), group)\n"
+        "v = torus.RepVector(2, {(1, 0): (F(1),), (0, 1): (F(2),)})\n"
+        "target = v\n"
+        f"if {fault!r} == 'solve':\n"
+        "    solve = torus.solve_multiplicative\n"
+        "    torus.solve_multiplicative = lambda r, q: tuple(2 * a for a in solve(r, q))\n"
+        "    target = torus.act(rep, torus.GroupElement((F(3), F(5)), 1), v)\n"
+        "else:\n"
+        "    table = rep._actions\n"
+        "    bad = tuple({chi: (t, [[2 * x for x in row] for row in b], c)\n"
+        "                 for chi, (t, b, c) in action.items()} for action in table)\n"
+        "    object.__setattr__(rep, '_actions', bad)\n"
+        "    torus._finite_element = lambda rep, g: table[g.finite_index]\n"
+        "try:\n"
+        "    torus.same_orbit(rep, v, target)\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "the transfer must carry v to the target\n", ""
+    )
+
+
+def test_survey_entries_are_built_on_demand():
+    """semisimple_entries() is the semisimple part of entries, read before
+    or after entries, and entries with one zero set share one value."""
+    rng = random.Random(59)
+    for _ in range(20):
+        rep, gamma = sample_torus_instance(rng, FuzzConfig(max_rank=3))
+        early = limit_survey(rep, gamma, 2)
+        first = early.semisimple_entries()
+        late = limit_survey(rep, gamma, 2)
+        entries = late.entries
+        assert late.entries is entries
+        assert first == late.semisimple_entries() == [e for e in entries if e.semisimple]
+        assert first == [e for e in early.entries if e.semisimple]
+        fresh = limit_survey(rep, gamma, 2)
+        shared = {}
+        for e in [*fresh.semisimple_entries(), *fresh.entries]:
+            if e.value is not None:
+                zero = frozenset(e.value.components)
+                assert shared.setdefault(zero, e.value) is e.value
+
+
+def test_assigned_survey_entries_are_what_semisimple_entries_reads():
+    from jkvkit.torus import SurveyEntry
+
+    survey = limit_survey(rep1(), rv(1, {(0,): (F(1),), (1,): (F(1),)}), 2)
+    planted = [SurveyEntry((-2,), None, False), SurveyEntry((2,), zero_vector(1), True)]
+    survey.entries = planted
+    assert survey.entries is planted and survey.semisimple_entries() == planted[1:]
+
+
+def test_jkv_survey_builds_entries_only_for_semisimple_codes(monkeypatch):
+    import jkvkit.suites as suites
+    import jkvkit.torus as torus_mod
+
+    built = []
+    entry = torus_mod.SurveyEntry
+    monkeypatch.setattr(torus_mod, "SurveyEntry", lambda *a: built.append(a[2]) or entry(*a))
+    report = suites.run_suite("jkv-survey", FuzzConfig(seed=0, count=30, max_rank=3))
+    assert report.passed and built and all(built)
 
 
 def test_limit_survey_examples():
