@@ -15,14 +15,14 @@ fraction-free reduction of integer rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 
 from . import intlinalg, polys
 from .checks import CertificateError, ProblemFormatError, require
-from .intlinalg import fraction_free_rref, identity, int_kernel, inverse, mat_mul, primitive
+from .intlinalg import det, fraction_free_rref, identity, int_kernel, inverse, mat_mul, primitive
 from .polys import (
     Poly,
     degree,
@@ -57,23 +57,25 @@ _WITNESS_SEED = 0x5EED
 class GLnCocharacter:
     """t |-> g diag(t^a_1, ..., t^a_n) g^-1, held in integer form.
 
-    g_int is G = g times g_den, the lcm of g's denominators.
-    ``intlinalg.inverse`` checks that G is invertible and gives inv_int =
-    inv_den * G^-1, both integer.  The exponents are sorted descending, the
-    columns of g reordered to match.  The rational g and g^-1 are built
-    from these on first read; only a limit or Levi part that exists, or a
-    caller outside the conjugation path, reads them.
+    g_int is G = g times g_den, the lcm of g's denominators, and each
+    exponent must be an integer (``operator.index``).  The exponents are
+    sorted descending, the columns of g reordered to match.  Construction
+    checks only det G != 0 (``intlinalg.det``); G is not inverted, because
+    most cocharacters a limit search draws are rejected without the inverse
+    (see ``_limit``).  inv_int = inv_den * G^-1, both integer, and the
+    rational g and g^-1 are built on first read.
     """
 
     g_int: tuple[tuple[int, ...], ...]
     g_den: int
     exponents: tuple[int, ...]
-    inv_int: tuple[tuple[int, ...], ...] = field(compare=False)
-    inv_den: int = field(compare=False)
 
     def __init__(self, g, exponents):
         gi, c = int_form(g)
-        exps = tuple(map(int, exponents))
+        try:
+            exps = tuple(map(index, exponents))
+        except TypeError:
+            raise ProblemFormatError("exponents must be integers") from None
         n = len(gi)
         if any(len(r) != n for r in gi):
             raise ProblemFormatError("g must be a square matrix")
@@ -85,18 +87,29 @@ class GLnCocharacter:
             order = sorted(range(n), key=lambda j: (-exps[j], j))
             gi = [[row[j] for j in order] for row in gi]
             exps = tuple(exps[j] for j in order)
-        inv = inverse(gi)
-        if inv is None:
+        if det(gi) == 0:
             raise ProblemFormatError("matrix is singular")
-        d, inv_rows = inv
         object.__setattr__(self, "g_int", tuple(map(tuple, gi)))
         object.__setattr__(self, "g_den", c)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "inv_int", tuple(map(tuple, inv_rows)))
-        object.__setattr__(self, "inv_den", d)
 
     def __repr__(self) -> str:
         return f"GLnCocharacter(g={self.g!r}, exponents={self.exponents!r})"
+
+    @cached_property
+    def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        inv = inverse(self.g_int)
+        require(inv is not None, "a matrix with nonzero determinant has an inverse")
+        d, rows = inv
+        return d, tuple(map(tuple, rows))
+
+    @property
+    def inv_den(self) -> int:
+        return self._inverse[0]
+
+    @property
+    def inv_int(self) -> tuple[tuple[int, ...], ...]:
+        return self._inverse[1]
 
     @cached_property
     def g(self) -> QMat:
@@ -118,42 +131,44 @@ def central_cocharacter(n: int) -> GLnCocharacter:
     return GLnCocharacter(identity(n), (0,) * n)
 
 
-def _in_basis(lam: GLnCocharacter, xi: list[list[int]]):
-    """X = xi in lam's basis, entry by entry: entry(i, j) is entry (i, j) of
-    H X G, with G = lam.g_int and H = lam.inv_int, which is lam.inv_den
-    times G^-1 X G.  Column j of X G is formed the first time an entry of
-    column j is read, and kept; each entry then costs one dot product, so a
-    limit try rejected at its first entry forms one column, not n."""
-    n = lam.n
-    if len(xi) != n or any(len(r) != n for r in xi):
-        raise ValueError("shape mismatch in matrix product")
-    h, g_cols = lam.inv_int, tuple(zip(*lam.g_int))
-    xg_cols = [None] * n
-
-    def entry(i, j):
-        col = xg_cols[j]
-        if col is None:
-            col = xg_cols[j] = [sum(map(mul, row, g_cols[j])) for row in xi]
-        return sum(map(mul, h[i], col))
-
-    return entry
-
-
 def _limit(lam: GLnCocharacter, xi: list[list[int]], c: int) -> QMat | None:
     """The limit of lam(t) x lam(t)^-1 as t -> 0 for x = xi / c, or None.
 
-    In lam's basis x is y = H X G / (d c) (``_in_basis``, d = lam.inv_den).
-    The (i, j) entry of y scales by t^(a_i - a_j), so the limit exists iff
-    every negative-weight entry vanishes; they are tested one at a time, so
-    a rejected lam stops at the first nonzero one.  The limit is the
-    weight-zero part Y0 conjugated back, G Y0 H / (d^2 c).
+    In lam's basis x is y = G^-1 X G / c, X = xi and G = lam.g_int.  The
+    (i, j) entry of y scales by t^(a_i - a_j), so the limit exists iff
+    every negative-weight entry (a_i < a_j) vanishes.  Until lam's inverse
+    is formed, each such entry is tested by Cramer's rule: entry (i, j) of
+    G^-1 X G is det(G with column i replaced by X g_j) / det G, so one
+    integer determinant decides it, and a rejected lam stops at the first
+    nonzero one without inverting G.  A lam that passes forms the inverse,
+    and Y = H X G with H = lam.inv_int = d G^-1 (d = lam.inv_den) must then
+    have every negative-weight entry zero: a re-check of the determinant
+    verdict.  Once the inverse exists, Y is tested directly.  The limit is
+    the weight-zero part Y0 conjugated back, G Y0 H / (d^2 c).
     """
-    entry = _in_basis(lam, xi)
     n, e = lam.n, lam.exponents
-    # exponents descend, so a_i < a_j only for j < i
-    if any(e[i] < e[j] and entry(i, j) for i in range(n) for j in range(i)):
+    if len(xi) != n or any(len(r) != n for r in xi):
+        raise ValueError("shape mismatch in matrix product")
+    formed = "_inverse" in vars(lam)
+    if not formed:
+        # det(G with column i replaced by v) is det(G^T with row i replaced by v)
+        cols = list(zip(*lam.g_int))
+        for j in range(n):
+            xg = None
+            # exponents descend, so a_i < a_j only for i > j
+            for i in range(j + 1, n):
+                if e[i] < e[j]:
+                    if xg is None:
+                        xg = [sum(map(mul, row, cols[j])) for row in xi]
+                    m = cols.copy()
+                    m[i] = xg
+                    if det(m):
+                        return None
+    y = mat_mul(mat_mul(lam.inv_int, xi), lam.g_int)
+    if any(y[i][j] for j in range(n) for i in range(j + 1, n) if e[i] < e[j]):
+        require(formed, "a limit accepted by determinants has no negative-weight entry")
         return None
-    y0 = [[entry(i, j) if e[i] == e[j] else 0 for j in range(n)] for i in range(n)]
+    y0 = [[v if e[i] == e[j] else 0 for j, v in enumerate(row)] for i, row in enumerate(y)]
     den = lam.inv_den**2 * c
     z = mat_mul(mat_mul(lam.g_int, y0), lam.inv_int)
     return tuple(tuple(Fraction(v, den) for v in row) for row in z)

@@ -1,12 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jkvkit import gln
+from jkvkit import gln, intlinalg
+from jkvkit.checks import ProblemFormatError
 from jkvkit.gln import (
     GLnCocharacter,
     _combination_iter,
@@ -26,7 +31,7 @@ from jkvkit.gln import (
 )
 from jkvkit import oracles
 from jkvkit.intlinalg import identity
-from jkvkit.oracles import charpoly
+from jkvkit.oracles import FuzzConfig, charpoly
 from jkvkit.polys import poly, poly_mul
 from jkvkit.ratlinalg import (
     is_zero_mat,
@@ -38,8 +43,10 @@ from jkvkit.ratlinalg import (
     qmul,
     qzeros,
 )
+from jkvkit.suites import run_suite
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def m(rows):
@@ -92,14 +99,31 @@ def test_cocharacter_integer_form_keeps_the_validation_messages():
     assert lam == GLnCocharacter(lam.g, lam.exponents)
 
 
+def test_cocharacter_rejects_exponents_that_are_not_integers():
+    """Exponents are read with operator.index, so 2.5 or Fraction(5, 2) is
+    refused, not truncated to 2; an integral Fraction or float is refused
+    too, as it is no int."""
+    for exps in [(2.5, 0), (F(5, 2), True), (F(2), 0), (2.0, 0), ("1", 0), (0, None)]:
+        for rows in ([[1, 0], [0, 1]], qidentity(2)):
+            with pytest.raises(ProblemFormatError, match="^exponents must be integers$"):
+                GLnCocharacter(rows, exps)
+    with pytest.raises(ProblemFormatError, match="^exponents must be integers$"):
+        GLnCocharacter([[1]], 3)
+    # any int is read as itself; a bool is an int, as in indexing
+    assert GLnCocharacter(identity(2), (-2, 5)).exponents == (5, -2)
+    assert GLnCocharacter(identity(2), (True, -2)).exponents == (1, -2)
+
+
 def test_cocharacter_inverse_is_lazy_and_outside_equality():
     g = m([[F(1, 2), 3], [-1, F(2, 3)]])
     a = GLnCocharacter(g, (0, 2))
     b = GLnCocharacter(g, (0, 2))
     h = hash(a)
-    assert "g_inv" not in vars(b)
+    assert "_inverse" not in vars(a) and "g_inv" not in vars(b)
     assert b.g_inv == qinverse(b.g)
-    assert "g_inv" in vars(b) and "g_inv" not in vars(a)
+    assert "g_inv" in vars(b) and "g_inv" not in vars(a) and "_inverse" not in vars(a)
+    assert b.inv_int == tuple(tuple(b.inv_den * v for v in row) for row in qinverse(b.g_int))
+    assert repr(a) == repr(b)
     assert a == b and hash(a) == hash(b) == h
     assert len({a, b}) == 1
     rng = random.Random(7)
@@ -111,7 +135,7 @@ def test_cocharacter_inverse_is_lazy_and_outside_equality():
 def test_rejected_limit_tries_build_no_rational_matrix():
     lam = GLnCocharacter([[1, 1], [0, 1]], (0, 1))
     assert conj_limiter(m([[1, 0], [F(1, 2), 1]]))(lam) is None
-    assert "g" not in vars(lam) and "g_inv" not in vars(lam)
+    assert "g" not in vars(lam) and "g_inv" not in vars(lam) and "_inverse" not in vars(lam)
     lam = oracles.sample_gln_cocharacter(random.Random(5), 3)
     assert "g" not in vars(lam) and "g_inv" not in vars(lam)
     assert limit_conj(lam, qidentity(3)) == qidentity(3)
@@ -275,9 +299,11 @@ def test_limiter_keeps_the_shape_errors():
         conj_limiter([[1, 2], [3]])
 
 
-def test_in_basis_entries_equal_the_full_product_in_any_read_order():
-    """Columns of X G are formed as entries ask for them; in whatever order
-    the entries are read, and when read twice, they are those of H X G."""
+def test_cramer_determinants_equal_the_entries_of_the_full_product():
+    """Entry (i, j) of H X G (H = inv_int = inv_den G^-1) times det G is
+    inv_den times det(G with column i replaced by X g_j), Cramer's rule, by
+    which _limit decides a negative-weight entry before G is inverted; on
+    integer rows of the wrong shape _limit keeps its message."""
     rng = random.Random(1968)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -285,26 +311,20 @@ def test_in_basis_entries_equal_the_full_product_in_any_read_order():
         if rng.random() < 0.5:
             lam = GLnCocharacter(_invertible(rng, n), lam.exponents)
         xi = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        h, g = lam.inv_int, lam.g_int
-        want = [
-            [
-                sum(h[i][k] * xi[k][l] * g[l][j] for k in range(n) for l in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        row_major = [(i, j) for i in range(n) for j in range(n)]
-        column_major = [(i, j) for j in range(n) for i in range(n)]
-        for order in (row_major, column_major, row_major[::-1]):
-            entry = gln._in_basis(lam, xi)
-            for _ in range(2):
-                assert [entry(i, j) for i, j in order] == [want[i][j] for i, j in order]
+        g, h, d = lam.g_int, lam.inv_int, lam.inv_den
+        det_g = intlinalg.det(g)
+        for i in range(n):
+            for j in range(n):
+                full = sum(h[i][k] * xi[k][l] * g[l][j] for k in range(n) for l in range(n))
+                xg = [sum(xi[k][l] * g[l][j] for l in range(n)) for k in range(n)]
+                replaced = [[xg[r] if c == i else g[r][c] for c in range(n)] for r in range(n)]
+                assert full * det_g == d * intlinalg.det(replaced)
     empty = central_cocharacter(0)
-    assert callable(gln._in_basis(empty, [])) and limit_conj(empty, ()) == ()
+    assert gln._limit(empty, [], 1) == () and limit_conj(empty, ()) == ()
     lam = central_cocharacter(2)
     for bad in ([[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
         with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
-            gln._in_basis(lam, bad)
+            gln._limit(lam, bad, 1)
 
 
 def test_gln_rechecks_are_not_asserts():
@@ -313,6 +333,85 @@ def test_gln_rechecks_are_not_asserts():
     gln.require(True, "unused")
     with pytest.raises(gln.CertificateError, match="^lost$"):
         gln.require(False, "lost")
+
+
+def test_g_is_inverted_only_for_a_cocharacter_whose_limit_exists(monkeypatch):
+    """Over limit-conjugacy seeds 0-29 at max_size 3, a rejected try inverts
+    nothing and an accepted one inverts G once; a singular g is refused at
+    construction without inverting; jkv_gln inverts once per instance."""
+    calls = []
+    real_inverse, real_limit = gln.inverse, gln._limit
+    monkeypatch.setattr(gln, "inverse", lambda a: calls.append(a) or real_inverse(a))
+    tries = []
+
+    def counted_limit(lam, xi, c):
+        before = len(calls)
+        val = real_limit(lam, xi, c)
+        tries.append((val is not None, len(calls) - before))
+        return val
+
+    monkeypatch.setattr(gln, "_limit", counted_limit)
+    for seed in range(30):
+        assert run_suite("limit-conjugacy", FuzzConfig(seed=seed, count=1, max_size=3)).passed
+    accepted = sum(ok for ok, _ in tries)
+    assert set(tries) == {(True, 1), (False, 0)}
+    assert len(calls) == accepted and len(tries) > 2 * accepted > 0
+    del calls[:]
+    with pytest.raises(ProblemFormatError, match="^matrix is singular$"):
+        GLnCocharacter([[1, 2], [2, 4]], (1, 0))
+    assert calls == []
+    for seed in range(30):
+        before = len(calls)
+        assert run_suite("jkv-gln", FuzzConfig(seed=seed, count=1, max_size=3)).passed
+        assert len(calls) - before == 1
+
+
+def test_a_wrong_determinant_fails_the_limit_recheck_under_python_O():
+    """With the determinant _limit reads patched to report 0, every try is
+    accepted by the determinants, and one whose limit does not exist must
+    fail the require on Y: limit_conj raises CertificateError and never
+    returns a wrong limit, and verify exits 4 (internal error), not 1.  A
+    cocharacter whose inverse is already formed skips the determinants and
+    still answers right."""
+    script = (
+        "import random, sys\n"
+        "from jkvkit import cli, gln, oracles\n"
+        "from jkvkit.checks import CertificateError\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real_det = gln.det\n"
+        "def det(a):\n"
+        "    return 0 if sys._getframe(1).f_code.co_name == '_limit' else real_det(a)\n"
+        "gln.det = det\n"
+        "rng = random.Random(27)\n"
+        "raised, missed, messages = 0, 0, set()\n"
+        "for _ in range(100):\n"
+        "    n = rng.randint(2, 3)\n"
+        "    lam = oracles.sample_gln_cocharacter(rng, n)\n"
+        "    x = oracles.sample_gln_matrix(rng, n)\n"
+        "    known = gln.GLnCocharacter(lam.g_int, lam.exponents)\n"
+        "    known.inv_int\n"
+        "    ref = gln.limit_conj(known, x)\n"
+        "    try:\n"
+        "        got = gln.limit_conj(lam, x)\n"
+        "    except CertificateError as exc:\n"
+        "        raised += 1\n"
+        "        messages.add(str(exc))\n"
+        "        missed += ref is not None\n"
+        "    else:\n"
+        "        missed += ref is None or got != ref\n"
+        "print(raised > 50, missed, sorted(messages))\n"
+        "print(cli.main(['verify', '--suite', 'limit-conjugacy', '--seed', '0', '--count', '3']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    msg = "a limit accepted by determinants has no negative-weight entry"
+    assert (proc.returncode, proc.stdout) == (0, f"True 0 [{msg!r}]\n4\n")
+    assert f"internal error: CertificateError: {msg}\n" in proc.stderr
 
 
 def test_bruhat_examples():

@@ -16,6 +16,7 @@ from jkvkit import oracles
 from jkvkit.gln import (
     CertificateError,
     GLnCocharacter,
+    ProblemFormatError,
     conj_limiter,
     eval_poly_matrix,
     levi_part,
@@ -313,3 +314,89 @@ def test_limits_match_the_conjugate_by_reference():
                 assert got == ref and _all_fractions(got)
                 seen["in P"] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def _before_and_after_the_inverse(g, exps, run):
+    """run(lam) on a new cocharacter (g, exps) before its inverse is formed,
+    then on the same one again once lam.inv_int has been read, and on
+    another whose inverse is read first: the three answers, outcome or
+    (exception type, message)."""
+
+    def outcome(lam):
+        try:
+            return run(lam)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    lam = GLnCocharacter(g, exps)
+    assert "_inverse" not in vars(lam)
+    first = outcome(lam)
+    lam.inv_int
+    known = GLnCocharacter(g, exps)
+    known.inv_int
+    return first, outcome(lam), outcome(known)
+
+
+def test_limits_by_determinants_match_the_reference_before_and_after_the_inverse():
+    """The determinant test (no inverse yet) and the product test (inverse
+    formed) give the reference answer for limits and Levi parts: rational g,
+    unsorted and repeated exponents, n = 0 to 4, matrices with and without a
+    limit, elements inside and outside P(lam)."""
+    rng = random.Random(27)
+    seen = {"limit": 0, "no limit": 0, "in P": 0, "outside P": 0, "repeated": 0, "n = 0": 0}
+    for _ in range(150):
+        n = rng.randint(0, 4)
+        exps = tuple(rng.randint(-2, 2) for _ in range(n))
+        seen["repeated"] += len(set(exps)) < n
+        seen["n = 0"] += n == 0
+        g = _invertible(rng, n)
+        order = sorted(range(n), key=lambda j: (-exps[j], j))
+        g_sorted = tuple(tuple(row[j] for j in order) for row in g)
+        probe = GLnCocharacter(g, exps)
+        for x in (
+            qmat([[F(rng.randint(-6, 6), rng.choice([1, 2, 5])) for _ in range(n)] for _ in range(n)]),
+            oracles.sample_matrix_with_limit(rng, probe),
+        ):
+            ref = _ref_limit(g_sorted, probe.exponents, x)
+            limit = conj_limiter(x)
+            for run in (lambda lam: limit_conj(lam, x), limit):
+                answers = _before_and_after_the_inverse(g, exps, run)
+                assert answers == (ref,) * 3
+                assert ref is None or _all_fractions(answers[0])
+            seen["no limit" if ref is None else "limit"] += 1
+        for p in (oracles.sample_invertible_matrix(rng, n), oracles.sample_parabolic_element(rng, probe)):
+            ref = _ref_limit(g_sorted, probe.exponents, p)
+            answers = _before_and_after_the_inverse(g, exps, lambda lam: levi_part(lam, p))
+            if ref is None:
+                outside = (ValueError, "element is outside the parabolic of this cocharacter")
+                assert answers == (outside,) * 3
+                seen["outside P"] += 1
+            else:
+                assert answers == (ref,) * 3 and _all_fractions(answers[0])
+                seen["in P"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_limit_shape_errors_hold_before_and_after_the_inverse():
+    """levi_part and conj_limiter keep their exception types and messages
+    on a matrix of the wrong shape, whichever test the cocharacter takes."""
+    mismatch = (ProblemFormatError, "shape mismatch")
+    product = (ValueError, "shape mismatch in matrix product")
+    for g, exps, x, want_levi, want_limit in [
+        ([[1, 0, 0], [1, 1, 0], [0, 0, 1]], (2, 0, -1), [[1, 2], [3, 5]], product, mismatch),
+        ([[1, 1], [0, 1]], (1, 0), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], product, mismatch),
+        ([[1, 1], [0, 1]], (1, 0), [[1, 2, 3], [4, 5, 6]],
+         (ValueError, "determinant of a non-square matrix"), product),
+        ([[1, 0, 0], [1, 1, 0], [0, 0, 1]], (2, 0, -1), [[1, 2], [3, 4], [5, 6]],
+         (ValueError, "determinant of a non-square matrix"), product),
+        ([[1, 1], [0, 1]], (1, 0), [[1, 2], [3]], (ValueError, "ragged matrix"), None),
+        ([[1, 1], [0, 1]], (1, 0), [], product, mismatch),
+    ]:
+        levi = _before_and_after_the_inverse(g, exps, lambda lam: levi_part(lam, x))
+        assert levi == (want_levi,) * 3
+        if want_limit is None:
+            with pytest.raises(ValueError, match="^ragged matrix$"):
+                conj_limiter(x)
+        else:
+            limit = conj_limiter(x)
+            assert _before_and_after_the_inverse(g, exps, limit) == (want_limit,) * 3

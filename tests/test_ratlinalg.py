@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jkvkit.gln import GLnCocharacter, _in_basis
-from jkvkit.intlinalg import fraction_free_rref, int_kernel
+from jkvkit.gln import GLnCocharacter
+from jkvkit.intlinalg import fraction_free_rref, int_kernel, mat_mul
 from jkvkit.ratlinalg import (
     int_form,
     kernel_basis,
@@ -173,12 +173,11 @@ def test_square_kernels_match_reference(data):
 
 def _conjugate(g, x, k=1):
     """g^-1 x g through the integer form of a cocharacter with g given as
-    k times itself, read entry by entry."""
+    k times itself: H X G over inv_den c, with H = lam.inv_int."""
     lam = GLnCocharacter(tuple(tuple(k * v for v in row) for row in g), (0,) * len(g))
     xi, c = int_form(x)
-    entry = _in_basis(lam, xi)
-    n = len(g)
-    return tuple(tuple(F(entry(i, j), lam.inv_den * c) for j in range(n)) for i in range(n))
+    y = mat_mul(mat_mul(lam.inv_int, xi), lam.g_int)
+    return tuple(tuple(F(v, lam.inv_den * c) for v in row) for row in y)
 
 
 @settings(max_examples=300, deadline=None)
