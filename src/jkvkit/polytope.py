@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
-from .checks import require
+from .checks import ProblemFormatError, require
 from .intlinalg import IntVec, pairing, primitive
 from .lp import INFEASIBLE, OPTIMAL, solve_lp
 from .ratlinalg import scaled
@@ -31,7 +32,10 @@ class WeightSet:
     points: tuple[IntVec, ...]
 
     def __post_init__(self):
-        pts = tuple(tuple(int(x) for x in p) for p in self.points)
+        try:
+            pts = tuple(tuple(map(index, p)) for p in self.points)
+        except TypeError:
+            raise ProblemFormatError("weight coordinates must be integers") from None
         if any(len(p) != self.rank for p in pts):
             raise ValueError("weight rank mismatch")
         if len(set(pts)) != len(pts):

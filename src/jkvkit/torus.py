@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from .checks import ProblemFormatError, require
 from .intlinalg import (
@@ -77,7 +77,8 @@ class FiniteGroup:
 
 
 # One finite element's action, validated: weight -> (its image under the
-# lattice map, the block times c as int rows, c).
+# lattice map, the block times c as int rows, c).  The table's identity has
+# None when it acts trivially (see _validate_finite_group).
 _Action = dict[IntVec, tuple[IntVec, list[list[int]], int]]
 
 
@@ -86,10 +87,13 @@ class TorusRep:
     rank: int
     weight_spaces: tuple[tuple[IntVec, int], ...]
     finite: FiniteGroup | None = None
-    _actions: tuple[_Action, ...] = field(init=False, compare=False, repr=False)
+    _actions: tuple[_Action | None, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ws = tuple((tuple(int(x) for x in chi), int(d)) for chi, d in self.weight_spaces)
+        try:
+            ws = tuple((tuple(map(index, chi)), index(d)) for chi, d in self.weight_spaces)
+        except TypeError:
+            raise ProblemFormatError("weights and dimensions must be integers") from None
         object.__setattr__(self, "weight_spaces", ws)
         weights = [chi for chi, _ in ws]
         if any(len(chi) != self.rank for chi in weights):
@@ -108,14 +112,27 @@ class TorusRep:
         return tuple(chi for chi, _ in self.weight_spaces)
 
 
-def _validate_finite_group(rep: TorusRep) -> tuple[_Action, ...]:
+def _validate_finite_group(rep: TorusRep) -> tuple[_Action | None, ...]:
     """The action of every finite element, in element order, once the group
-    is checked to act by invertible blocks compatibly with its table."""
+    is checked to act by invertible blocks compatibly with its table.
+
+    When the table's identity e acts as the identity (see `_acts_trivially`)
+    its action is None, and its own checks and every table pair (i, j) with
+    i or j equal to e are skipped: those pairs hold exactly when e acts
+    trivially.  Any other identity goes through every check, in the same
+    order, where pair (e, e) rejects it: L^2 = L forces a unimodular L to
+    be I, and A^2 = A an invertible block A.
+    """
     grp = rep.finite
     dims = rep.dims()
     weights = set(dims)
+    eyes = {d: _eye(d) for d in set(dims.values())}
+    trivial = _acts_trivially(grp, rep.rank, eyes, dims)
     actions = []
-    for el in grp.elements:
+    for idx, el in enumerate(grp.elements):
+        if trivial and idx == grp.identity:
+            actions.append(None)
+            continue
         if not is_unimodular(el.lattice):
             raise ProblemFormatError("lattice action must be unimodular")
         image = {chi: mat_vec(el.lattice, chi) for chi in weights}
@@ -135,19 +152,61 @@ def _validate_finite_group(rep: TorusRep) -> tuple[_Action, ...]:
         actions.append(action)
     # Compositional consistency with the table: blocks of a product factor
     # through the blocks of the factors.  (A / a)(B / b) = C / c exactly
-    # when A B c = C a b.
-    t = grp.table
-    for i, gi in enumerate(grp.elements):
-        for j, gj in enumerate(grp.elements):
+    # when A B c = C a b.  A product that is a trivial identity has the
+    # identity block, c = 1, at every weight.
+    t, els = grp.table, grp.elements
+    others = [i for i, action in enumerate(actions) if action is not None]
+    for i in others:
+        for j in others:
             k = t[i][j]
-            if intlinalg.mat_mul(gi.lattice, gj.lattice) != grp.elements[k].lattice:
+            if intlinalg.mat_mul(els[i].lattice, els[j].lattice) != els[k].lattice:
                 raise ProblemFormatError("lattice actions do not respect the table")
             for chi, (mid, b, cb) in actions[j].items():
-                (_, a, ca), (_, c, cc) = actions[i][mid], actions[k][chi]
+                _, a, ca = actions[i][mid]
+                if actions[k] is None:
+                    c, cc = eyes[dims[chi]], 1
+                else:
+                    _, c, cc = actions[k][chi]
                 lhs = [[v * cc for v in row] for row in intlinalg.mat_mul(a, b)]
                 if lhs != [[v * ca * cb for v in row] for row in c]:
                     raise ProblemFormatError("block maps do not respect the table")
     return tuple(actions)
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def _acts_trivially(grp: FiniteGroup, rank: int, eyes, dims: dict[IntVec, int]) -> bool:
+    """Whether the table's identity is exactly the identity: lattice I, and
+    at each weight the identity block of its space (eyes[d] for dimension
+    d) with int or Fraction entries.  Every lattice must also be a tuple of
+    int tuples, because the pairs with the identity also check that each
+    lattice, as held, equals the tuple rows of its product with I.  Never
+    raises."""
+    el = grp.elements[grp.identity]
+    eye = tuple(map(tuple, _eye(rank)))
+    if not eye or el.lattice != eye or not all(_int_rows(g.lattice) for g in grp.elements):
+        return False
+    if not isinstance(el.blocks, dict) or set(el.blocks) != dims.keys():
+        return False
+    for chi, block in el.blocks.items():
+        want = eyes[dims[chi]]
+        if type(block) not in (tuple, list) or len(block) != len(want):
+            return False
+        for row, want_row in zip(block, want):
+            if type(row) not in (tuple, list) or len(row) != len(want_row):
+                return False
+            for x, w in zip(row, want_row):
+                if type(x) not in (int, Fraction) or x != w:
+                    return False
+    return True
+
+
+def _int_rows(m) -> bool:
+    return type(m) is tuple and all(
+        type(r) is tuple and all(type(x) is int for x in r) for r in m
+    )
 
 
 @dataclass
@@ -158,7 +217,10 @@ class RepVector:
     def __post_init__(self):
         comps = {}
         for chi, coords in self.components.items():
-            key = tuple(int(x) for x in chi)
+            try:
+                key = tuple(map(index, chi))
+            except TypeError:
+                raise ProblemFormatError("component weights must be integers") from None
             if len(key) != self.rank:
                 raise ProblemFormatError("component weight rank mismatch")
             vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
@@ -238,7 +300,8 @@ def validate_vector(rep: TorusRep, v: RepVector):
 
 
 def _finite_element(rep: TorusRep, g: GroupElement) -> _Action | None:
-    """The action of g's finite element, or None when g has no finite part."""
+    """The action of g's finite element, or None when it moves nothing: g
+    has no finite part, or its finite part is a trivially acting identity."""
     if g.finite_index is None:
         return None
     if rep.finite is None:
@@ -416,7 +479,8 @@ def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
     """Every group element carrying v to target that some finite element
     admits, one per finite element (identity first), each verified by `act`.
 
-    v, which must be validated, is moved by each element's action.  Per
+    v, which must be validated, is moved by each element's action (not at
+    all by a None action: no finite part, or a trivial identity).  Per
     weight the moved and target components must be parallel, and the
     resulting ratio system is solved multiplicatively over the rationals;
     a moved vector that already equals the target takes the torus part
@@ -429,7 +493,8 @@ def _transfers(rep: TorusRep, v: RepVector, target: RepVector):
         order = [ident] + [i for i in range(len(rep.finite.elements)) if i != ident]
     ones = (Fraction(1),) * rep.rank
     for idx in order:
-        moved = v if idx is None else _move(rep._actions[idx], v)
+        action = None if idx is None else rep._actions[idx]
+        moved = v if action is None else _move(action, v)
         if moved.components.keys() != target.components.keys():
             continue
         if moved.components == target.components:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jkvkit.checks import ProblemFormatError
 from jkvkit.intlinalg import pairing
 from jkvkit.oracles import FuzzConfig, sample_torus_instance
 from jkvkit.polytope import WeightSet, origin_in_relint
@@ -573,8 +574,9 @@ def test_transfers_match_the_loop_through_act():
 def test_a_wrong_transfer_fails_its_recheck_under_python_O(fault):
     """same_orbit re-checks every transfer with act.  A wrong torus point
     from solve_multiplicative, or a search that moves v by a corrupted
-    table block while act reads the validated one, raises
-    CertificateError with asserts stripped."""
+    block of the swap (the identity has no action to corrupt) while act
+    reads the validated one, raises CertificateError with asserts
+    stripped."""
     script = (
         "from fractions import Fraction as F\n"
         "from jkvkit import torus\n"
@@ -592,9 +594,14 @@ def test_a_wrong_transfer_fails_its_recheck_under_python_O(fault):
         "    torus.solve_multiplicative = lambda r, q: tuple(2 * a for a in solve(r, q))\n"
         "    target = torus.act(rep, torus.GroupElement((F(3), F(5)), 1), v)\n"
         "else:\n"
+        "    # only the swap carries v, supported at (1, 0) alone, to (0, 1)\n"
+        "    v = torus.RepVector(2, {(1, 0): (F(1),)})\n"
+        "    target = torus.RepVector(2, {(0, 1): (F(1),)})\n"
         "    table = rep._actions\n"
-        "    bad = tuple({chi: (t, [[2 * x for x in row] for row in b], c)\n"
-        "                 for chi, (t, b, c) in action.items()} for action in table)\n"
+        "    if table[0] is not None:\n"
+        "        raise SystemExit('the identity must have no action')\n"
+        "    bad = (None, {chi: (t, [[2 * x for x in row] for row in b], c)\n"
+        "                  for chi, (t, b, c) in table[1].items()})\n"
         "    object.__setattr__(rep, '_actions', bad)\n"
         "    torus._finite_element = lambda rep, g: table[g.finite_index]\n"
         "try:\n"
@@ -979,10 +986,66 @@ def _rotation_group(rng):
     return tuple((chi, 1) for chi in sorted(orbit)), FiniteGroup(tuple(elements), table)
 
 
+def _permuted(grp, perm):
+    """grp with its element perm[p] at index p and the table relabelled."""
+    pos = {old: p for p, old in enumerate(perm)}
+    table = tuple(tuple(pos[grp.table[a][b]] for b in perm) for a in perm)
+    return FiniteGroup(tuple(grp.elements[old] for old in perm), table)
+
+
+def _retyped_identity(grp, kind):
+    """grp with the entries of its identity's blocks read by kind."""
+    el = grp.elements[grp.identity]
+    blocks = {chi: tuple(tuple(kind(x) for x in row) for row in b) for chi, b in el.blocks.items()}
+    elements = list(grp.elements)
+    elements[grp.identity] = FiniteElement(el.lattice, blocks)
+    return FiniteGroup(tuple(elements), grp.table)
+
+
+def _variants(grp, rng, n):
+    """grp as given; with its identity at a nonzero index; and with the
+    identity's blocks as ints and as floats or strings (the n-th group
+    takes one of the last two).  Yields (group, whether its identity
+    acts as the identity with exact entries)."""
+    yield grp, True
+    rest = [i for i in range(len(grp.elements)) if i != grp.identity]
+    rng.shuffle(rest)
+    perm = rest[:1] + [grp.identity] + rest[1:]
+    moved = _permuted(grp, perm)
+    assert moved.identity == 1
+    yield moved, True
+    yield _retyped_identity(grp, int), True
+    yield _retyped_identity(grp, (float, str)[n % 2]), False
+
+
+def _perturbed(grp):
+    """Copies of grp with one element changed: one block entry moved by 1
+    or by -1/3, the lattice of another element put in its place, or its
+    lattice given as lists (which no product of tuple rows equals)."""
+    for idx, el in enumerate(grp.elements):
+        changed = []
+        for chi, block in sorted(el.blocks.items()):
+            for delta in (F(1), F(-1, 3)):
+                rows = [list(r) for r in block]
+                rows[0][0] = F(rows[0][0]) + delta
+                changed.append(FiniteElement(el.lattice, {**el.blocks, chi: tuple(map(tuple, rows))}))
+        for other in grp.elements:
+            if other.lattice != el.lattice:
+                changed.append(FiniteElement(other.lattice, el.blocks))
+        changed.append(FiniteElement([list(r) for r in el.lattice], el.blocks))
+        for bad in changed:
+            elements = list(grp.elements)
+            elements[idx] = bad
+            yield FiniteGroup(tuple(elements), grp.table)
+
+
 def test_finite_group_validation_matches_the_fraction_block_check():
-    """Integer block checks give the same verdict and message as the
-    Fraction product check, on sampled groups and on copies with one
-    block entry perturbed."""
+    """Integer block checks, which skip the table pairs with an identity
+    that acts as the identity, give the same verdict and message as the
+    Fraction product check over all pairs: on sampled groups and rotation
+    groups, with the identity at index 0 or not, with its blocks as
+    Fractions, ints, floats or strings, and on copies with one block entry
+    or one lattice changed."""
     rng = random.Random(2012)
     groups = [_rotation_group(rng) for _ in range(5)]
     while len(groups) < 40:
@@ -990,20 +1053,63 @@ def test_finite_group_validation_matches_the_fraction_block_check():
         if rep.finite is not None:
             groups.append((rep.weight_spaces, rep.finite))
     seen = {}
-    for spaces, grp in groups:
-        assert _old_validation_error(spaces, grp) is None
-        assert _new_validation_error(spaces, grp) is None
-        for idx, el in enumerate(grp.elements):
-            for chi, block in sorted(el.blocks.items()):
-                for delta in (F(1), F(-1, 3)):
-                    rows = [list(r) for r in block]
-                    rows[0][0] += delta
-                    blocks = {**el.blocks, chi: tuple(map(tuple, rows))}
-                    bad = list(grp.elements)
-                    bad[idx] = FiniteElement(el.lattice, blocks)
-                    bad_grp = FiniteGroup(tuple(bad), grp.table)
-                    want = _old_validation_error(spaces, bad_grp)
-                    assert _new_validation_error(spaces, bad_grp) == want
-                    seen[want] = seen.get(want, 0) + 1
-    assert seen.get("block maps do not respect the table", 0) >= 50, seen
-    assert seen.get("block maps must be invertible", 0) >= 5, seen
+    for n, (spaces, base) in enumerate(groups):
+        for grp, exact in _variants(base, rng, n):
+            assert _old_validation_error(spaces, grp) is None
+            rep = TorusRep(len(spaces[0][0]), spaces, grp)
+            assert (rep._actions[grp.identity] is None) == exact
+            for bad_grp in _perturbed(grp):
+                want = _old_validation_error(spaces, bad_grp)
+                assert _new_validation_error(spaces, bad_grp) == want
+                seen[want] = seen.get(want, 0) + 1
+    assert seen.get("block maps do not respect the table", 0) >= 200, seen
+    assert seen.get("block maps must be invertible", 0) >= 20, seen
+    assert seen.get("lattice actions do not respect the table", 0) >= 100, seen
+
+
+def test_a_trivial_identity_costs_no_block_work(monkeypatch):
+    """An order-2 group reads no block of its identity into int form and
+    multiplies blocks for the one pair (g, g) only, one product per weight,
+    after a single lattice product."""
+    import jkvkit.intlinalg as intlinalg_mod
+    import jkvkit.torus as torus_mod
+
+    rng = random.Random(28)
+    while True:
+        rep, _ = sample_torus_instance(rng, FuzzConfig(max_rank=3))
+        if rep.finite is not None and rep.rank == 3:
+            break
+    grp = rep.finite
+    assert len(grp.elements) == 2
+    g = grp.elements[1 - grp.identity]
+    ident_blocks = [id(b) for b in grp.elements[grp.identity].blocks.values()]
+    read, products = [], []
+    int_form, mat_mul = torus_mod.int_form, intlinalg_mod.mat_mul
+    monkeypatch.setattr(torus_mod, "int_form", lambda b: read.append(id(b)) or int_form(b))
+    monkeypatch.setattr(intlinalg_mod, "mat_mul", lambda a, b: products.append((a, b)) or mat_mul(a, b))
+    again = TorusRep(rep.rank, rep.weight_spaces, grp)
+    assert again._actions[grp.identity] is None
+    assert sorted(read) == sorted(id(b) for b in g.blocks.values())
+    assert not set(read) & set(ident_blocks)
+    assert products[0] == (g.lattice, g.lattice)
+    assert len(products) == 1 + len(rep.weight_spaces)
+
+
+def test_weights_and_dimensions_must_be_integers():
+    """Weight coordinates and dimensions are read with operator.index, so
+    2.5 or Fraction(5, 2) is refused, not truncated to 2; an integral
+    Fraction is refused too, as it is no int, and so is a string."""
+    for bad in (2.5, F(5, 2), F(2), "1"):
+        cases = [
+            (lambda: WeightSet(1, ((bad,), (-1,))), "weight coordinates must be integers"),
+            (lambda: TorusRep(1, (((bad,), 1), ((-1,), 1))), "weights and dimensions must be integers"),
+            (lambda: TorusRep(1, (((1,), bad), ((-1,), 1))), "weights and dimensions must be integers"),
+            (lambda: RepVector(1, {(bad,): (F(1),)}), "component weights must be integers"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ProblemFormatError, match=f"^{message}$"):
+                build()
+    # any int is read as itself; a bool is an int, as in indexing
+    assert WeightSet(1, ((True,), (-1,))).points == ((1,), (-1,))
+    assert TorusRep(1, (((2,), True),)).weight_spaces == (((2,), 1),)
+    assert RepVector(1, {(True,): (F(1),)}).components == {(1,): (F(1),)}
