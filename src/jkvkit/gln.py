@@ -6,10 +6,11 @@ factorization, exact Jordan-Chevalley decomposition, and rational
 conjugacy certificates are all computed without ever leaving the
 rationals.
 
-Rational conjugacy is decided by the Byrnes-Gauger criterion (Linear and
-Multilinear Algebra 5, 1977): X ~ Y over Q iff dim C(X,X) = dim C(Y,Y) =
-dim C(X,Y), with C(X,Y) = { M : M X = Y M }, each dimension read from one
-fraction-free reduction of integer rows.
+Rational conjugacy is decided by its witness first: an invertible element
+of C(X,Y) = { M : M X = Y M }, found on integer rows, certifies "yes".  The
+Byrnes-Gauger criterion (Linear and Multilinear Algebra 5, 1977), X ~ Y
+over Q iff dim C(X,X) = dim C(Y,Y) = dim C(X,Y), each dimension read from
+one fraction-free reduction of integer rows, only decides a "no".
 """
 
 from __future__ import annotations
@@ -338,8 +339,8 @@ def invariant_factors(x: QMat) -> tuple[Poly, ...]:
     The reference classification: two rational matrices are conjugate over
     Q exactly when these lists coincide (they classify the Frobenius normal
     form): the monic diagonal of the Smith form of tI - X over Q[t], by
-    ``intlinalg.smith_form``.  rational_conjugacy decides by commutant
-    dimensions instead; the tests compare the two.
+    ``intlinalg.smith_form``.  rational_conjugacy decides by an invertible
+    intertwiner and commutant dimensions instead; the tests compare the two.
     """
     x = qmat(x)
     n = len(x)
@@ -353,20 +354,21 @@ def invariant_factors(x: QMat) -> tuple[Poly, ...]:
     return tuple(f for f in diag if degree(f) >= 1)
 
 
-def _square_pair(x: QMat, y: QMat) -> tuple[QMat, QMat]:
+def _int_pair(x: QMat, y: QMat) -> tuple[list[list[int]], list[list[int]]]:
+    """x and y as integer rows scaled by one common lcm of their
+    denominators, once both are checked square and of equal size."""
     x, y = qmat(x), qmat(y)
     n = len(x)
     if any(len(r) != n for r in x) or len(y) != n or any(len(r) != n for r in y):
         raise ValueError("matrices must be square and of equal size")
-    return x, y
-
-
-def _commutant_rows(x: QMat, y: QMat) -> list[list[int]]:
-    """The n^2 x n^2 system M X - Y M = 0 in the row-major entries of M, as
-    integer rows: X and Y scaled by one common lcm of their denominators."""
-    n = len(x)
     both, _ = int_form(x + y)
-    xi, yi = both[:n], both[n:]
+    return both[:n], both[n:]
+
+
+def _commutant_rows(xi: list[list[int]], yi: list[list[int]]) -> list[list[int]]:
+    """The n^2 x n^2 system M X - Y M = 0 in the row-major entries of M, for
+    integer rows X and Y."""
+    n = len(xi)
     rows = []
     for i in range(n):
         for j in range(n):
@@ -378,9 +380,9 @@ def _commutant_rows(x: QMat, y: QMat) -> list[list[int]]:
     return rows
 
 
-def _commutant_dim(x: QMat) -> int:
-    """dim C(X, X), the nullity of the integer commutant system."""
-    m = _commutant_rows(x, x)
+def _commutant_dim(xi: list[list[int]]) -> int:
+    """dim C(X, X) for integer rows X, the nullity of the commutant system."""
+    m = _commutant_rows(xi, xi)
     return len(m) - len(fraction_free_rref(m)[1])
 
 
@@ -391,9 +393,10 @@ def _over(v: list[int], d: int, n: int) -> QMat:
 
 def commutant_basis(x: QMat, y: QMat) -> list[QMat]:
     """Basis of the intertwiner space { M : M X = Y M }."""
-    x, y = _square_pair(x, y)
-    kern, d = int_kernel(_commutant_rows(x, y), len(x) ** 2)
-    return [_over(v, d, len(x)) for v in kern]
+    xi, yi = _int_pair(x, y)
+    n = len(xi)
+    kern, d = int_kernel(_commutant_rows(xi, yi), n * n)
+    return [_over(v, d, n) for v in kern]
 
 
 def _combination_iter(k: int, grid_top: int):
@@ -420,31 +423,39 @@ def _combination_iter(k: int, grid_top: int):
 def rational_conjugacy(x: QMat, y: QMat) -> QMat | None:
     """Invertible g with g X g^-1 = Y over Q, or None.
 
-    Decision (Byrnes-Gauger, Linear and Multilinear Algebra 5, 1977): X and
-    Y are conjugate exactly when dim C(X,X) = dim C(Y,Y) = dim C(X,Y), where
-    C(X,Y) = { M : M X = Y M }; each dimension is the nullity of one
-    fraction-free integer reduction.  Witness: an invertible element of
-    C(X,Y), an integer combination of its kernel basis found
-    deterministically and re-verified by multiplication.  For n = 0 the
-    answer is the empty matrix, which is invertible.
+    X and Y are scaled to integer rows by one common lcm, and one
+    fraction-free kernel of C(X,Y) = { M : M X = Y M } is taken.  The
+    witness is an invertible element of C(X,Y): the first integer
+    combination of its kernel basis (``_combination_iter``) whose integer
+    determinant is nonzero.  It is re-checked as M X = Y M on the integer
+    rows (``require``) and is the whole certificate of "conjugate".  An
+    empty kernel means "no".  The dimensions decide only a "no": when X != Y
+    and the unit vectors and prefix sums of the kernel basis hold no
+    invertible candidate, X and Y are conjugate exactly when
+    dim C(X,X) = dim C(Y,Y) = dim C(X,Y) (Byrnes-Gauger, Linear and
+    Multilinear Algebra 5, 1977), each the nullity of one fraction-free
+    reduction; unequal nullities return None, and otherwise the search goes
+    on.  For n = 0 the answer is the empty matrix, which is invertible.
     """
-    x, y = _square_pair(x, y)
-    if not x:
+    xi, yi = _int_pair(x, y)
+    n = len(xi)
+    if not n:
         return ()
-    kern, d = int_kernel(_commutant_rows(x, y), len(x) ** 2)
-    if x != y and not len(kern) == _commutant_dim(x) == _commutant_dim(y):
+    kern, d = int_kernel(_commutant_rows(xi, yi), n * n)
+    k = len(kern)
+    if not k:
         return None
-    require(bool(kern), "conjugate matrices have nonzero intertwiners")
-    n = len(x)
-    for coeffs in _combination_iter(len(kern), n):
+    for t, coeffs in enumerate(_combination_iter(k, n)):
+        if t == 2 * k - 1 and xi != yi and not k == _commutant_dim(xi) == _commutant_dim(yi):
+            return None
         flat = [0] * (n * n)
         for c, v in zip(coeffs, kern):
             if c:
                 flat = [a + c * b for a, b in zip(flat, v)]
-        if qdet([flat[i * n : (i + 1) * n] for i in range(n)]) != 0:
-            g = _over(flat, d, n)
-            require(qmul(g, x) == qmul(y, g), "the witness must intertwine x and y")
-            return g
+        m = [flat[i * n : (i + 1) * n] for i in range(n)]
+        if det(m):
+            require(mat_mul(m, xi) == mat_mul(yi, m), "the witness must intertwine x and y")
+            return _over(flat, d, n)
     raise CertificateError("an invertible intertwiner exists for conjugate matrices")
 
 
@@ -529,11 +540,12 @@ def jkv_gln(x: QMat) -> GlnJkv:
 
 def _centralizes(x: QMat, s: QMat) -> bool:
     """s commutes with every element of C(x) = { M : M x = x M }, checked as
-    M S == S M on the integer kernel vectors M of ``_commutant_rows(x, x)``
-    and the integer form S of s; their scales cancel."""
-    n = len(x)
+    M S == S M on the integer kernel vectors M of ``_commutant_rows(X, X)``
+    for the integer forms X of x and S of s; their scales cancel."""
+    xi, _ = int_form(x)
     si, _ = int_form(s)
-    kern, _ = int_kernel(_commutant_rows(x, x), n * n)
+    n = len(xi)
+    kern, _ = int_kernel(_commutant_rows(xi, xi), n * n)
     for v in kern:
         m = [v[i * n : (i + 1) * n] for i in range(n)]
         if mat_mul(m, si) != mat_mul(si, m):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .checks import require
+from .intlinalg import det
 from .ratlinalg import scaled
 from .rationals import factorize
 
@@ -148,8 +149,22 @@ def poly_derivative(f: Poly) -> Poly:
 
 
 def is_squarefree(f: Poly) -> bool:
-    """No repeated irreducible factor: f is prime to its derivative (char 0)."""
-    return degree(poly_gcd(f, poly_derivative(f))) == 0
+    """No repeated irreducible factor: f is prime to its derivative (char 0).
+
+    Decided by one integer determinant: for the integer form F of f, of
+    degree d >= 1, F and F' are coprime exactly when their resultant, the
+    determinant of the (2d - 1) x (2d - 1) Sylvester matrix (d - 1 shifted
+    rows of F, d of F'), is nonzero.  The zero polynomial is not
+    squarefree; a nonzero constant is.
+    """
+    if len(f) <= 1:
+        return bool(f)
+    fi, _ = scaled(f)
+    d = len(fi) - 1
+    dfi = [k * v for k, v in enumerate(fi)][1:]
+    rows = [[0] * k + fi + [0] * (d - 2 - k) for k in range(d - 1)]
+    rows += [[0] * k + dfi + [0] * (d - 1 - k) for k in range(d)]
+    return det(rows) != 0
 
 
 def squarefree_part(f: Poly) -> Poly:

@@ -41,8 +41,18 @@ class BoxTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteElement:
+    """One element of W: its lattice map, held as a tuple of int tuples (read
+    with ``operator.index``), and its block maps between weight spaces."""
+
     lattice: IntMat
     blocks: dict[IntVec, QMat]
+
+    def __post_init__(self):
+        try:
+            lattice = tuple(tuple(map(index, row)) for row in self.lattice)
+        except TypeError:
+            raise ProblemFormatError("lattice entries must be integers") from None
+        object.__setattr__(self, "lattice", lattice)
 
 
 @dataclass(frozen=True)
@@ -180,13 +190,10 @@ def _eye(n: int) -> list[list[int]]:
 def _acts_trivially(grp: FiniteGroup, rank: int, eyes, dims: dict[IntVec, int]) -> bool:
     """Whether the table's identity is exactly the identity: lattice I, and
     at each weight the identity block of its space (eyes[d] for dimension
-    d) with int or Fraction entries.  Every lattice must also be a tuple of
-    int tuples, because the pairs with the identity also check that each
-    lattice, as held, equals the tuple rows of its product with I.  Never
-    raises."""
+    d) with int or Fraction entries.  Never raises."""
     el = grp.elements[grp.identity]
     eye = tuple(map(tuple, _eye(rank)))
-    if not eye or el.lattice != eye or not all(_int_rows(g.lattice) for g in grp.elements):
+    if not eye or el.lattice != eye:
         return False
     if not isinstance(el.blocks, dict) or set(el.blocks) != dims.keys():
         return False
@@ -201,12 +208,6 @@ def _acts_trivially(grp: FiniteGroup, rank: int, eyes, dims: dict[IntVec, int]) 
                 if type(x) not in (int, Fraction) or x != w:
                     return False
     return True
-
-
-def _int_rows(m) -> bool:
-    return type(m) is tuple and all(
-        type(r) is tuple and all(type(x) is int for x in r) for r in m
-    )
 
 
 @dataclass

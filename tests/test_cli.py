@@ -531,14 +531,15 @@ def test_internal_errors_exit_4_with_a_traceback(capsys, monkeypatch, tmp_path):
 
 def test_a_failed_gln_recheck_exits_4_under_python_O(tmp_path):
     pair = write(tmp_path, "pair.json", {"n": 2, "x": [["1", "1"], ["0", "2"]], "y": [["2", "0"], ["0", "1"]]})
-    # Every product differs, so the witness re-check of rational_conjugacy
-    # fails; under -O an assert would have let the witness through.
+    # Every integer product differs, so the witness re-check of
+    # rational_conjugacy fails; under -O an assert would have let the
+    # witness through.
     script = (
         "import itertools, sys\n"
         "from jkvkit import cli, gln\n"
         "assert False, 'asserts must be stripped'\n"
         "products = itertools.count()\n"
-        "gln.qmul = lambda a, b: next(products)\n"
+        "gln.mat_mul = lambda a, b: next(products)\n"
         f"sys.exit(cli.main(['conjugacy', '--file', {pair!r}]))\n"
     )
     proc = subprocess.run(

@@ -34,6 +34,7 @@ from jkvkit.intlinalg import identity
 from jkvkit.oracles import FuzzConfig, charpoly
 from jkvkit.polys import poly, poly_mul
 from jkvkit.ratlinalg import (
+    int_form,
     is_zero_mat,
     kernel_basis,
     qdet,
@@ -644,6 +645,54 @@ def _reference_rational_conjugacy(x, y):
     raise AssertionError("unreachable")
 
 
+def _dims_first_rational_conjugacy(x, y):
+    """gln.rational_conjugacy as it was before it looked for its witness
+    first: dim C(x,x), dim C(y,y) and dim C(x,y) first (Byrnes-Gauger),
+    then the same combination search, candidates tested with qdet and the
+    witness re-checked with qmul."""
+
+    def rows_of(x, y):
+        n = len(x)
+        both, _ = int_form(x + y)
+        xi, yi = both[:n], both[n:]
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[i * n + k] += xi[k][j]
+                    row[k * n + j] -= yi[i][k]
+                rows.append(row)
+        return rows
+
+    def dim(x):
+        m = rows_of(x, x)
+        return len(m) - len(intlinalg.fraction_free_rref(m)[1])
+
+    x, y = qmat(x), qmat(y)
+    n = len(x)
+    if any(len(r) != n for r in x) or len(y) != n or any(len(r) != n for r in y):
+        raise ValueError("matrices must be square and of equal size")
+    if not x:
+        return ()
+    kern, d = intlinalg.int_kernel(rows_of(x, y), n * n)
+    if x != y and not len(kern) == dim(x) == dim(y):
+        return None
+    if not kern:
+        raise gln.CertificateError("conjugate matrices have nonzero intertwiners")
+    for coeffs in _combination_iter(len(kern), n):
+        flat = [0] * (n * n)
+        for c, v in zip(coeffs, kern):
+            if c:
+                flat = [a + c * b for a, b in zip(flat, v)]
+        if qdet([flat[i * n : (i + 1) * n] for i in range(n)]) != 0:
+            g = tuple(tuple(F(a, d) for a in flat[i * n : (i + 1) * n]) for i in range(n))
+            if qmul(g, x) != qmul(y, g):
+                raise gln.CertificateError("the witness must intertwine x and y")
+            return g
+    raise gln.CertificateError("an invertible intertwiner exists for conjugate matrices")
+
+
 _small_fractions = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3, 6]))
 
 
@@ -720,10 +769,84 @@ def test_rational_conjugacy_matches_invariant_factors(pair):
     x, y = pair
     g = rational_conjugacy(x, y)
     assert (g is not None) == (invariant_factors(x) == invariant_factors(y))
-    assert g == _reference_rational_conjugacy(x, y)
+    assert g == _reference_rational_conjugacy(x, y) == _dims_first_rational_conjugacy(x, y)
+    assert rational_conjugacy(x, x) == _dims_first_rational_conjugacy(x, x)
     assert commutant_basis(x, y) == _reference_commutant_basis(x, y)
     if g is not None:
         assert qdet(g) != 0 and qmul(g, x) == qmul(y, g)
+
+
+def _outcome(f, x, y):
+    try:
+        return f(x, y)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _counted_commutant_dims(monkeypatch):
+    calls = []
+    dim = gln._commutant_dim
+    monkeypatch.setattr(gln, "_commutant_dim", lambda xi: calls.append(xi) or dim(xi))
+    return calls
+
+
+def _conjugated(h, x):
+    return qmul(qmul(h, x), qinverse(h))
+
+
+# (x, y, whether the unit vectors and prefix sums of the C(x,y) kernel
+# basis hold a witness, or None for a shape error)
+_h3 = m([[1, 2, 0], [0, 1, F(1, 2)], [1, 0, 1]])
+_DIFFERENTIAL_CASES = [
+    ((), (), True),  # n = 0
+    (m([[F(3, 4)]]), m([[F(3, 4)]]), True),  # n = 1, x == y
+    (m([[F(3, 4)]]), m([[F(-1, 2)]]), False),  # empty C(x,y)
+    (m([[0, 1], [0, 0]]), m([[0, 2], [0, 0]]), True),  # conjugate, witness in the prefix
+    (m([[F(1, 2), 0], [0, F(1, 2)]]), m([[F(1, 2), 1], [0, F(1, 2)]]), False),  # diag(a, a) vs J(a)
+    (m([[F(1, 2), 1], [0, F(1, 2)]]), m([[F(1, 2), 0], [0, F(1, 2)]]), False),
+    (m([[1, 0], [0, 2]]), m([[3, 0], [0, 4]]), False),  # empty C(x,y)
+    (m([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), m([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), False),  # x == y, prefix misses
+    (m([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), _conjugated(_h3, m([[1, 0, 0], [0, 1, 0], [0, 0, 2]])), False),  # h x h^-1
+    (m([[0, 2], [1, 0]]), m([[0, 1], [2, 0]]), True),  # conjugate over Q, irrational eigenvalues
+    (qidentity(4), qidentity(4), True),  # n = 4, x == y
+    (m([[1, 2, 3], [4, 5, 6]]), m([[1, 2, 3], [4, 5, 6]]), None),
+    (qidentity(2), qidentity(3), None),
+]
+
+
+@pytest.mark.parametrize("x, y, in_prefix", _DIFFERENTIAL_CASES)
+def test_witness_first_conjugacy_matches_the_dims_first_routine(x, y, in_prefix, monkeypatch):
+    """Same witness, None or exception as the dims-first routine; the
+    commutant dimensions are computed only for x != y once the prefix of
+    the combination search holds no witness (y's only when x's equals
+    dim C(x,y))."""
+    want = _outcome(_dims_first_rational_conjugacy, x, y)
+    calls = _counted_commutant_dims(monkeypatch)
+    assert _outcome(rational_conjugacy, x, y) == want
+    if in_prefix is None:  # a shape error
+        return
+    prefix_misses = not in_prefix and len(commutant_basis(x, y)) > 0
+    assert len(calls) in ((1, 2) if prefix_misses and x != y else (0,))
+    if want is not None:
+        assert qdet(want) != 0 and qmul(want, x) == qmul(y, want)
+
+
+def test_commutant_dimensions_are_computed_only_for_a_no(monkeypatch):
+    calls = _counted_commutant_dims(monkeypatch)
+    x = m([[0, 1], [0, 0]])
+    assert rational_conjugacy(x, m([[0, 2], [0, 0]])) is not None
+    assert rational_conjugacy(m([[1, 2], [3, 4]]), m([[1, 2], [3, 4]])) is not None
+    assert calls == []
+    # C(J(a), aI) is nonzero, but every element kills the first column, so
+    # the prefix misses; dim C(J(a), J(a)) = 2 = dim C(J(a), aI), and
+    # dim C(aI, aI) = 4 decides the "no"
+    a = F(-2, 3)
+    jordan, scalar = m([[a, 1], [0, a]]), m([[a, 0], [0, a]])
+    assert rational_conjugacy(jordan, scalar) is None
+    assert len(calls) == 2
+    # the other way round dim C(aI, aI) = 4 differs from the first
+    assert rational_conjugacy(scalar, jordan) is None
+    assert len(calls) == 3
 
 
 def test_jkv_gln_examples():
@@ -878,6 +1001,13 @@ def test_witness_combinations_are_bounded():
 
 
 def test_witness_search_ends_with_a_certificate_error(monkeypatch):
-    monkeypatch.setattr(gln, "qdet", lambda a: 0)
+    monkeypatch.setattr(gln, "det", lambda a: 0)
+    calls = _counted_commutant_dims(monkeypatch)
     with pytest.raises(gln.CertificateError, match="^an invertible intertwiner exists"):
         rational_conjugacy(m([[1, 0], [0, 1]]), m([[1, 0], [0, 1]]))
+    assert calls == []
+    # a conjugate pair with x != y passes the dimension check, then ends
+    # the same way
+    with pytest.raises(gln.CertificateError, match="^an invertible intertwiner exists"):
+        rational_conjugacy(m([[1, 1], [0, 2]]), m([[2, 0], [0, 1]]))
+    assert len(calls) == 2

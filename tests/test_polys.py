@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jkvkit.polys import (
     degree,
@@ -100,6 +100,22 @@ def test_is_squarefree():
     f = poly_mul(poly_mul(poly([-1, 1]), poly([-1, 1])), poly([-2, 1]))
     assert not is_squarefree(f) and is_squarefree(squarefree_part(f))
     assert is_squarefree(poly([1, 0, 1]))  # x^2 + 1, irreducible over Q
+
+
+@settings(max_examples=200)
+@given(_coeffs, _coeffs, st.booleans())
+@example([], [], False)  # zero
+@example([Fraction(-3, 2)], [], False)  # nonzero constant
+@example([0], [], False)  # zero, spelled with a trailing zero
+@example([Fraction(1, 3), 2], [], False)  # degree 1
+@example([Fraction(1, 3), 2], [1], True)  # a squared linear factor
+@example([1, 0, 1], [-2, 1], True)  # (x^2 + 1)^2 (x - 2)
+def test_is_squarefree_by_resultant_matches_the_gcd(ac, bc, square):
+    """One Sylvester determinant of F and F' decides what the Fraction gcd
+    of f and f' decides: f = a b, or a^2 b when square."""
+    a, b = poly(ac), poly(bc)
+    f = poly_mul(poly_mul(a, a), b) if square else poly_mul(a, b) if b else a
+    assert is_squarefree(f) is (degree(poly_gcd(f, poly_derivative(f))) == 0)
 
 
 def test_derivative():

@@ -921,6 +921,29 @@ def test_finite_group_validation_errors():
         )
 
 
+def test_lattice_rows_may_be_lists_and_must_be_integers():
+    """A lattice spelled with list rows is held as tuple rows, so the swap
+    group validates and acts as the tuple spelling does; a non-integer
+    entry is refused by its own message."""
+    tuples = swap_group()
+    lists = FiniteGroup(
+        tuple(FiniteElement([list(r) for r in el.lattice], el.blocks) for el in tuples.elements),
+        tuples.table,
+    )
+    assert lists == tuples
+    weights = (((1, 0), 1), ((0, 1), 1))
+    rep_t, rep_l = TorusRep(2, weights, tuples), TorusRep(2, weights, lists)
+    assert rep_l._actions == rep_t._actions and rep_l._actions[lists.identity] is None
+    v = rv(2, {(1, 0): (F(2, 3),), (0, 1): (F(-1),)})
+    for idx in (0, 1):
+        g = GroupElement((F(2), F(-1, 5)), idx)
+        assert act(rep_l, g, v) == act(rep_t, g, v)
+    assert act(rep_l, GroupElement((1, 1), 1), v) == rv(2, {(0, 1): (F(2, 3),), (1, 0): (F(-1),)})
+    for bad in ([[0, 1], [1, 2.5]], ((0, 1), (1, F(5, 2))), [[0, 1], [1, "1"]], 3):
+        with pytest.raises(ProblemFormatError, match="^lattice entries must be integers$"):
+            FiniteElement(bad, tuples.elements[1].blocks)
+
+
 # The block checks of the finite-group validation as they were, on
 # Fraction matrices through qmul and qdet, kept here only as an oracle.
 
@@ -1020,8 +1043,7 @@ def _variants(grp, rng, n):
 
 def _perturbed(grp):
     """Copies of grp with one element changed: one block entry moved by 1
-    or by -1/3, the lattice of another element put in its place, or its
-    lattice given as lists (which no product of tuple rows equals)."""
+    or by -1/3, or the lattice of another element put in its place."""
     for idx, el in enumerate(grp.elements):
         changed = []
         for chi, block in sorted(el.blocks.items()):
@@ -1032,7 +1054,6 @@ def _perturbed(grp):
         for other in grp.elements:
             if other.lattice != el.lattice:
                 changed.append(FiniteElement(other.lattice, el.blocks))
-        changed.append(FiniteElement([list(r) for r in el.lattice], el.blocks))
         for bad in changed:
             elements = list(grp.elements)
             elements[idx] = bad
