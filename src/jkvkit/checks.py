@@ -1,10 +1,13 @@
-"""The failures every layer shares: ProblemFormatError for bad input, and
-certificate re-checks that also run under ``python -O``.
+"""The failures every layer shares: ProblemFormatError for bad input (and
+the rank check that raises it), and certificate re-checks that also run
+under ``python -O``.
 
 This module imports nothing from jkvkit, so every layer can use it.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 
 class ProblemFormatError(ValueError):
@@ -21,3 +24,15 @@ def require(cond: bool, msg: str) -> None:
     also runs under python -O."""
     if not cond:
         raise CertificateError(msg)
+
+
+def read_rank(rank) -> int:
+    """rank read with ``operator.index``; ProblemFormatError unless it is an
+    integer >= 0 (rank 0 is valid)."""
+    try:
+        rank = index(rank)
+    except TypeError:
+        raise ProblemFormatError("rank must be an integer") from None
+    if rank < 0:
+        raise ProblemFormatError("rank must be >= 0")
+    return rank

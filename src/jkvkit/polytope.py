@@ -6,11 +6,17 @@ the minimal face containing the origin, and uniformly-positive
 (destabilizing) cocharacters.  All answers carry certificates that are
 re-verified by direct arithmetic before being returned.
 
-The relint test solves the separator LP (a functional >= 1 on every point)
-first; it is feasible exactly when the origin is outside the hull, and then
-no other LP runs.  Only a set whose hull contains the origin reaches the
-barycentric LP, after paying for one infeasible separator LP; eps = 0 there
-(the origin on the boundary) adds a third LP for a supporting functional.
+The relint verdict takes up to three LPs.  The separator LP (a functional
+>= 1 on every point) runs first; it is feasible exactly when the origin is
+outside the hull, and then no other LP runs.  Otherwise the positive-
+combination LP asks for c >= 1 with sum c_i * p_i = 0, one equality row per
+coordinate; by Stiemke's alternative it is feasible exactly when the origin
+is in the relative interior.  When it is infeasible (the origin on the
+boundary) a third LP finds a supporting functional.  The max-min
+barycentric LP, the largest of them, runs only where its coefficients are
+read: `origin_in_relint` and `minimal_face_origin`, once per set.
+`relint_verdict` gives the verdict, the separator and the minimal face
+without it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import index
 
-from .checks import ProblemFormatError, require
+from .checks import ProblemFormatError, read_rank, require
 from .intlinalg import IntVec, pairing, primitive
 from .lp import INFEASIBLE, OPTIMAL, solve_lp
 from .ratlinalg import scaled
@@ -32,6 +38,7 @@ class WeightSet:
     points: tuple[IntVec, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", read_rank(self.rank))
         try:
             pts = tuple(tuple(map(index, p)) for p in self.points)
         except TypeError:
@@ -112,82 +119,132 @@ def find_functional(zero_on, pos_on, uniform=False):
     return primitive(scaled(res.x)[0])
 
 
+def _positive_combination(points) -> bool:
+    """Is there c with every c_i >= 1 and sum c_i * p_i = 0?  By Stiemke's
+    alternative (Math. Ann. 76, 1915) this holds exactly when 0 is in the
+    relative interior of conv(points).  One LP in u = c - 1 >= 0 with one
+    equality row per coordinate and no objective; a feasible c is re-checked
+    on integers."""
+    rank = len(points[0])
+    cons = [([p[k] for p in points], "=", -sum(p[k] for p in points)) for k in range(rank)]
+    res = solve_lp(len(points), cons, [0] * len(points), nonneg=[True] * len(points))
+    if res.status == INFEASIBLE:
+        return False
+    require(res.status == OPTIMAL, "a feasibility LP is feasible or infeasible")
+    c = scaled([1 + u for u in res.x])[0]
+    require(all(ci > 0 for ci in c), "the positive combination is positive")
+    for k in range(rank):
+        require(sum(ci * p[k] for ci, p in zip(c, points)) == 0, "the positive combination is 0")
+    return True
+
+
 @lru_cache(maxsize=200_000)
 def _relint_cached(rank: int, points: tuple[IntVec, ...]):
     if not points:
-        return True, {}, None
+        return True, None
     lam = find_functional((), points, uniform=True)
     if lam is not None:
         require(all(pairing(lam, p) >= 1 for p in points), "the separator is >= 1 on every point")
-        return False, None, lam
-    status, eps, coeffs = _barycentric_lp(points)
-    require(status == OPTIMAL, "the barycentric LP is optimal when no separator exists")
-    if eps > 0:
-        bary = dict(zip(points, coeffs))
-        _check_barycentric(points, bary)
-        return True, bary, None
+        return False, lam
+    if _positive_combination(points):
+        return True, None
     lam = find_functional((), points, uniform=False)
     require(lam is not None, "a supporting functional must exist on the boundary")
     require(all(pairing(lam, p) >= 0 for p in points), "the supporter is >= 0 on every point")
     require(any(pairing(lam, p) > 0 for p in points), "the supporter is > 0 on some point")
-    return False, None, lam
+    return False, lam
 
 
-def _check_barycentric(points, bary):
-    rank = len(points[0])
+@lru_cache(maxsize=200_000)
+def _barycentric_cached(points: tuple[IntVec, ...]) -> dict[IntVec, Fraction]:
+    """The max-min barycentric coefficients of a set with 0 in the relative
+    interior of its hull, solved when first read."""
+    if not points:
+        return {}
+    status, eps, coeffs = _barycentric_lp(points)
+    require(status == OPTIMAL and eps > 0, "an inside set has a positive barycentric representation")
+    bary = dict(zip(points, coeffs))
     require(sum(bary.values()) == 1, "barycentric coefficients sum to 1")
     require(all(c > 0 for c in bary.values()), "barycentric coefficients are positive")
-    for k in range(rank):
+    for k in range(len(points[0])):
         require(sum(c * p[k] for p, c in bary.items()) == 0, "the barycentric combination is 0")
+    return bary
 
 
 def origin_in_relint(ws: WeightSet) -> RelintResult:
     """Is 0 in the relative interior of conv(points)?
 
     True comes with an all-positive barycentric representation of 0 over the
-    full set; false with a cocharacter that is >= 0 on the set and positive
-    somewhere (strictly separating when 0 is outside the hull entirely).
-    Decided by the separator LP alone when 0 is outside the hull; otherwise
-    that LP is infeasible and the barycentric LP runs after it, followed by
-    a supporting-functional LP when 0 is on the boundary.  Cached per set.
+    full set, the one that maximizes its least coefficient; false with a
+    cocharacter that is >= 0 on the set and positive somewhere (strictly
+    separating when 0 is outside the hull entirely).  The verdict and the
+    cocharacter are those of `relint_verdict`; the coefficients of an
+    inside set come from the barycentric LP, solved once per set.
     """
-    inside, bary, sep = _relint_cached(ws.rank, ws.sorted_points())
-    return RelintResult(inside, dict(bary) if bary is not None else None, sep)
+    points = ws.sorted_points()
+    inside, sep = _relint_cached(ws.rank, points)
+    return RelintResult(inside, dict(_barycentric_cached(points)) if inside else None, sep)
 
 
 @lru_cache(maxsize=200_000)
 def _minimal_face_cached(rank: int, points: tuple[IntVec, ...]):
-    inside, bary, sep = _relint_cached(rank, points)
+    inside, sep = _relint_cached(rank, points)
     if inside:
-        return FaceCertificate(face=points, supporter=(0,) * rank, barycentric=bary)
+        return points, (0,) * rank
     kernel = tuple(p for p in points if pairing(sep, p) == 0)
     if not kernel:
         return None
     inner = _minimal_face_cached(rank, kernel)
-    require(inner is not None and inner.face, "the origin stays in the hull of the kernel points")
-    face = inner.face
+    require(inner is not None and inner[0], "the origin stays in the hull of the kernel points")
+    face = inner[0]
     outside = [p for p in points if p not in face]
     supporter = find_functional(face, outside, uniform=True)
     require(supporter is not None, "polytope faces are exposed")
     require(all(pairing(supporter, p) == 0 for p in face), "the supporter vanishes on the face")
     require(all(pairing(supporter, p) >= 1 for p in outside), "the supporter is >= 1 off the face")
-    return FaceCertificate(face=face, supporter=supporter, barycentric=inner.barycentric)
+    return face, supporter
 
 
 def minimal_face_origin(ws: WeightSet) -> FaceCertificate | None:
     """The unique face of conv(points) whose relative interior contains 0.
 
-    Derived from the relint result: the whole set when 0 is in its relative
-    interior, None when the relint separator is nonzero on every point (0 is
-    outside the hull; the caller should then ask for a destabilizer), and
-    otherwise the minimal face of the separator's kernel points.  The
-    supporter vanishes exactly on the face within the set and is >= 1 on the
-    rest.
+    The face and its supporter are those of `RelintVerdict.minimal_face`:
+    the whole set when 0 is in its relative interior, None when the relint
+    separator is nonzero on every point (0 is outside the hull; the caller
+    should then ask for a destabilizer), and otherwise the minimal face of
+    the separator's kernel points.  The supporter vanishes exactly on the
+    face within the set and is >= 1 on the rest.  The face's barycentric
+    coefficients come from the barycentric LP, solved once per face.
     """
     cert = _minimal_face_cached(ws.rank, ws.sorted_points())
     if cert is None:
         return None
-    return FaceCertificate(cert.face, cert.supporter, dict(cert.barycentric))
+    face, supporter = cert
+    return FaceCertificate(face, supporter, dict(_barycentric_cached(face)))
+
+
+@dataclass
+class RelintVerdict:
+    """The relint test of one weight set without barycentric coefficients:
+    `inside` and `separator` are those of `origin_in_relint`, and no
+    barycentric LP runs for them or for `minimal_face`."""
+
+    rank: int
+    points: tuple[IntVec, ...]
+    inside: bool
+    separator: IntVec | None
+
+    def minimal_face(self) -> tuple[tuple[IntVec, ...], IntVec] | None:
+        """(face, supporter) of `minimal_face_origin`, or None."""
+        return _minimal_face_cached(self.rank, self.points)
+
+
+def relint_verdict(ws: WeightSet) -> RelintVerdict:
+    """Is 0 in the relative interior of conv(points), for callers that read
+    the verdict, the separator or the minimal face but no coefficients.
+    Cached per set, with `origin_in_relint` and `minimal_face_origin`."""
+    points = ws.sorted_points()
+    return RelintVerdict(ws.rank, points, *_relint_cached(ws.rank, points))
 
 
 def destabilizer(ws: WeightSet) -> IntVec | None:
@@ -199,7 +256,7 @@ def destabilizer(ws: WeightSet) -> IntVec | None:
     """
     if not ws.points:
         return (0,) * ws.rank
-    _, _, sep = _relint_cached(ws.rank, ws.sorted_points())
+    _, sep = _relint_cached(ws.rank, ws.sorted_points())
     if sep is None or any(pairing(sep, p) < 1 for p in ws.points):
         return None
     return sep

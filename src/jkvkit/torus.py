@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index, mul
 
-from .checks import ProblemFormatError, require
+from .checks import ProblemFormatError, read_rank, require
 from .intlinalg import (
     IntMat,
     IntVec,
@@ -25,10 +25,9 @@ from .intlinalg import (
 from .polytope import (
     RelintResult,
     WeightSet,
-    destabilizer,
     find_functional,
-    minimal_face_origin,
     origin_in_relint,
+    relint_verdict,
 )
 from .rationals import factorize_fraction
 from .ratlinalg import QMat, int_form, scaled
@@ -100,6 +99,7 @@ class TorusRep:
     _actions: tuple[_Action | None, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", read_rank(self.rank))
         try:
             ws = tuple((tuple(map(index, chi)), index(d)) for chi, d in self.weight_spaces)
         except TypeError:
@@ -216,6 +216,7 @@ class RepVector:
     components: dict[IntVec, tuple[Fraction, ...]]
 
     def __post_init__(self):
+        self.rank = read_rank(self.rank)
         comps = {}
         for chi, coords in self.components.items():
             try:
@@ -276,8 +277,13 @@ def vec_sub(v: RepVector, w: RepVector) -> RepVector:
 
 
 def support(v: RepVector) -> WeightSet:
-    """Weights carrying a nonzero component."""
-    return WeightSet(v.rank, tuple(sorted(v.components)))
+    """Weights carrying a nonzero component.  They are the keys of v's
+    components: distinct int weights of rank v.rank, which
+    WeightSet.__post_init__ would leave unchanged, so it is not run."""
+    ws = object.__new__(WeightSet)
+    object.__setattr__(ws, "rank", v.rank)
+    object.__setattr__(ws, "points", tuple(sorted(v.components)))
+    return ws
 
 
 def chi_eval(torus: tuple[Fraction, ...], chi: IntVec) -> Fraction:
@@ -545,8 +551,8 @@ def jkv_certifier(rep: TorusRep, gamma: RepVector, s: RepVector, n: RepVector):
     validate_vector(rep, s)
     validate_vector(rep, n)
     sums = vec_add(s, n) == gamma
-    semisimple = is_semisimple(s).inside
     supp_s = support(s)
+    semisimple = relint_verdict(supp_s).inside
     in_support = set(supp_s.points) <= set(gamma.components)
     checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
     stabilizer = in_support and all(ok for _, ok in checks)
@@ -607,15 +613,16 @@ def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
 def _constructive_parts(rep: TorusRep, gamma: RepVector):
     """(s, n, lam) of jkv_decompose, not yet certified."""
     validate_vector(rep, gamma)
-    supp = support(gamma)
-    face = minimal_face_origin(supp)
+    verdict = relint_verdict(support(gamma))
+    face = verdict.minimal_face()
     if face is None:
-        lam = destabilizer(supp)
-        require(lam is not None, "a hull missing the origin must have a destabilizer")
-        return zero_vector(rep.rank), gamma, lam
-    points = set(face.face)
-    s = RepVector(rep.rank, {chi: c for chi, c in gamma.components.items() if chi in points})
-    return s, vec_sub(gamma, s), face.supporter
+        # the separator pairs to >= 1 with every weight; certifying checks it
+        return zero_vector(rep.rank), gamma, verdict.separator
+    # s and n split gamma's (normalized) components between the face and the rest
+    points, supporter = set(face[0]), face[1]
+    s = _normalized(rep.rank, {chi: c for chi, c in gamma.components.items() if chi in points})
+    n = _normalized(rep.rank, {chi: c for chi, c in gamma.components.items() if chi not in points})
+    return s, n, supporter
 
 
 # The most cocharacters one box sweep may visit.  A survey keeps a code
@@ -752,5 +759,5 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
             continue
         zero = {chi: c for k, (chi, c) in enumerate(comps.items()) if code >> k & 1}
         val = _normalized(rep.rank, zero)
-        faces[code] = val, origin_in_relint(support(val)).inside
+        faces[code] = val, relint_verdict(support(val)).inside
     return LimitSurvey(box, rep.rank, codes, faces)

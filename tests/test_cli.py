@@ -784,3 +784,28 @@ def test_one_minimal_polynomial_per_gln_request(capsys, monkeypatch, command, n)
     monkeypatch.setattr(gln, "minpoly", lambda x, f=gln.minpoly: calls.append(x) or f(x))
     code, _, _ = run(capsys, [*command, "--file", str(GOLDEN_INPUTS / f"m{n}.json")])
     assert code in (0, 1) and len(calls) == 1
+
+
+def test_semisimple_torus_solves_one_barycentric_lp_per_inside_set(capsys, tmp_path, monkeypatch):
+    """The max-min barycentric LP runs for the printed coefficients only:
+    once per inside set however often it is asked, never for an outside one."""
+    from jkvkit import polytope
+
+    def problem(name, chis):
+        weights = [{"chi": chi, "dim": 1} for chi in chis]
+        vector = [{"chi": chi, "coords": ["1"]} for chi in chis]
+        return write(tmp_path, name, {"rank": 2, "weights": weights, "vector": vector})
+
+    inside = [
+        problem("a.json", [[-1, 0], [0, 1], [1, -1]]),
+        problem("b.json", [[-1, -1], [1, 1]]),
+    ]
+    outside = problem("c.json", [[0, 1], [1, 0]])
+    calls = []
+    original = polytope._barycentric_lp
+    monkeypatch.setattr(polytope, "_barycentric_lp", lambda pts: calls.append(pts) or original(pts))
+    for cache in (polytope._relint_cached, polytope._minimal_face_cached, polytope._barycentric_cached):
+        cache.cache_clear()
+    for path in inside + [outside] + inside:
+        run(capsys, ["semisimple", "torus", "--file", path])
+    assert sorted(calls) == [((-1, -1), (1, 1)), ((-1, 0), (0, 1), (1, -1))]

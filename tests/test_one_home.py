@@ -1,8 +1,9 @@
 """Each integer-form decision has one home in src/jkvkit, checked on the
 syntax tree: only ratlinalg clears rationals to integers (imports lcm),
 only serialize reads comma-separated integer vectors (calls .split(",")),
-and only intlinalg inverts a matrix (reduces an identity-augmented matrix
-with fraction_free_rref)."""
+only intlinalg inverts a matrix (reduces an identity-augmented matrix
+with fraction_free_rref), and only the memoized coefficient path of
+polytope solves the max-min barycentric LP."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,15 @@ def test_only_serialize_splits_on_commas():
 
 def test_only_intlinalg_inverts_through_an_identity_augmented_reduction():
     assert _modules_where(_inverts_by_augmenting) == ["intlinalg.py"]
+
+
+def test_only_the_memoized_coefficient_path_solves_the_barycentric_lp():
+    callers = sorted(
+        (name, func.name)
+        for name, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(func)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_barycentric_lp"
+    )
+    assert callers == [("polytope.py", "_barycentric_cached")]

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jkvkit import oracles, polytope
+from jkvkit import oracles, polytope, suites
+from jkvkit.checks import ProblemFormatError
 from jkvkit.intlinalg import int_kernel, pairing, primitive
 from jkvkit.lp import INFEASIBLE, OPTIMAL
 from jkvkit.polytope import (
@@ -15,8 +20,11 @@ from jkvkit.polytope import (
     find_functional,
     minimal_face_origin,
     origin_in_relint,
+    relint_verdict,
 )
 from jkvkit.ratlinalg import scaled
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def ws(*pts):
@@ -28,6 +36,18 @@ def test_weightset_validation():
         WeightSet(2, ((1, 0), (1, 0)))
     with pytest.raises(ValueError):
         WeightSet(2, ((1,),))
+
+
+@pytest.mark.parametrize("rank", [-1, 2.5, Fraction(2), "2", None])
+def test_weightset_rank_must_be_a_nonnegative_integer(rank):
+    with pytest.raises(ProblemFormatError):
+        WeightSet(rank, ())
+
+
+def test_weightset_rank_zero_and_integer_likes():
+    assert WeightSet(0, ((),)).rank == 0
+    assert origin_in_relint(WeightSet(0, ((),))).barycentric == {(): 1}
+    assert type(WeightSet(True, ((1,),)).rank) is int
 
 
 def test_clear_to_primitive():
@@ -266,8 +286,8 @@ def test_separator_first_matches_barycentric_first(data):
     pts = tuple(
         sorted({tuple(data.draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(npts)})
     )
-    got = polytope._relint_cached.__wrapped__(rank, pts)
-    assert got == _barycentric_first_relint(pts)
+    res = origin_in_relint(WeightSet(rank, pts))
+    assert (res.inside, res.barycentric, res.separator) == _barycentric_first_relint(pts)
 
 
 @pytest.mark.parametrize(
@@ -289,3 +309,68 @@ def test_relint_lp_count(monkeypatch, points, lps):
     monkeypatch.setattr(polytope, "solve_lp", counting)
     polytope._relint_cached.__wrapped__(2, points)
     assert len(calls) == lps
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_relint_verdict_matches_barycentric_lp_and_oracle(data):
+    """The positive-combination verdict is the max-min LP's eps > 0, and the
+    circuit oracle's verdict within the oracle's bounds."""
+    rank = data.draw(st.integers(0, 4))
+    npts = data.draw(st.integers(0, 7))
+    pts = tuple(
+        sorted({tuple(data.draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(npts)})
+    )
+    ws = WeightSet(rank, pts)
+    verdict = relint_verdict(ws)
+    if pts:
+        status, eps, _ = _barycentric_lp(pts)
+        assert verdict.inside == (status == OPTIMAL and eps > 0)
+    else:
+        assert verdict.inside
+    if len(pts) <= 6 and rank <= 3:
+        assert verdict.inside == oracles.oracle_relint(ws)
+    res = origin_in_relint(ws)
+    assert (res.inside, res.separator) == (verdict.inside, verdict.separator)
+
+
+def test_jkv_survey_solves_no_barycentric_lp(monkeypatch):
+    """The survey suite reads verdicts, faces and supporters only."""
+    calls = []
+    original = polytope._barycentric_lp
+    monkeypatch.setattr(polytope, "_barycentric_lp", lambda pts: calls.append(pts) or original(pts))
+    for cache in (polytope._relint_cached, polytope._minimal_face_cached, polytope._barycentric_cached):
+        cache.cache_clear()
+    for seed in range(30):
+        cfg = oracles.FuzzConfig(seed=seed, count=4, max_rank=3, box=2)
+        assert suites.run_suite("jkv-survey", cfg).passed
+    assert calls == []
+
+
+def test_corrupted_positive_combination_fails_its_check_under_O():
+    """The positive combination is re-checked by `require`, which python -O
+    keeps: a combination moved off 0 raises CertificateError."""
+    script = (
+        "from jkvkit import polytope\n"
+        "from jkvkit.checks import CertificateError\n"
+        "from jkvkit.lp import LpResult\n"
+        "solve = polytope.solve_lp\n"
+        "def corrupt(num_vars, cons, objective, nonneg=None):\n"
+        "    res = solve(num_vars, cons, objective, nonneg)\n"
+        "    if nonneg == [True] * num_vars and res.x is not None:\n"
+        "        return LpResult(res.status, res.value, (res.x[0] + 1, *res.x[1:]))\n"
+        "    return res\n"
+        "polytope.solve_lp = corrupt\n"
+        "try:\n"
+        "    polytope.relint_verdict(polytope.WeightSet(1, ((-1,), (1,))))\n"
+        "except CertificateError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "the positive combination is 0\n", "")

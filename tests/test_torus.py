@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from jkvkit.checks import ProblemFormatError
 from jkvkit.intlinalg import pairing
 from jkvkit.oracles import FuzzConfig, sample_torus_instance
-from jkvkit.polytope import WeightSet, origin_in_relint
+from jkvkit.polytope import WeightSet, origin_in_relint, relint_verdict
 from jkvkit.torus import (
     BOX_BUDGET,
     BoxTooSmallError,
@@ -746,7 +746,7 @@ def test_limit_survey_matches_the_per_cocharacter_loop(data):
     expected = _survey_by_limit(rep, gamma, box)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(torus_mod, "origin_in_relint", lambda w: calls.append(w) or origin_in_relint(w))
+        mp.setattr(torus_mod, "relint_verdict", lambda w: calls.append(w) or relint_verdict(w))
         entries = limit_survey(rep, gamma, box).entries
     assert [(e.cocharacter, e.value, e.semisimple) for e in entries] == expected
     shared = {}
@@ -1134,3 +1134,23 @@ def test_weights_and_dimensions_must_be_integers():
     assert WeightSet(1, ((True,), (-1,))).points == ((1,), (-1,))
     assert TorusRep(1, (((2,), True),)).weight_spaces == (((2,), 1),)
     assert RepVector(1, {(True,): (F(1),)}).components == {(1,): (F(1),)}
+
+
+def test_rank_must_be_a_nonnegative_integer():
+    """The rank is read with operator.index, like the coordinates: a
+    negative or non-integer rank is refused before any weight is read, and
+    rank 0 is valid."""
+    for bad, message in ((-1, "rank must be >= 0"), (2.5, "rank must be an integer"),
+                         (F(2), "rank must be an integer"), ("1", "rank must be an integer")):
+        for build in (
+            lambda: WeightSet(bad, ()),
+            lambda: TorusRep(bad, ()),
+            lambda: RepVector(bad, {}),
+        ):
+            with pytest.raises(ProblemFormatError, match=f"^{message}$"):
+                build()
+    rep = TorusRep(0, (((), 1),))
+    gamma = RepVector(0, {(): (F(3),)})
+    assert relint_verdict(support(gamma)).inside
+    assert jkv_decompose(rep, gamma).s == gamma
+    assert RepVector(True, {(2,): (F(1),)}).rank == 1
