@@ -101,13 +101,14 @@ def _positive_circuits(points):
 
 def oracle_relint(ws: WeightSet) -> bool:
     """Ground-truth relative-interior membership of the origin by solving the
-    equality system on every candidate support subset (<= 6 points, rank <= 3).
+    equality system on every candidate support subset (at most MAX_POINTS + 1
+    points, rank <= 4: the shape of `sample_torus_instance`'s supports).
 
     The origin is in the relative interior exactly when the circuits cover
     every point; a circuit has at most rank + 1 points, because a larger
     subset has a kernel of dimension >= 2, so no larger subset is solved."""
-    if len(ws.points) > 6 or ws.rank > 3:
-        raise ValueError("oracle bounds exceeded: needs <= 6 points and rank <= 3")
+    if len(ws.points) > MAX_POINTS + 1 or ws.rank > 4:
+        raise ValueError(f"oracle bounds exceeded: needs <= {MAX_POINTS + 1} points and rank <= 4")
     if not ws.points:
         return True
     pts = ws.sorted_points()

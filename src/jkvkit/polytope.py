@@ -1,10 +1,10 @@
 """Origin-vs-weight-polytope tests over exact rationals.
 
 Everything here is phrased in terms of a finite set of integer weights:
-whether the origin lies in the relative interior of their convex hull,
-the minimal face containing the origin, and uniformly-positive
-(destabilizing) cocharacters.  All answers carry certificates that are
-re-verified by direct arithmetic before being returned.
+whether the origin lies in the relative interior of their convex hull
+(`origin_in_relint`, one `RelintResult` per set) and the minimal face
+containing it (`minimal_face_origin`).  All answers carry certificates that
+are re-verified by direct arithmetic before being returned.
 
 The relint verdict takes up to three LPs.  The separator LP (a functional
 >= 1 on every point) runs first; it is feasible exactly when the origin is
@@ -14,14 +14,12 @@ coordinate; by Stiemke's alternative it is feasible exactly when the origin
 is in the relative interior.  When it is infeasible (the origin on the
 boundary) a third LP finds a supporting functional.  The max-min
 barycentric LP, the largest of them, runs only where its coefficients are
-read: `origin_in_relint` and `minimal_face_origin`, once per set.
-`relint_verdict` gives the verdict, the separator and the minimal face
-without it.
+read: `RelintResult.barycentric`, once per set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
@@ -44,9 +42,9 @@ class WeightSet:
         except TypeError:
             raise ProblemFormatError("weight coordinates must be integers") from None
         if any(len(p) != self.rank for p in pts):
-            raise ValueError("weight rank mismatch")
+            raise ProblemFormatError("weight rank mismatch")
         if len(set(pts)) != len(pts):
-            raise ValueError("weights must be pairwise distinct")
+            raise ProblemFormatError("weights must be pairwise distinct")
         object.__setattr__(self, "points", pts)
 
     def sorted_points(self) -> tuple[IntVec, ...]:
@@ -54,24 +52,22 @@ class WeightSet:
 
 
 @dataclass
-class FaceCertificate:
-    """A face of conv(points) with 0 in its relative interior.
-
-    supporter vanishes exactly on the face within the set and is >= 1
-    outside it; barycentric is an all-positive representation of 0 over
-    the face points, summing to 1.
-    """
-
-    face: tuple[IntVec, ...]
-    supporter: IntVec
-    barycentric: dict[IntVec, Fraction] = field(default_factory=dict)
-
-
-@dataclass
 class RelintResult:
+    """Is 0 in the relative interior of conv(points)?  The verdict of one
+    sorted weight set.  An inside set has no separator; an outside one has a
+    cocharacter that is >= 0 on the set and positive somewhere, and >= 1 on
+    every point when 0 is outside the hull entirely."""
+
+    points: tuple[IntVec, ...]
     inside: bool
-    barycentric: dict[IntVec, Fraction] | None
     separator: IntVec | None
+
+    @property
+    def barycentric(self) -> dict[IntVec, Fraction] | None:
+        """The all-positive representation of 0 over the whole set that
+        maximizes its least coefficient, solved once per set when first
+        read; None for an outside set."""
+        return dict(_barycentric_cached(self.points)) if self.inside else None
 
 
 def _barycentric_lp(points):
@@ -172,18 +168,10 @@ def _barycentric_cached(points: tuple[IntVec, ...]) -> dict[IntVec, Fraction]:
 
 
 def origin_in_relint(ws: WeightSet) -> RelintResult:
-    """Is 0 in the relative interior of conv(points)?
-
-    True comes with an all-positive barycentric representation of 0 over the
-    full set, the one that maximizes its least coefficient; false with a
-    cocharacter that is >= 0 on the set and positive somewhere (strictly
-    separating when 0 is outside the hull entirely).  The verdict and the
-    cocharacter are those of `relint_verdict`; the coefficients of an
-    inside set come from the barycentric LP, solved once per set.
-    """
+    """The relint verdict of ws, cached per set; no barycentric LP runs
+    until the result's coefficients are read."""
     points = ws.sorted_points()
-    inside, sep = _relint_cached(ws.rank, points)
-    return RelintResult(inside, dict(_barycentric_cached(points)) if inside else None, sep)
+    return RelintResult(points, *_relint_cached(ws.rank, points))
 
 
 @lru_cache(maxsize=200_000)
@@ -205,58 +193,15 @@ def _minimal_face_cached(rank: int, points: tuple[IntVec, ...]):
     return face, supporter
 
 
-def minimal_face_origin(ws: WeightSet) -> FaceCertificate | None:
-    """The unique face of conv(points) whose relative interior contains 0.
+def minimal_face_origin(ws: WeightSet) -> tuple[tuple[IntVec, ...], IntVec] | None:
+    """(face, supporter): the unique face of conv(points) whose relative
+    interior contains 0, as sorted points, and a cocharacter that vanishes
+    exactly on the face within the set and is >= 1 on the rest.
 
-    The face and its supporter are those of `RelintVerdict.minimal_face`:
-    the whole set when 0 is in its relative interior, None when the relint
-    separator is nonzero on every point (0 is outside the hull; the caller
-    should then ask for a destabilizer), and otherwise the minimal face of
-    the separator's kernel points.  The supporter vanishes exactly on the
-    face within the set and is >= 1 on the rest.  The face's barycentric
-    coefficients come from the barycentric LP, solved once per face.
+    The face is the whole set (with the zero supporter) when 0 is in its
+    relative interior, and otherwise the minimal face of the relint
+    separator's kernel points; None when the separator is nonzero on every
+    point, that is when 0 is outside the hull.  The face's coefficients are
+    `origin_in_relint(WeightSet(rank, face)).barycentric`.
     """
-    cert = _minimal_face_cached(ws.rank, ws.sorted_points())
-    if cert is None:
-        return None
-    face, supporter = cert
-    return FaceCertificate(face, supporter, dict(_barycentric_cached(face)))
-
-
-@dataclass
-class RelintVerdict:
-    """The relint test of one weight set without barycentric coefficients:
-    `inside` and `separator` are those of `origin_in_relint`, and no
-    barycentric LP runs for them or for `minimal_face`."""
-
-    rank: int
-    points: tuple[IntVec, ...]
-    inside: bool
-    separator: IntVec | None
-
-    def minimal_face(self) -> tuple[tuple[IntVec, ...], IntVec] | None:
-        """(face, supporter) of `minimal_face_origin`, or None."""
-        return _minimal_face_cached(self.rank, self.points)
-
-
-def relint_verdict(ws: WeightSet) -> RelintVerdict:
-    """Is 0 in the relative interior of conv(points), for callers that read
-    the verdict, the separator or the minimal face but no coefficients.
-    Cached per set, with `origin_in_relint` and `minimal_face_origin`."""
-    points = ws.sorted_points()
-    return RelintVerdict(ws.rank, points, *_relint_cached(ws.rank, points))
-
-
-def destabilizer(ws: WeightSet) -> IntVec | None:
-    """Primitive integer cocharacter pairing >= 1 with every point, if any.
-
-    Read from the relint result: its separator when that is >= 1 on every
-    point (0 outside the hull), else None.  The empty set is destabilized by
-    the zero cocharacter.
-    """
-    if not ws.points:
-        return (0,) * ws.rank
-    _, sep = _relint_cached(ws.rank, ws.sorted_points())
-    if sep is None or any(pairing(sep, p) < 1 for p in ws.points):
-        return None
-    return sep
+    return _minimal_face_cached(ws.rank, ws.sorted_points())

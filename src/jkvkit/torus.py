@@ -26,8 +26,8 @@ from .polytope import (
     RelintResult,
     WeightSet,
     find_functional,
+    minimal_face_origin,
     origin_in_relint,
-    relint_verdict,
 )
 from .rationals import factorize_fraction
 from .ratlinalg import QMat, int_form, scaled
@@ -270,10 +270,6 @@ def vec_add(v: RepVector, w: RepVector) -> RepVector:
         else:
             out[chi] = coords
     return RepVector(v.rank, out)
-
-
-def vec_sub(v: RepVector, w: RepVector) -> RepVector:
-    return vec_add(v, RepVector(w.rank, {c: tuple(-x for x in t) for c, t in w.components.items()}))
 
 
 def support(v: RepVector) -> WeightSet:
@@ -552,7 +548,7 @@ def jkv_certifier(rep: TorusRep, gamma: RepVector, s: RepVector, n: RepVector):
     validate_vector(rep, n)
     sums = vec_add(s, n) == gamma
     supp_s = support(s)
-    semisimple = relint_verdict(supp_s).inside
+    semisimple = origin_in_relint(supp_s).inside
     in_support = set(supp_s.points) <= set(gamma.components)
     checks = [(g.finite_index, act(rep, g, s) == s) for g in stabilizers]
     stabilizer = in_support and all(ok for _, ok in checks)
@@ -601,8 +597,8 @@ def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
 
     The semisimple part is the projection of gamma onto the minimal face of
     its support hull containing the origin (zero when the origin is outside
-    the hull), and the cocharacter is the face supporter (respectively a
-    destabilizer).
+    the hull), and the cocharacter is the face supporter (respectively the
+    relint separator, which pairs to >= 1 with every weight of supp gamma).
     """
     s, n, lam = _constructive_parts(rep, gamma)
     report = jkv_certify(rep, gamma, s, n, lam)
@@ -613,11 +609,11 @@ def jkv_decompose(rep: TorusRep, gamma: RepVector) -> JkvDecomposition:
 def _constructive_parts(rep: TorusRep, gamma: RepVector):
     """(s, n, lam) of jkv_decompose, not yet certified."""
     validate_vector(rep, gamma)
-    verdict = relint_verdict(support(gamma))
-    face = verdict.minimal_face()
+    supp = support(gamma)
+    face = minimal_face_origin(supp)
     if face is None:
         # the separator pairs to >= 1 with every weight; certifying checks it
-        return zero_vector(rep.rank), gamma, verdict.separator
+        return zero_vector(rep.rank), gamma, origin_in_relint(supp).separator
     # s and n split gamma's (normalized) components between the face and the rest
     points, supporter = set(face[0]), face[1]
     s = _normalized(rep.rank, {chi: c for chi, c in gamma.components.items() if chi in points})
@@ -759,5 +755,5 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
             continue
         zero = {chi: c for k, (chi, c) in enumerate(comps.items()) if code >> k & 1}
         val = _normalized(rep.rank, zero)
-        faces[code] = val, relint_verdict(support(val)).inside
+        faces[code] = val, origin_in_relint(support(val)).inside
     return LimitSurvey(box, rep.rank, codes, faces)

@@ -29,7 +29,7 @@ from jkvkit.serialize import (
     torus_problem_to_json,
     vector_to_json,
 )
-from jkvkit.torus import GroupElement, RepVector, act, limit_survey, vec_add, vec_sub
+from jkvkit.torus import GroupElement, RepVector, act, limit_survey, vec_add
 
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
@@ -58,9 +58,13 @@ def _torus_files(name: str, rank: int, finite: bool) -> dict[str, object]:
     idx = len(rep.finite.elements) - 1 if rep.finite else None
     files[f"{name}-moved.json"] = torus_problem_to_json(rep, act(rep, GroupElement(torus, idx), v))
     entry = next(e for e in limit_survey(rep, v, 1).semisimple_entries() if e.value != v)
+    # the limit is a projection of v, so v - s is v's components off supp s
+    rest = RepVector(
+        v.rank, {chi: c for chi, c in v.components.items() if chi not in entry.value.components}
+    )
     dec = {
         "s": vector_to_json(entry.value),
-        "n": vector_to_json(vec_sub(v, entry.value)),
+        "n": vector_to_json(rest),
         "cocharacter": list(entry.cocharacter),
     }
     files[f"{name}-dec.json"] = dec
@@ -74,8 +78,9 @@ def _torus_files(name: str, rank: int, finite: bool) -> dict[str, object]:
             if chi not in v.components and pairing(entry.cocharacter, chi) == 0
         )
         s = vec_add(entry.value, RepVector(rep.rank, {off: (1,) * dims[off]}))
+        n = vec_add(rest, RepVector(rep.rank, {off: (-1,) * dims[off]}))
         files[f"{name}-dec-offsupport.json"] = dict(
-            dec, s=vector_to_json(s), n=vector_to_json(vec_sub(v, s))
+            dec, s=vector_to_json(s), n=vector_to_json(n)
         )
     return files
 

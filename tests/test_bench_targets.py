@@ -20,3 +20,11 @@ def test_every_tracer_target_is_a_function_in_src():
         if not callable(getattr(importlib.import_module(f"jkvkit.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_the_polytope_caches_the_worker_reads_exist():
+    """bench/worker.py:cache_counts reads cache_info() of both polytope
+    caches for the hit ratios of `--trace 1`."""
+    polytope = importlib.import_module("jkvkit.polytope")
+    for name in ("_relint_cached", "_minimal_face_cached"):
+        assert callable(getattr(getattr(polytope, name, None), "cache_info", None)), name

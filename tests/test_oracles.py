@@ -109,10 +109,16 @@ def test_oracle_relint_examples():
 
 
 def test_oracle_relint_bounds():
+    """The oracle answers up to the torus sampler's shape (rank 4, one point
+    more than MAX_POINTS) and refuses anything beyond it."""
+    assert oracle_relint(WeightSet(4, ((1, 0, 0, 0), (-1, 0, 0, 0))))
     with pytest.raises(ValueError):
-        oracle_relint(WeightSet(4, ((1, 0, 0, 0),)))
+        oracle_relint(WeightSet(5, ((1, 0, 0, 0, 0),)))
+    edge = tuple((k,) for k in range(-5, 7) if k)
+    assert len(edge) == oracles.MAX_POINTS + 1
+    assert oracle_relint(WeightSet(1, edge))
     with pytest.raises(ValueError):
-        oracle_relint(WeightSet(1, tuple((k,) for k in range(-3, 4))))
+        oracle_relint(WeightSet(1, edge + ((0,),)))
 
 
 def test_fuzzconfig_validation_and_determinism():

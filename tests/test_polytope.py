@@ -16,13 +16,12 @@ from jkvkit.lp import INFEASIBLE, OPTIMAL
 from jkvkit.polytope import (
     WeightSet,
     _barycentric_lp,
-    destabilizer,
     find_functional,
     minimal_face_origin,
     origin_in_relint,
-    relint_verdict,
 )
 from jkvkit.ratlinalg import scaled
+from jkvkit.torus import support
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -32,9 +31,11 @@ def ws(*pts):
 
 
 def test_weightset_validation():
-    with pytest.raises(ValueError):
+    """Malformed weights are the input's fault: ProblemFormatError, as in
+    TorusRep, never a plain ValueError (an internal error in the CLI)."""
+    with pytest.raises(ProblemFormatError, match="^weights must be pairwise distinct$"):
         WeightSet(2, ((1, 0), (1, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ProblemFormatError, match="^weight rank mismatch$"):
         WeightSet(2, ((1,),))
 
 
@@ -72,34 +73,36 @@ def test_relint_examples():
 
 
 def test_minimal_face_examples():
-    cert = minimal_face_origin(ws((0, 0), (1, 0), (0, 1)))
-    assert cert.face == ((0, 0),)
-    assert pairing(cert.supporter, (1, 0)) >= 1
-    assert pairing(cert.supporter, (0, 1)) >= 1
-    assert pairing(cert.supporter, (0, 0)) == 0
+    face, supporter = minimal_face_origin(ws((0, 0), (1, 0), (0, 1)))
+    assert face == ((0, 0),)
+    assert pairing(supporter, (1, 0)) >= 1
+    assert pairing(supporter, (0, 1)) >= 1
+    assert pairing(supporter, (0, 0)) == 0
 
-    cert = minimal_face_origin(ws((1, 1), (-1, -1), (2, 0)))
-    assert cert.face == ((-1, -1), (1, 1))
-    assert cert.supporter == (1, -1)
-    assert cert.barycentric == {(1, 1): Fraction(1, 2), (-1, -1): Fraction(1, 2)}
+    face, supporter = minimal_face_origin(ws((1, 1), (-1, -1), (2, 0)))
+    assert face == ((-1, -1), (1, 1))
+    assert supporter == (1, -1)
+    assert origin_in_relint(WeightSet(2, face)).barycentric == {
+        (1, 1): Fraction(1, 2),
+        (-1, -1): Fraction(1, 2),
+    }
 
-    cert = minimal_face_origin(ws((0, 0)))
-    assert cert.face == ((0, 0),) and cert.supporter == (0, 0)
+    assert minimal_face_origin(ws((0, 0))) == (((0, 0),), (0, 0))
 
     assert minimal_face_origin(ws((1, 0), (1, 1))) is None
 
 
-def test_destabilizer_examples():
-    lam = destabilizer(ws((1, 0), (1, 1)))
-    assert lam is not None
-    assert pairing(lam, (1, 0)) >= 1 and pairing(lam, (1, 1)) >= 1
+def test_separator_of_a_set_outside_the_hull_is_uniformly_positive():
+    res = origin_in_relint(ws((1, 0), (1, 1)))
+    assert pairing(res.separator, (1, 0)) >= 1 and pairing(res.separator, (1, 1)) >= 1
 
-    assert destabilizer(ws((1,), (-1,))) is None
+    res = origin_in_relint(ws((1,), (-1,)))
+    assert res.inside and res.separator is None
 
-    lam = destabilizer(ws((2,)))
-    assert lam == (1,)
+    assert origin_in_relint(ws((2,))).separator == (1,)
 
-    assert destabilizer(WeightSet(2, ())) == (0, 0)
+    res = origin_in_relint(WeightSet(2, ()))
+    assert (res.inside, res.separator, res.barycentric) == (True, None, {})
 
 
 def _positive_circuit_union(points):
@@ -199,19 +202,19 @@ def test_relint_against_circuit_oracle(data):
     assert (face is not None) == found
     # trichotomy: relint true <=> the minimal face is the whole set
     if face is not None:
-        assert set(face.face) == {pts[i] for i in union}
-        assert res.inside == (set(face.face) == set(pts))
-    dest = destabilizer(WeightSet(rank, tuple(pts)))
-    assert (dest is None) == found
-    if dest is not None:
-        assert all(pairing(dest, p) >= 1 for p in pts)
+        assert set(face[0]) == {pts[i] for i in union}
+        assert res.inside == (set(face[0]) == set(pts))
+    # the separator is >= 1 on every point exactly when no positive circuit exists
+    uniform = res.separator is not None and all(pairing(res.separator, p) >= 1 for p in pts)
+    assert uniform == (not found)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_destabilizer_vs_box_search(data):
-    """Box-exhaustive completeness: any box functional implies the LP finds
-    one, and LP witnesses landing in the box match the box search."""
+def test_uniform_separator_vs_box_search(data):
+    """Box-exhaustive completeness: any box functional >= 1 on every point
+    implies the relint separator is one, and separators landing in the box
+    match the box search."""
     rank = data.draw(st.integers(1, 3))
     npts = data.draw(st.integers(1, 4))
     pts = sorted({tuple(data.draw(st.integers(-2, 2)) for _ in range(rank)) for _ in range(npts)})
@@ -220,7 +223,8 @@ def test_destabilizer_vs_box_search(data):
         if all(pairing(lam, p) >= 1 for p in pts):
             box_hit = lam
             break
-    lp_hit = destabilizer(WeightSet(rank, tuple(pts)))
+    sep = origin_in_relint(WeightSet(rank, tuple(pts))).separator
+    lp_hit = sep if sep is not None and all(pairing(sep, p) >= 1 for p in pts) else None
     if box_hit is not None:
         assert lp_hit is not None
     if lp_hit is not None and max(abs(x) for x in lp_hit) <= 4:
@@ -231,7 +235,7 @@ def test_face_is_order_independent():
     pts = [(1, 1), (-1, -1), (2, 0), (3, 1)]
     a = minimal_face_origin(WeightSet(2, tuple(pts)))
     b = minimal_face_origin(WeightSet(2, tuple(reversed(pts))))
-    assert a.face == b.face and a.supporter == b.supporter
+    assert a == b
 
 
 def _peeled_minimal_face(rank, points):
@@ -252,17 +256,23 @@ def _peeled_minimal_face(rank, points):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_minimal_face_and_destabilizer_match_reference(data):
+def test_minimal_face_and_separator_match_reference(data):
     rank = data.draw(st.integers(1, 4))
     npts = data.draw(st.integers(0, 6))
     pts = tuple(
         sorted({tuple(data.draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(npts)})
     )
     cert = minimal_face_origin(WeightSet(rank, pts))
-    got = None if cert is None else (cert.face, cert.supporter, cert.barycentric)
+    got = None
+    if cert is not None:
+        face, supporter = cert
+        got = face, supporter, origin_in_relint(WeightSet(rank, face)).barycentric
     assert got == _peeled_minimal_face(rank, pts)
-    ref_dest = find_functional((), pts, uniform=True) if pts else (0,) * rank
-    assert destabilizer(WeightSet(rank, pts)) == ref_dest
+    if pts:
+        uniform = find_functional((), pts, uniform=True)
+        assert (uniform is None) == (cert is not None)
+        if uniform is not None:
+            assert origin_in_relint(WeightSet(rank, pts)).separator == uniform
 
 
 def _barycentric_first_relint(points):
@@ -315,23 +325,37 @@ def test_relint_lp_count(monkeypatch, points, lps):
 @given(st.data())
 def test_relint_verdict_matches_barycentric_lp_and_oracle(data):
     """The positive-combination verdict is the max-min LP's eps > 0, and the
-    circuit oracle's verdict within the oracle's bounds."""
+    circuit oracle's verdict."""
     rank = data.draw(st.integers(0, 4))
     npts = data.draw(st.integers(0, 7))
     pts = tuple(
         sorted({tuple(data.draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(npts)})
     )
     ws = WeightSet(rank, pts)
-    verdict = relint_verdict(ws)
+    verdict = origin_in_relint(ws)
     if pts:
         status, eps, _ = _barycentric_lp(pts)
         assert verdict.inside == (status == OPTIMAL and eps > 0)
     else:
         assert verdict.inside
-    if len(pts) <= 6 and rank <= 3:
-        assert verdict.inside == oracles.oracle_relint(ws)
-    res = origin_in_relint(ws)
-    assert (res.inside, res.separator) == (verdict.inside, verdict.separator)
+    assert verdict.inside == oracles.oracle_relint(ws)
+
+
+def test_relint_at_the_torus_sampler_shape_matches_the_oracle():
+    """The supports of sample_torus_instance (rank <= 4, up to MAX_POINTS
+    weights, coordinates up to COEFF_BOUND) against the circuit oracle: the
+    verdict, and the minimal face as the union of the positive circuits."""
+    cfg = oracles.FuzzConfig(seed=7, max_rank=4)
+    rng = cfg.rng()
+    for _ in range(200):
+        _, gamma = oracles.sample_torus_instance(rng, cfg)
+        supp = support(gamma)
+        pts = supp.sorted_points()
+        assert origin_in_relint(supp).inside == oracles.oracle_relint(supp)
+        found, union = oracles._positive_circuits(pts)
+        expected = tuple(pts[i] for i in sorted(union)) if found or not pts else None
+        face = minimal_face_origin(supp)
+        assert (None if face is None else face[0]) == expected
 
 
 def test_jkv_survey_solves_no_barycentric_lp(monkeypatch):
@@ -362,7 +386,7 @@ def test_corrupted_positive_combination_fails_its_check_under_O():
         "    return res\n"
         "polytope.solve_lp = corrupt\n"
         "try:\n"
-        "    polytope.relint_verdict(polytope.WeightSet(1, ((-1,), (1,))))\n"
+        "    polytope.origin_in_relint(polytope.WeightSet(1, ((-1,), (1,))))\n"
         "except CertificateError as exc:\n"
         "    print(exc)\n"
     )
