@@ -11,14 +11,18 @@ ratios), 4 every other exception, ValueError included: an internal
 error (traceback on stderr, nothing on stdout).
 
 The document is json.dumps(indent=2, sort_keys=True) of the fields, byte
-for byte, but survey entries arrive pre-encoded (`_Encoded`, each
-distinct limit encoded once) and main splices them in at their key.
+for byte, but two lists arrive pre-encoded (`_Encoded`) and main splices
+them in at their key: the survey entries (each distinct limit encoded
+once, the cocharacter lines joined from the box's coordinate strings and
+zipped with the survey's codes) and the lambda-min witnesses (one join of
+their integer lines).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -40,6 +44,7 @@ from .serialize import (
     load_gln_pair,
     load_torus_decomposition,
     load_torus_problem,
+    load_torus_vector,
     matrix_to_json,
     parse_int_vector,
     read_json,
@@ -168,18 +173,29 @@ def _cmd_certify_jkv(args) -> tuple[int, dict]:
 def _cmd_lambda_min(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
     dim, wits = torus_model.lambda_min(rep, v, args.box)
-    return EXIT_OK, {
-        "box": args.box,
-        "min_fixed_dim": dim,
-        "witnesses": [list(w) for w in wits],
-    }
+    # each witness is a nonempty list of ints, as json.dumps(indent=2) writes it
+    rows = ",\n".join(["  [\n    " + ",\n    ".join(map(str, w)) + "\n  ]" for w in wits])
+    return EXIT_OK, {"box": args.box, "min_fixed_dim": dim, "witnesses": _Encoded(f"[\n{rows}\n]")}
+
+
+def _module_text(obj: dict) -> str:
+    """The canonical JSON text of a problem object's module: all but its "vector"."""
+    return json.dumps({k: v for k, v in obj.items() if k != "vector"}, sort_keys=True)
 
 
 def _cmd_orbit_eq(args) -> tuple[int, dict]:
-    rep, v = load_torus_problem(read_json(args.file))
-    rep2, v2 = load_torus_problem(read_json(args.file2))
-    if rep != rep2:
-        raise ProblemFormatError("the two problem files must share the same module")
+    obj = read_json(args.file)
+    rep, v = load_torus_problem(obj)
+    obj2 = read_json(args.file2)
+    # A module spelled in the same canonical text is the one just validated,
+    # so only the vector is loaded.  Text, not ==: True == 1 == 1.0, and the
+    # loader takes an integer spelled 1 only.
+    if isinstance(obj2, dict) and _module_text(obj2) == _module_text(obj):
+        v2 = load_torus_vector(obj2, rep)
+    else:
+        rep2, v2 = load_torus_problem(obj2)
+        if rep != rep2:
+            raise ProblemFormatError("the two problem files must share the same module")
     g = torus_model.same_orbit(rep, v, v2)
     if g is None:
         return EXIT_FALSE, {"same_orbit": False, "witness": None}
@@ -235,24 +251,30 @@ def _cmd_conjugacy(args) -> tuple[int, dict]:
 def _cmd_survey(args) -> tuple[int, dict]:
     rep, v = load_torus_problem(read_json(args.file))
     survey = torus_model.limit_survey(rep, v, args.box)
-    # Entries that share a zero set hold the same RepVector (or None), which
+    # Codes that share a zero set hold the same RepVector (or None), which
     # alone fixes "exists", "limit" and "semisimple": encode those once, drop
-    # the braces ('{\n  ' and '\n}') and indent the lines for a list entry.
-    bodies: dict[int, str] = {}
-    entries = []
-    for e in survey.entries:
-        body = bodies.get(id(e.value))
-        if body is None:
+    # the braces ('{\n  ' and '\n}'), indent the lines for a list entry and
+    # close the entry.  The cocharacter lines before each code's text are the
+    # box's coordinates, in _box_iter's lexicographic order.
+    by_value: dict[int, str] = {}
+    tails = {}
+    for code, (value, semisimple) in survey.faces.items():
+        tail = by_value.get(id(value))
+        if tail is None:
             fields = {
-                "exists": e.value is not None,
-                "limit": vector_to_json(e.value) if e.value is not None else None,
-                "semisimple": e.semisimple,
+                "exists": value is not None,
+                "limit": vector_to_json(value) if value is not None else None,
+                "semisimple": semisimple,
             }
             text = json.dumps(fields, indent=2, sort_keys=True)
-            body = bodies[id(e.value)] = "    " + text[4:-2].replace("\n", "\n  ")
-        cochar = ",\n      ".join(map(str, e.cocharacter))
-        entries.append(f'  {{\n    "cocharacter": [\n      {cochar}\n    ],\n{body}\n  }}')
-    return EXIT_OK, {"box": args.box, "entries": _Encoded("[\n" + ",\n".join(entries) + "\n]")}
+            body = text[4:-2].replace("\n", "\n  ")
+            tail = by_value[id(value)] = f"\n    ],\n    {body}\n  }}"
+        tails[code] = tail
+    steps = [str(a) for a in range(-args.box, args.box + 1)]
+    lines = map(",\n      ".join, itertools.product(steps, repeat=rep.rank))
+    head = '  {\n    "cocharacter": [\n      '
+    entries = ",\n".join([head + lam + tails[code] for lam, code in zip(lines, survey.codes)])
+    return EXIT_OK, {"box": args.box, "entries": _Encoded("[\n" + entries + "\n]")}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:

@@ -111,6 +111,13 @@ def load_torus_problem(obj) -> tuple[TorusRep, RepVector]:
     return rep, _load_vector(obj["vector"], rep, "vector")
 
 
+def load_torus_vector(obj, rep: TorusRep) -> RepVector:
+    """Parse the "vector" of a problem object whose module the caller has
+    already loaded as rep (orbit-eq's second file, spelled as the first)."""
+    _require_keys(obj, ("rank", "weights", "vector"), ("finite_group",), "problem")
+    return _load_vector(obj["vector"], rep, "vector")
+
+
 def _load_vector(entries, rep: TorusRep, name: str) -> RepVector:
     """Parse a list of {"chi", "coords"} components into a vector of rep."""
     if not isinstance(entries, list):

@@ -23,7 +23,7 @@ from jkvkit.serialize import (
     torus_problem_to_json,
     vector_to_json,
 )
-from jkvkit.torus import limit_survey
+from jkvkit.torus import lambda_min, limit_survey
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -777,6 +777,21 @@ def test_survey_encodes_each_distinct_limit_once(capsys, monkeypatch, name):
     assert len(calls) == len(distinct) < len(entries)
 
 
+def test_survey_builds_no_survey_entry(capsys, monkeypatch):
+    """The survey writer reads the codes and their faces, never the entries."""
+    import jkvkit.torus as torus_mod
+
+    built = []
+    entry = torus_mod.SurveyEntry
+    monkeypatch.setattr(torus_mod, "SurveyEntry", lambda *a: built.append(a) or entry(*a))
+    for name in ("t1", "t2w", "t3", "t3w"):
+        path = str(GOLDEN_INPUTS / f"{name}.json")
+        code, out, _ = run(capsys, ["survey", "torus", "--file", path, "--box", "2"])
+        assert code == 0 and built == []
+        assert _first_difference(out, _survey_reference(path, 2)) is None
+        built.clear()  # the reference reads the entries
+
+
 @pytest.mark.parametrize("command", [["semisimple", "gln"], ["jordan-chevalley"]])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_one_minimal_polynomial_per_gln_request(capsys, monkeypatch, command, n):
@@ -809,3 +824,110 @@ def test_semisimple_torus_solves_one_barycentric_lp_per_inside_set(capsys, tmp_p
     for path in inside + [outside] + inside:
         run(capsys, ["semisimple", "torus", "--file", path])
     assert sorted(calls) == [((-1, -1), (1, 1)), ((-1, 0), (0, 1), (1, -1))]
+
+
+# ---------------------------------------------------------------------------
+# The lambda-min witness list against json.dumps
+
+# Witnesses at box 2 by rank 1-4: +-e_i leaves only the zero cocharacter a
+# limit; e_1 has limit 0, fixed dimension 0, wherever lambda_1 >= 1; the zero
+# weight is fixed by every cocharacter, so every primitive one is a witness.
+_WITNESS_COUNTS = {"+-e_i": (1, 1, 1, 1), "e_1": (1, 7, 41, 223), "zero": (3, 17, 99, 545)}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("support", list(_WITNESS_COUNTS))
+def test_lambda_min_witnesses_are_json_dumps_of_the_list(capsys, tmp_path, rank, support):
+    units = [tuple(s * (j == i) for j in range(rank)) for i in range(rank) for s in (1, -1)]
+    chis = {"+-e_i": units, "e_1": units[:1], "zero": [(0,) * rank]}[support]
+    path = write(
+        tmp_path,
+        "p.json",
+        {
+            "rank": rank,
+            "weights": [{"chi": list(chi), "dim": 1} for chi in chis],
+            "vector": [{"chi": list(chi), "coords": ["1"]} for chi in chis],
+        },
+    )
+    code, out, _ = run(capsys, ["lambda-min", "torus", "--file", path, "--box", "2"])
+    dim, wits = lambda_min(*load_torus_problem(read_json(path)), 2)
+    fields = {"box": 2, "min_fixed_dim": dim, "witnesses": [list(w) for w in wits]}
+    payload = {"format_version": FORMAT_VERSION, "command": "lambda-min", **fields}
+    assert code == 0 and out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(wits) == _WITNESS_COUNTS[support][rank - 1]
+
+
+# ---------------------------------------------------------------------------
+# orbit-eq's second file: one module validation when it is spelled alike
+
+
+def _moved():
+    """The second file of the t2w orbit-eq case: t2w's module, spelled alike."""
+    return read_json(str(GOLDEN_INPUTS / "t2w-moved.json"))
+
+
+def _orbit_eq(capsys, tmp_path, second):
+    """Exit code, stdout and stderr of orbit-eq on t2w.json and second."""
+    path = tmp_path / "second.json"
+    path.write_text(json.dumps(second), encoding="utf-8")
+    first = str(GOLDEN_INPUTS / "t2w.json")
+    return run(capsys, ["orbit-eq", "torus", "--file", first, "--file2", str(path)])
+
+
+def _reversed_keys(x):
+    if isinstance(x, dict):
+        return {k: _reversed_keys(x[k]) for k in reversed(list(x))}
+    return [_reversed_keys(y) for y in x] if isinstance(x, list) else x
+
+
+def _spaced_block_keys(problem):
+    for element in problem["finite_group"]["elements"]:
+        element["blocks"] = {k.replace(",", ", "): m for k, m in element["blocks"].items()}
+    return problem
+
+
+@pytest.mark.parametrize("respell", [lambda m: m, _reversed_keys], ids=["alike", "reordered-keys"])
+def test_orbit_eq_validates_a_module_spelled_alike_once(capsys, tmp_path, monkeypatch, respell):
+    import jkvkit.torus as torus_mod
+
+    calls = []
+    original = torus_mod._validate_finite_group
+    monkeypatch.setattr(torus_mod, "_validate_finite_group", lambda r: calls.append(r) or original(r))
+    code, out, err = _orbit_eq(capsys, tmp_path, respell(_moved()))
+    assert (code, err) == (0, "") and json.loads(out)["same_orbit"] and len(calls) == 1
+
+
+@pytest.mark.parametrize("respell", [_reversed_keys, _spaced_block_keys])
+def test_orbit_eq_answers_a_respelled_module_as_the_identical_one(capsys, tmp_path, respell):
+    same = _orbit_eq(capsys, tmp_path, _moved())
+    assert _orbit_eq(capsys, tmp_path, respell(_moved())) == same and same[0] == 0
+
+
+def _set_first_dim(problem, value):
+    problem["weights"][0]["dim"] = value  # 1 in t2w
+
+
+def _set_table_entry(problem, value):
+    problem["finite_group"]["table"][0][1] = value  # 1 in t2w
+
+
+@pytest.mark.parametrize("spelling", [True, 1.0])
+@pytest.mark.parametrize("where, plant", [("dim", _set_first_dim), ("table", _set_table_entry)])
+def test_orbit_eq_refuses_an_integer_spelled_true_or_as_a_float(capsys, tmp_path, spelling, where, plant):
+    second = _moved()
+    plant(second, spelling)
+    assert _orbit_eq(capsys, tmp_path, second) == (2, "", f"error: {where} must be an integer\n")
+
+
+@pytest.mark.parametrize(
+    "respell, message",
+    [
+        (lambda m: {**m, "weights": m["weights"][::-1]}, "the two problem files must share the same module"),
+        (lambda m: [m], "problem must be a JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "vector"}, "missing fields in problem: ['vector']"),
+        (lambda m: {**m, "note": "moved"}, "unknown fields in problem: ['note']"),
+    ],
+    ids=["reordered-weights", "not-an-object", "no-vector", "unknown-field"],
+)
+def test_orbit_eq_refuses_a_second_file_as_before(capsys, tmp_path, respell, message):
+    assert _orbit_eq(capsys, tmp_path, respell(_moved())) == (2, "", f"error: {message}\n")

@@ -102,7 +102,7 @@ def test_is_squarefree():
     assert is_squarefree(poly([1, 0, 1]))  # x^2 + 1, irreducible over Q
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(_coeffs, _coeffs, st.booleans())
 @example([], [], False)  # zero
 @example([Fraction(-3, 2)], [], False)  # nonzero constant
