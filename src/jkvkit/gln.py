@@ -63,8 +63,8 @@ class GLnCocharacter:
     sorted descending, the columns of g reordered to match.  Construction
     checks only det G != 0 (``intlinalg.det``); G is not inverted, because
     most cocharacters a limit search draws are rejected without the inverse
-    (see ``_limit``).  inv_int = inv_den * G^-1, both integer, and the
-    rational g and g^-1 are built on first read.
+    (see ``_limit``).  The pair inverse = (d, d G^-1), both integer, and
+    the rational g are each built on first read.
     """
 
     g_int: tuple[tuple[int, ...], ...]
@@ -98,30 +98,16 @@ class GLnCocharacter:
         return f"GLnCocharacter(g={self.g!r}, exponents={self.exponents!r})"
 
     @cached_property
-    def _inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         inv = inverse(self.g_int)
         require(inv is not None, "a matrix with nonzero determinant has an inverse")
         d, rows = inv
         return d, tuple(map(tuple, rows))
 
-    @property
-    def inv_den(self) -> int:
-        return self._inverse[0]
-
-    @property
-    def inv_int(self) -> tuple[tuple[int, ...], ...]:
-        return self._inverse[1]
-
     @cached_property
     def g(self) -> QMat:
         c = self.g_den
         return tuple(tuple(Fraction(v, c) for v in row) for row in self.g_int)
-
-    @cached_property
-    def g_inv(self) -> QMat:
-        # g = G / c, so g^-1 = c G^-1 = c inv_int / inv_den
-        c, d = self.g_den, self.inv_den
-        return tuple(tuple(Fraction(c * v, d) for v in row) for row in self.inv_int)
 
     @property
     def n(self) -> int:
@@ -137,41 +123,40 @@ def _limit(lam: GLnCocharacter, xi: list[list[int]], c: int) -> QMat | None:
 
     In lam's basis x is y = G^-1 X G / c, X = xi and G = lam.g_int.  The
     (i, j) entry of y scales by t^(a_i - a_j), so the limit exists iff
-    every negative-weight entry (a_i < a_j) vanishes.  Until lam's inverse
-    is formed, each such entry is tested by Cramer's rule: entry (i, j) of
-    G^-1 X G is det(G with column i replaced by X g_j) / det G, so one
-    integer determinant decides it, and a rejected lam stops at the first
-    nonzero one without inverting G.  A lam that passes forms the inverse,
-    and Y = H X G with H = lam.inv_int = d G^-1 (d = lam.inv_den) must then
-    have every negative-weight entry zero: a re-check of the determinant
-    verdict.  Once the inverse exists, Y is tested directly.  The limit is
-    the weight-zero part Y0 conjugated back, G Y0 H / (d^2 c).
+    every negative-weight entry (a_i < a_j) vanishes.  Each such entry is
+    tested by Cramer's rule: entry (i, j) of G^-1 X G is det(G with column
+    i replaced by X g_j) / det G, so one integer determinant decides it,
+    and a rejected lam stops at the first nonzero one without inverting G.
+    A lam that passes reads its inverse (d, H) = lam.inverse, H = d G^-1,
+    and Y = H X G must then have every negative-weight entry zero: a
+    re-check of the determinant verdict.  The limit is the weight-zero part
+    Y0 conjugated back, G Y0 H / (d^2 c).
     """
     n, e = lam.n, lam.exponents
     if len(xi) != n or any(len(r) != n for r in xi):
         raise ValueError("shape mismatch in matrix product")
-    formed = "_inverse" in vars(lam)
-    if not formed:
-        # det(G with column i replaced by v) is det(G^T with row i replaced by v)
-        cols = list(zip(*lam.g_int))
-        for j in range(n):
-            xg = None
-            # exponents descend, so a_i < a_j only for i > j
-            for i in range(j + 1, n):
-                if e[i] < e[j]:
-                    if xg is None:
-                        xg = [sum(map(mul, row, cols[j])) for row in xi]
-                    m = cols.copy()
-                    m[i] = xg
-                    if det(m):
-                        return None
-    y = mat_mul(mat_mul(lam.inv_int, xi), lam.g_int)
-    if any(y[i][j] for j in range(n) for i in range(j + 1, n) if e[i] < e[j]):
-        require(formed, "a limit accepted by determinants has no negative-weight entry")
-        return None
+    # det(G with column i replaced by v) is det(G^T with row i replaced by v)
+    cols = list(zip(*lam.g_int))
+    for j in range(n):
+        xg = None
+        # exponents descend, so a_i < a_j only for i > j
+        for i in range(j + 1, n):
+            if e[i] < e[j]:
+                if xg is None:
+                    xg = [sum(map(mul, row, cols[j])) for row in xi]
+                m = cols.copy()
+                m[i] = xg
+                if det(m):
+                    return None
+    d, h = lam.inverse
+    y = mat_mul(mat_mul(h, xi), lam.g_int)
+    require(
+        not any(y[i][j] for j in range(n) for i in range(j + 1, n) if e[i] < e[j]),
+        "a limit accepted by determinants has no negative-weight entry",
+    )
     y0 = [[v if e[i] == e[j] else 0 for j, v in enumerate(row)] for i, row in enumerate(y)]
-    den = lam.inv_den**2 * c
-    z = mat_mul(mat_mul(lam.g_int, y0), lam.inv_int)
+    den = d**2 * c
+    z = mat_mul(mat_mul(lam.g_int, y0), h)
     return tuple(tuple(Fraction(v, den) for v in row) for row in z)
 
 

@@ -355,7 +355,7 @@ def sample_parabolic_element(rng: random.Random, lam: GLnCocharacter) -> QMat:
             for i in range(n)
         ]
         if qdet(qmat(y)) != 0:
-            return qmul(qmul(lam.g, qmat(y)), lam.g_inv)
+            return qmul(qmul(lam.g, qmat(y)), qinverse(lam.g))
 
 
 def sample_matrix_with_limit(rng: random.Random, lam: GLnCocharacter) -> QMat:
@@ -366,4 +366,4 @@ def sample_matrix_with_limit(rng: random.Random, lam: GLnCocharacter) -> QMat:
         [F(rng.randint(-4, 4)) if e[i] >= e[j] else F(0) for j in range(n)]
         for i in range(n)
     ]
-    return qmul(qmul(lam.g, qmat(y)), lam.g_inv)
+    return qmul(qmul(lam.g, qmat(y)), qinverse(lam.g))

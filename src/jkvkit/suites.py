@@ -143,9 +143,9 @@ def _check_theorem_instance(rep, gamma, box):
     """All semisimple limits in the box are literally equal, with or without
     a finite part: ``limit`` ignores it.  Returns a clause or None."""
     ss = limit_survey(rep, gamma, box).semisimple_entries()
-    for e in ss[1:]:
-        if e.value != ss[0].value:
-            return f"semisimple limits differ at {e.cocharacter}"
+    for lam, val in ss[1:]:
+        if val != ss[0][1]:
+            return f"semisimple limits differ at {lam}"
     return None
 
 
@@ -167,11 +167,11 @@ def _suite_jkv_survey(rng, cfg: FuzzConfig):
     if not certify(lam).ok:
         clause = "constructive decomposition failed its own certificate"
         return clause, torus_problem_to_json(rep, gamma)
-    for e in limit_survey(rep, gamma, cfg.box).semisimple_entries():
-        if e.value != s:
-            clause = f"semisimple limit at {e.cocharacter} is not the constructive part"
-        elif not certify(e.cocharacter).ok:
-            clause = f"semisimple limit at {e.cocharacter} failed its certificate"
+    for lam, val in limit_survey(rep, gamma, cfg.box).semisimple_entries():
+        if val != s:
+            clause = f"semisimple limit at {lam} is not the constructive part"
+        elif not certify(lam).ok:
+            clause = f"semisimple limit at {lam} failed its certificate"
         else:
             continue
         return clause, torus_problem_to_json(rep, gamma)
@@ -379,9 +379,9 @@ def _suite_commuting(rng, cfg: FuzzConfig):
     except torus.BoxTooSmallError:
         return None
     v0 = limit(wits[0], gamma)
-    for e in survey.semisimple_entries():
-        if e.value != v0:
-            clause = f"limit at {e.cocharacter} differs from the limit at the minimizer"
+    for lam, val in survey.semisimple_entries():
+        if val != v0:
+            clause = f"limit at {lam} differs from the limit at the minimizer"
             return clause, torus_problem_to_json(rep, gamma)
     return None
 

@@ -136,7 +136,7 @@ def _validate_finite_group(rep: TorusRep) -> tuple[_Action | None, ...]:
     grp = rep.finite
     dims = rep.dims()
     weights = set(dims)
-    eyes = {d: _eye(d) for d in set(dims.values())}
+    eyes = {d: intlinalg.identity(d) for d in set(dims.values())}
     trivial = _acts_trivially(grp, rep.rank, eyes, dims)
     actions = []
     for idx, el in enumerate(grp.elements):
@@ -183,16 +183,12 @@ def _validate_finite_group(rep: TorusRep) -> tuple[_Action | None, ...]:
     return tuple(actions)
 
 
-def _eye(n: int) -> list[list[int]]:
-    return [[int(r == c) for c in range(n)] for r in range(n)]
-
-
 def _acts_trivially(grp: FiniteGroup, rank: int, eyes, dims: dict[IntVec, int]) -> bool:
     """Whether the table's identity is exactly the identity: lattice I, and
     at each weight the identity block of its space (eyes[d] for dimension
     d) with int or Fraction entries.  Never raises."""
     el = grp.elements[grp.identity]
-    eye = tuple(map(tuple, _eye(rank)))
+    eye = intlinalg.identity(rank)
     if not eye or el.lattice != eye:
         return False
     if not isinstance(el.blocks, dict) or set(el.blocks) != dims.keys():
@@ -349,26 +345,16 @@ def limit(lam: IntVec, v: RepVector) -> RepVector | None:
     and then equals the projection onto the zero-pairing components."""
     if len(lam) != v.rank:
         raise ValueError("cocharacter rank mismatch")
-    zero = _zero_set(lam, v)
-    if zero is None:
-        return None
-    comps = v.components
-    return RepVector(v.rank, {chi: comps[chi] for chi in zero})
-
-
-def _zero_set(lam: IntVec, v: RepVector) -> tuple[IntVec, ...] | None:
-    """The support weights of v that pair to 0 with lam, in component order,
-    or None when some support weight pairs negatively (no limit)."""
-    zero = []
-    for chi in v.components:
+    zero = {}
+    for chi, coords in v.components.items():
         p = 0
         for a, b in zip(lam, chi):
             p += a * b
         if p < 0:
             return None
         if p == 0:
-            zero.append(chi)
-    return tuple(zero)
+            zero[chi] = coords
+    return RepVector(v.rank, zero)
 
 
 def fixed_dim(rep: TorusRep, lam: IntVec) -> int:
@@ -651,7 +637,7 @@ def lambda_min(rep: TorusRep, gamma: RepVector, box: int = 3):
 
 
 def _lambda_min_of_survey(rep: TorusRep, survey: LimitSurvey):
-    dims = [(fixed_dim(rep, e.cocharacter), e.cocharacter) for e in survey.semisimple_entries()]
+    dims = [(fixed_dim(rep, lam), lam) for lam, _ in survey.semisimple_entries()]
     if not dims:
         raise BoxTooSmallError(
             f"no semisimple limit inside the box [-{survey.box},{survey.box}]^{survey.rank}"
@@ -680,44 +666,20 @@ def compose_cocharacters(rep: TorusRep, lam0: IntVec, lam: IntVec):
 
 
 @dataclass
-class SurveyEntry:
-    cocharacter: IntVec
-    value: RepVector | None
-    semisimple: bool
-
-
-@dataclass
 class LimitSurvey:
     """One code per box cocharacter, in lexicographic order, and per code
-    the (value, semisimple) face.  Entries are built when first read; an
-    assigned entry list replaces them."""
+    the (value, semisimple) face; every answer is read off the codes."""
 
     box: int
     rank: int
     codes: list[int]
     faces: dict[int, tuple[RepVector | None, bool]]
-    _entries: list[SurveyEntry] | None = field(default=None, init=False, compare=False, repr=False)
 
-    @property
-    def entries(self) -> list[SurveyEntry]:
-        if self._entries is None:
-            lams = _box_iter(self.rank, self.box)
-            faces = map(self.faces.get, self.codes)
-            self._entries = [SurveyEntry(lam, *face) for lam, face in zip(lams, faces)]
-        return self._entries
-
-    @entries.setter
-    def entries(self, entries: list[SurveyEntry]):
-        self._entries = entries
-
-    def semisimple_entries(self) -> list[SurveyEntry]:
-        if self._entries is not None:
-            return [e for e in self._entries if e.semisimple]
+    def semisimple_entries(self) -> list[tuple[IntVec, RepVector]]:
+        """(cocharacter, value) of every semisimple limit, in box order."""
         ss = {code: val for code, (val, ok) in self.faces.items() if ok}
         lams = _box_iter(self.rank, self.box)
-        return [
-            SurveyEntry(lam, ss[code], True) for lam, code in zip(lams, self.codes) if code in ss
-        ]
+        return [(lam, ss[code]) for lam, code in zip(lams, self.codes) if code in ss]
 
 
 def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
@@ -731,7 +693,7 @@ def limit_survey(rep: TorusRep, gamma: RepVector, box: int = 3) -> LimitSurvey:
     the zero-pairing weights, so the value and its relint verdict are
     computed once per distinct code: every entry with that zero set holds
     the same RepVector object, which must therefore not be mutated.  The
-    survey keeps the codes; its entries are built when they are read.
+    survey is the codes and the per-code faces.
     """
     if box < 1:
         raise ProblemFormatError("box bound must be >= 1")

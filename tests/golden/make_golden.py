@@ -45,7 +45,7 @@ def _pick_torus(rank: int, finite: bool):
         if rep.rank != rank or (rep.finite is not None) != finite or len(v.components) < 2:
             continue
         survey = limit_survey(rep, v, 1)
-        if any(e.value != v for e in survey.semisimple_entries()):
+        if any(val != v for _, val in survey.semisimple_entries()):
             return rep, v
     raise RuntimeError("no instance found")
 
@@ -57,15 +57,13 @@ def _torus_files(name: str, rank: int, finite: bool) -> dict[str, object]:
     torus = tuple(oracles.random_nonzero_fraction(rng, 5) for _ in range(rep.rank))
     idx = len(rep.finite.elements) - 1 if rep.finite else None
     files[f"{name}-moved.json"] = torus_problem_to_json(rep, act(rep, GroupElement(torus, idx), v))
-    entry = next(e for e in limit_survey(rep, v, 1).semisimple_entries() if e.value != v)
+    lam, val = next(e for e in limit_survey(rep, v, 1).semisimple_entries() if e[1] != v)
     # the limit is a projection of v, so v - s is v's components off supp s
-    rest = RepVector(
-        v.rank, {chi: c for chi, c in v.components.items() if chi not in entry.value.components}
-    )
+    rest = RepVector(v.rank, {chi: c for chi, c in v.components.items() if chi not in val.components})
     dec = {
-        "s": vector_to_json(entry.value),
+        "s": vector_to_json(val),
         "n": vector_to_json(rest),
-        "cocharacter": list(entry.cocharacter),
+        "cocharacter": list(lam),
     }
     files[f"{name}-dec.json"] = dec
     files[f"{name}-dec-zero.json"] = dict(dec, cocharacter=[0] * rep.rank)
@@ -75,9 +73,9 @@ def _torus_files(name: str, rank: int, finite: bool) -> dict[str, object]:
         dims = rep.dims()
         off = next(
             chi for chi in sorted(dims)
-            if chi not in v.components and pairing(entry.cocharacter, chi) == 0
+            if chi not in v.components and pairing(lam, chi) == 0
         )
-        s = vec_add(entry.value, RepVector(rep.rank, {off: (1,) * dims[off]}))
+        s = vec_add(val, RepVector(rep.rank, {off: (1,) * dims[off]}))
         n = vec_add(rest, RepVector(rep.rank, {off: (-1,) * dims[off]}))
         files[f"{name}-dec-offsupport.json"] = dict(
             dec, s=vector_to_json(s), n=vector_to_json(n)

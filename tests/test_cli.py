@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from jkvkit import cli, gln, oracles
 from jkvkit.cli import main
 from jkvkit.oracles import FuzzConfig
+from jkvkit.polytope import origin_in_relint
 from jkvkit.serialize import (
     FORMAT_VERSION,
     load_torus_problem,
@@ -23,7 +24,7 @@ from jkvkit.serialize import (
     torus_problem_to_json,
     vector_to_json,
 )
-from jkvkit.torus import lambda_min, limit_survey
+from jkvkit.torus import _box_iter, lambda_min, limit, support
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -691,17 +692,20 @@ GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def _survey_reference(path, box):
-    """stdout of the survey command as json.dumps of every entry's fields."""
+    """stdout of the survey command as json.dumps of every entry's fields,
+    each entry from one `limit` and one `origin_in_relint` call."""
     rep, v = load_torus_problem(read_json(path))
-    entries = [
-        {
-            "cocharacter": list(e.cocharacter),
-            "exists": e.value is not None,
-            "limit": vector_to_json(e.value) if e.value is not None else None,
-            "semisimple": e.semisimple,
-        }
-        for e in limit_survey(rep, v, box).entries
-    ]
+    entries = []
+    for lam in _box_iter(rep.rank, box):
+        val = limit(lam, v)
+        entries.append(
+            {
+                "cocharacter": list(lam),
+                "exists": val is not None,
+                "limit": vector_to_json(val) if val is not None else None,
+                "semisimple": val is not None and origin_in_relint(support(val)).inside,
+            }
+        )
     payload = {"format_version": FORMAT_VERSION, "command": "survey", "box": box, "entries": entries}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -768,28 +772,13 @@ def test_survey_output_is_json_dumps_of_every_entry(problem, box):
 def test_survey_encodes_each_distinct_limit_once(capsys, monkeypatch, name):
     path = str(GOLDEN_INPUTS / f"{name}.json")
     rep, v = load_torus_problem(read_json(path))
-    entries = limit_survey(rep, v, 2).entries
-    distinct = {id(e.value) for e in entries if e.value is not None}
+    limits = [limit(lam, v) for lam in _box_iter(rep.rank, 2)]
+    distinct = {frozenset(val.components) for val in limits if val is not None}
     calls = []
     monkeypatch.setattr(cli, "vector_to_json", lambda val: calls.append(val) or vector_to_json(val))
     code, out, _ = run(capsys, ["survey", "torus", "--file", path, "--box", "2"])
     assert code == 0 and _first_difference(out, _survey_reference(path, 2)) is None
-    assert len(calls) == len(distinct) < len(entries)
-
-
-def test_survey_builds_no_survey_entry(capsys, monkeypatch):
-    """The survey writer reads the codes and their faces, never the entries."""
-    import jkvkit.torus as torus_mod
-
-    built = []
-    entry = torus_mod.SurveyEntry
-    monkeypatch.setattr(torus_mod, "SurveyEntry", lambda *a: built.append(a) or entry(*a))
-    for name in ("t1", "t2w", "t3", "t3w"):
-        path = str(GOLDEN_INPUTS / f"{name}.json")
-        code, out, _ = run(capsys, ["survey", "torus", "--file", path, "--box", "2"])
-        assert code == 0 and built == []
-        assert _first_difference(out, _survey_reference(path, 2)) is None
-        built.clear()  # the reference reads the entries
+    assert len(calls) == len(distinct) < len(limits)
 
 
 @pytest.mark.parametrize("command", [["semisimple", "gln"], ["jordan-chevalley"]])

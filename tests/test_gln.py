@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import random
@@ -120,25 +121,27 @@ def test_cocharacter_inverse_is_lazy_and_outside_equality():
     a = GLnCocharacter(g, (0, 2))
     b = GLnCocharacter(g, (0, 2))
     h = hash(a)
-    assert "_inverse" not in vars(a) and "g_inv" not in vars(b)
-    assert b.g_inv == qinverse(b.g)
-    assert "g_inv" in vars(b) and "g_inv" not in vars(a) and "_inverse" not in vars(a)
-    assert b.inv_int == tuple(tuple(b.inv_den * v for v in row) for row in qinverse(b.g_int))
+    assert "inverse" not in vars(a) and "inverse" not in vars(b)
+    d, rows = b.inverse
+    assert "inverse" in vars(b) and "inverse" not in vars(a)
+    assert rows == tuple(tuple(d * v for v in row) for row in qinverse(b.g_int))
     assert repr(a) == repr(b)
     assert a == b and hash(a) == hash(b) == h
     assert len({a, b}) == 1
     rng = random.Random(7)
     for _ in range(20):
         lam = oracles.sample_gln_cocharacter(rng, rng.randint(1, 4))
-        assert lam.g_inv == qinverse(lam.g)
+        # g = G / c, so g^-1 = c G^-1 = c H / d
+        d, rows = lam.inverse
+        assert tuple(tuple(F(lam.g_den * v, d) for v in row) for row in rows) == qinverse(lam.g)
 
 
 def test_rejected_limit_tries_build_no_rational_matrix():
     lam = GLnCocharacter([[1, 1], [0, 1]], (0, 1))
     assert conj_limiter(m([[1, 0], [F(1, 2), 1]]))(lam) is None
-    assert "g" not in vars(lam) and "g_inv" not in vars(lam) and "_inverse" not in vars(lam)
+    assert "g" not in vars(lam) and "inverse" not in vars(lam)
     lam = oracles.sample_gln_cocharacter(random.Random(5), 3)
-    assert "g" not in vars(lam) and "g_inv" not in vars(lam)
+    assert "g" not in vars(lam) and "inverse" not in vars(lam)
     assert limit_conj(lam, qidentity(3)) == qidentity(3)
 
 
@@ -151,8 +154,9 @@ def test_cocharacter_from_int_rows_equals_the_fraction_rows():
         a = GLnCocharacter(rows, exps)
         b = GLnCocharacter(m(rows), exps)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert (a.g, a.g_inv, a.g_int) == (b.g, b.g_inv, b.g_int)
-        assert all(type(v) is F for mat in (a.g, a.g_inv) for row in mat for v in row)
+        assert (a.g, a.inverse, a.g_int) == (b.g, b.inverse, b.g_int)
+        assert all(type(v) is F for row in a.g for v in row)
+        assert all(type(v) is int for row in a.inverse[1] for v in row)
     half = GLnCocharacter(m([[F(1, 2), 0], [0, 1]]), (0, 0))
     assert half != GLnCocharacter([[1, 0], [0, 1]], (0, 0)) and half.g_int == ((1, 0), (0, 2))
 
@@ -190,8 +194,9 @@ def test_levi_part_examples():
 
 def test_levi_part_is_homomorphism():
     lam = GLnCocharacter(m([[1, 1], [0, 1]]), (2, -1))
-    p1 = qmul(qmul(lam.g, m([[2, 5], [0, 1]])), lam.g_inv)
-    p2 = qmul(qmul(lam.g, m([[1, -3], [0, 4]])), lam.g_inv)
+    g_inv = qinverse(lam.g)
+    p1 = qmul(qmul(lam.g, m([[2, 5], [0, 1]])), g_inv)
+    p2 = qmul(qmul(lam.g, m([[1, -3], [0, 4]])), g_inv)
     assert levi_part(lam, qmul(p1, p2)) == qmul(levi_part(lam, p1), levi_part(lam, p2))
 
 
@@ -301,8 +306,8 @@ def test_limiter_keeps_the_shape_errors():
 
 
 def test_cramer_determinants_equal_the_entries_of_the_full_product():
-    """Entry (i, j) of H X G (H = inv_int = inv_den G^-1) times det G is
-    inv_den times det(G with column i replaced by X g_j), Cramer's rule, by
+    """Entry (i, j) of H X G ((d, H) = lam.inverse, H = d G^-1) times det G
+    is d times det(G with column i replaced by X g_j), Cramer's rule, by
     which _limit decides a negative-weight entry before G is inverted; on
     integer rows of the wrong shape _limit keeps its message."""
     rng = random.Random(1968)
@@ -312,7 +317,7 @@ def test_cramer_determinants_equal_the_entries_of_the_full_product():
         if rng.random() < 0.5:
             lam = GLnCocharacter(_invertible(rng, n), lam.exponents)
         xi = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        g, h, d = lam.g_int, lam.inv_int, lam.inv_den
+        g, (d, h) = lam.g_int, lam.inverse
         det_g = intlinalg.det(g)
         for i in range(n):
             for j in range(n):
@@ -371,15 +376,18 @@ def test_a_wrong_determinant_fails_the_limit_recheck_under_python_O():
     """With the determinant _limit reads patched to report 0, every try is
     accepted by the determinants, and one whose limit does not exist must
     fail the require on Y: limit_conj raises CertificateError and never
-    returns a wrong limit, and verify exits 4 (internal error), not 1.  A
-    cocharacter whose inverse is already formed skips the determinants and
-    still answers right."""
+    returns a wrong limit, and verify exits 4 (internal error), not 1.  The
+    reference answer is the Fraction formula of _old_limit_conj."""
+    oracle = (_old_in_basis, _old_no_negative_weight, _old_weight_zero_part, _old_limit_conj)
     script = (
         "import random, sys\n"
+        "from fractions import Fraction as F\n"
         "from jkvkit import cli, gln, oracles\n"
         "from jkvkit.checks import CertificateError\n"
+        "from jkvkit.ratlinalg import qinverse, qmul\n"
         "assert False, 'asserts must be stripped'\n"
-        "real_det = gln.det\n"
+        + "".join(map(inspect.getsource, oracle))
+        + "real_det = gln.det\n"
         "def det(a):\n"
         "    return 0 if sys._getframe(1).f_code.co_name == '_limit' else real_det(a)\n"
         "gln.det = det\n"
@@ -389,9 +397,7 @@ def test_a_wrong_determinant_fails_the_limit_recheck_under_python_O():
         "    n = rng.randint(2, 3)\n"
         "    lam = oracles.sample_gln_cocharacter(rng, n)\n"
         "    x = oracles.sample_gln_matrix(rng, n)\n"
-        "    known = gln.GLnCocharacter(lam.g_int, lam.exponents)\n"
-        "    known.inv_int\n"
-        "    ref = gln.limit_conj(known, x)\n"
+        "    ref = _old_limit_conj(lam, x)\n"
         "    try:\n"
         "        got = gln.limit_conj(lam, x)\n"
         "    except CertificateError as exc:\n"

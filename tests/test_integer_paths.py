@@ -318,7 +318,7 @@ def test_limits_match_the_conjugate_by_reference():
 
 def _before_and_after_the_inverse(g, exps, run):
     """run(lam) on a new cocharacter (g, exps) before its inverse is formed,
-    then on the same one again once lam.inv_int has been read, and on
+    then on the same one again once lam.inverse has been read, and on
     another whose inverse is read first: the three answers, outcome or
     (exception type, message)."""
 
@@ -329,17 +329,18 @@ def _before_and_after_the_inverse(g, exps, run):
             return type(exc), str(exc)
 
     lam = GLnCocharacter(g, exps)
-    assert "_inverse" not in vars(lam)
+    assert "inverse" not in vars(lam)
     first = outcome(lam)
-    lam.inv_int
+    lam.inverse
     known = GLnCocharacter(g, exps)
-    known.inv_int
+    known.inverse
     return first, outcome(lam), outcome(known)
 
 
 def test_limits_by_determinants_match_the_reference_before_and_after_the_inverse():
-    """The determinant test (no inverse yet) and the product test (inverse
-    formed) give the reference answer for limits and Levi parts: rational g,
+    """The determinant test, with its re-check on the product, gives the
+    reference answer for limits and Levi parts whether or not the inverse
+    was read first: rational g,
     unsorted and repeated exponents, n = 0 to 4, matrices with and without a
     limit, elements inside and outside P(lam)."""
     rng = random.Random(27)
@@ -379,7 +380,7 @@ def test_limits_by_determinants_match_the_reference_before_and_after_the_inverse
 
 def test_limit_shape_errors_hold_before_and_after_the_inverse():
     """levi_part and conj_limiter keep their exception types and messages
-    on a matrix of the wrong shape, whichever test the cocharacter takes."""
+    on a matrix of the wrong shape, before and after its inverse is read."""
     mismatch = (ProblemFormatError, "shape mismatch")
     product = (ValueError, "shape mismatch in matrix product")
     for g, exps, x, want_levi, want_limit in [

@@ -3,7 +3,9 @@ syntax tree: only ratlinalg clears rationals to integers (imports lcm),
 only serialize reads comma-separated integer vectors (calls .split(",")),
 only intlinalg inverts a matrix (reduces an identity-augmented matrix
 with fraction_free_rref), and only the memoized coefficient path of
-polytope solves the max-min barycentric LP."""
+polytope solves the max-min barycentric LP.  No module tests membership in
+vars(...), so no answer depends on which cached property an earlier call
+read."""
 
 import ast
 from pathlib import Path
@@ -52,6 +54,16 @@ def _inverts_by_augmenting(node):
     )
 
 
+def _tests_membership_in_vars(node):
+    """``x in vars(...)`` or ``x not in vars(...)``."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.In, ast.NotIn))
+        and isinstance(right, ast.Call)
+        and getattr(right.func, "id", None) == "vars"
+        for op, right in zip(node.ops, node.comparators)
+    )
+
+
 def test_only_ratlinalg_imports_lcm():
     assert _modules_where(_imports_lcm) == ["ratlinalg.py"]
 
@@ -74,3 +86,7 @@ def test_only_the_memoized_coefficient_path_solves_the_barycentric_lp():
         if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_barycentric_lp"
     )
     assert callers == [("polytope.py", "_barycentric_cached")]
+
+
+def test_no_module_tests_membership_in_vars():
+    assert _modules_where(_tests_membership_in_vars) == []

@@ -173,11 +173,12 @@ def test_square_kernels_match_reference(data):
 
 def _conjugate(g, x, k=1):
     """g^-1 x g through the integer form of a cocharacter with g given as
-    k times itself: H X G over inv_den c, with H = lam.inv_int."""
+    k times itself: H X G over d c, with (d, H) = lam.inverse."""
     lam = GLnCocharacter(tuple(tuple(k * v for v in row) for row in g), (0,) * len(g))
     xi, c = int_form(x)
-    y = mat_mul(mat_mul(lam.inv_int, xi), lam.g_int)
-    return tuple(tuple(F(v, lam.inv_den * c) for v in row) for row in y)
+    d, h = lam.inverse
+    y = mat_mul(mat_mul(h, xi), lam.g_int)
+    return tuple(tuple(F(v, d * c) for v in row) for row in y)
 
 
 @settings(max_examples=300, deadline=None)

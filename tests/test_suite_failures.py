@@ -141,7 +141,7 @@ def test_jkv_survey_reports_a_survey_entry_that_fails_its_certificate(monkeypatc
     for i, (rep, gamma) in enumerate(made):
         entries = torus.limit_survey(rep, gamma, cfg.box).semisimple_entries()
         if entries:
-            want.append((i, f"semisimple limit at {entries[0].cocharacter} failed its certificate"))
+            want.append((i, f"semisimple limit at {entries[0][0]} failed its certificate"))
     assert want and _indexed(report) == want
     for f in report.failures:
         _check_torus_payload(f.payload, *made[f.index])

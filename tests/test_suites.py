@@ -134,23 +134,26 @@ def _corrupted_cocharacter(rep, gamma, box):
     from jkvkit.torus import limit_survey
 
     found = None
-    for e in limit_survey(rep, gamma, box).semisimple_entries():
-        if not e.value.is_zero():
-            found = e.cocharacter
+    for lam, val in limit_survey(rep, gamma, box).semisimple_entries():
+        if not val.is_zero():
+            found = lam
     return found
 
 
 def _scaling_survey(limit_survey):
     """limit_survey with the value of one semisimple entry, the one at
-    _corrupted_cocharacter, replaced by a scaled copy."""
-    from dataclasses import replace
+    _corrupted_cocharacter, replaced by a scaled copy: that cocharacter gets
+    a fresh code whose face holds the scaled value."""
+    from jkvkit.torus import _box_iter
 
     def survey(rep, gamma, box=3):
         res = limit_survey(rep, gamma, box)
         bad = _corrupted_cocharacter(rep, gamma, box)
-        res.entries = [
-            replace(e, value=_scaled(e.value)) if e.cocharacter == bad else e for e in res.entries
-        ]
+        for k, lam in enumerate(_box_iter(res.rank, res.box)):
+            if lam == bad:
+                fresh = max(res.faces) + 1
+                res.faces[fresh] = _scaled(res.faces[res.codes[k]][0]), True
+                res.codes[k] = fresh
         return res
 
     return survey

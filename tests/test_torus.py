@@ -620,65 +620,33 @@ def test_a_wrong_transfer_fails_its_recheck_under_python_O(fault):
     )
 
 
-def test_survey_entries_are_built_on_demand():
-    """semisimple_entries() is the semisimple part of entries, read before
-    or after entries, and entries with one zero set share one value."""
-    rng = random.Random(59)
-    for _ in range(20):
-        rep, gamma = sample_torus_instance(rng, FuzzConfig(max_rank=3))
-        early = limit_survey(rep, gamma, 2)
-        first = early.semisimple_entries()
-        late = limit_survey(rep, gamma, 2)
-        entries = late.entries
-        assert late.entries is entries
-        assert first == late.semisimple_entries() == [e for e in entries if e.semisimple]
-        assert first == [e for e in early.entries if e.semisimple]
-        fresh = limit_survey(rep, gamma, 2)
-        shared = {}
-        for e in [*fresh.semisimple_entries(), *fresh.entries]:
-            if e.value is not None:
-                zero = frozenset(e.value.components)
-                assert shared.setdefault(zero, e.value) is e.value
-
-
-def test_assigned_survey_entries_are_what_semisimple_entries_reads():
-    from jkvkit.torus import SurveyEntry
-
-    survey = limit_survey(rep1(), rv(1, {(0,): (F(1),), (1,): (F(1),)}), 2)
-    planted = [SurveyEntry((-2,), None, False), SurveyEntry((2,), zero_vector(1), True)]
-    survey.entries = planted
-    assert survey.entries is planted and survey.semisimple_entries() == planted[1:]
-
-
-def test_jkv_survey_builds_entries_only_for_semisimple_codes(monkeypatch):
-    import jkvkit.suites as suites
-    import jkvkit.torus as torus_mod
-
-    built = []
-    entry = torus_mod.SurveyEntry
-    monkeypatch.setattr(torus_mod, "SurveyEntry", lambda *a: built.append(a[2]) or entry(*a))
-    report = suites.run_suite("jkv-survey", FuzzConfig(seed=0, count=30, max_rank=3))
-    assert report.passed and built and all(built)
+def _survey_entries(survey):
+    """(cocharacter, value, semisimple) of every box cocharacter, in box
+    order, as the survey's codes and faces give them."""
+    lams = _box_iter(survey.rank, survey.box)
+    return [(lam, *survey.faces[code]) for lam, code in zip(lams, survey.codes)]
 
 
 def test_limit_survey_examples():
     rep = rep1()
     g0 = zero_vector(1)
-    survey = limit_survey(rep, g0, 2)
-    assert all(e.semisimple and e.value.is_zero() for e in survey.entries)
+    entries = _survey_entries(limit_survey(rep, g0, 2))
+    assert len(entries) == 5 and all(ok and val.is_zero() for _, val, ok in entries)
     g = rv(1, {(0,): (F(1),), (1,): (F(1),)})
     survey = limit_survey(rep, g, 2)
-    ss = {e.cocharacter for e in survey.semisimple_entries()}
+    ss = {lam for lam, _ in survey.semisimple_entries()}
     assert ss == {(1,), (2,)}
-    vals = {e.cocharacter: e.value for e in survey.entries if e.value is not None}
+    vals = {lam: val for lam, val, _ in _survey_entries(survey) if val is not None}
     assert vals[(1,)] == rv(1, {(0,): (F(1),)})
     g2 = rv(1, {(-1,): (F(1),), (1,): (F(1),)})
     survey = limit_survey(rep, g2, 1)
-    ss = [e for e in survey.semisimple_entries()]
-    assert len(ss) == 1 and ss[0].cocharacter == (0,) and ss[0].value == g2
+    assert survey.semisimple_entries() == [((0,), g2)]
 
 
 def test_limit_survey_matches_limit_and_relint_per_cocharacter():
+    """Each box entry is the limit and relint verdict of its cocharacter,
+    entries with one zero set share one value object, and
+    semisimple_entries() is the semisimple part of the entries."""
     rng = random.Random(12)
     cfg = FuzzConfig(max_rank=3)
     finite = 0
@@ -686,17 +654,21 @@ def test_limit_survey_matches_limit_and_relint_per_cocharacter():
         rep, gamma = sample_torus_instance(rng, cfg)
         finite += rep.finite is not None
         shared = {}
-        entries = limit_survey(rep, gamma, 2).entries
-        for e in entries:
-            value = limit(e.cocharacter, gamma)
-            assert e.value == value
+        survey = limit_survey(rep, gamma, 2)
+        entries = _survey_entries(survey)
+        for lam, val, ok in entries:
+            value = limit(lam, gamma)
+            assert val == value
             if value is None:
-                assert not e.semisimple
+                assert not ok
                 continue
-            assert e.semisimple == origin_in_relint(support(value)).inside
-            zero = frozenset(chi for chi in gamma.components if pairing(e.cocharacter, chi) == 0)
-            assert shared.setdefault(zero, e.value) is e.value
+            assert ok == origin_in_relint(support(value)).inside
+            zero = frozenset(chi for chi in gamma.components if pairing(lam, chi) == 0)
+            assert shared.setdefault(zero, val) is val
         assert len(shared) < len(entries)
+        want = [(lam, val) for lam, val, ok in entries if ok]
+        got = survey.semisimple_entries()
+        assert got == want and all(a is b for (_, a), (_, b) in zip(got, want))
     assert finite >= 3
 
 
@@ -746,13 +718,15 @@ def test_limit_survey_matches_the_per_cocharacter_loop(data):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torus_mod, "origin_in_relint", lambda w: calls.append(w) or origin_in_relint(w))
-        entries = limit_survey(rep, gamma, box).entries
-    assert [(e.cocharacter, e.value, e.semisimple) for e in entries] == expected
+        survey = limit_survey(rep, gamma, box)
+    entries = _survey_entries(survey)
+    assert entries == expected
+    assert survey.semisimple_entries() == [(lam, val) for lam, val, ok in expected if ok]
     shared = {}
-    for e in entries:
-        if e.value is not None:
-            zero = frozenset(chi for chi in gamma.components if pairing(e.cocharacter, chi) == 0)
-            assert shared.setdefault(zero, e.value) is e.value
+    for lam, val, _ in entries:
+        if val is not None:
+            zero = frozenset(chi for chi in gamma.components if pairing(lam, chi) == 0)
+            assert shared.setdefault(zero, val) is val
     assert len(calls) == len(shared)
 
 
@@ -852,11 +826,8 @@ def test_jkv_survey_never_takes_a_limit_or_a_zero_set(monkeypatch):
     import jkvkit.torus as torus_mod
 
     calls = []
-    for name in ("limit", "_zero_set"):
-        original = getattr(torus_mod, name)
-        monkeypatch.setattr(
-            torus_mod, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
-        )
+    original = torus_mod.limit
+    monkeypatch.setattr(torus_mod, "limit", lambda *a: calls.append(a) or original(*a))
     report = suites.run_suite("jkv-survey", FuzzConfig(seed=0, count=30, max_rank=3))
     assert report.passed and calls == []
 
@@ -870,8 +841,9 @@ def test_pure_torus_rigidity():
     survey = limit_survey(rep, g, 3)
     sses = survey.semisimple_entries()
     d = jkv_decompose(rep, g)
-    for e in sses:
-        assert e.value == d.s
+    assert sses
+    for _, val in sses:
+        assert val == d.s
 
 
 def test_equivariance_under_torus():
