@@ -99,9 +99,7 @@ class GLnCocharacter:
 
     @cached_property
     def inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        inv = inverse(self.g_int)
-        require(inv is not None, "a matrix with nonzero determinant has an inverse")
-        d, rows = inv
+        d, rows = inverse(self.g_int)  # not None: the constructor checked det G != 0
         return d, tuple(map(tuple, rows))
 
     @cached_property
@@ -243,6 +241,7 @@ def minpoly(x: QMat) -> Poly:
     column d, the first power that depends on the ones below it, and is
     zero past d.  A relation sum r_k X^k = 0 is sum r_k c^k x^k = 0, so the
     monic coefficients for x are r_k / (r_d c^(d-k)), one Fraction each.
+    d = 0 only for the empty matrix, whose minimal polynomial is 1.
     """
     xi, c = int_form(x)
     n = len(xi)
@@ -255,7 +254,6 @@ def minpoly(x: QMat) -> Poly:
         vecs.append([v for row in power for v in row])
     rel = int_kernel([list(r) for r in zip(*vecs)], n + 1)[0][0]
     d = max(k for k, v in enumerate(rel) if v)
-    require(d > 0, "a dependency must involve a power above the identity")
     return tuple(Fraction(rel[k], rel[d] * c ** (d - k)) for k in range(d + 1))
 
 

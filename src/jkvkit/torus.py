@@ -323,16 +323,13 @@ def _move(action: _Action, v: RepVector) -> RepVector:
 
 
 def act(rep: TorusRep, g: GroupElement, v: RepVector) -> RepVector:
-    """Apply the finite part first (relocating components), then the torus."""
+    """Apply the finite part first (relocating components; each lattice
+    action permutes the weights, see `_validate_finite_group`), then the torus."""
     validate_vector(rep, v)
     if len(g.torus) != rep.rank:
         raise ValueError("torus rank mismatch")
     action = _finite_element(rep, g)
     moved = v if action is None else _move(action, v)
-    require(
-        len(moved.components) == len(v.components),
-        "the finite part must move weights to distinct weights",
-    )
     out = {}
     for chi, coords in moved.components.items():
         factor = chi_eval(g.torus, chi)
@@ -366,22 +363,25 @@ def is_semisimple(v: RepVector) -> RelintResult:
     """Certified closed-orbit test: 0 in relint of the support hull.
 
     The relint result of supp v: inside with its barycentric coefficients,
-    or else a separator along which v properly degenerates.
+    or else a separator along which v properly degenerates: the relint
+    cache checked it >= 0 on supp v and > 0 on some weight of it.
     """
-    res = origin_in_relint(support(v))
-    if not res.inside:
-        lim = limit(res.separator, v)
-        require(lim is not None and lim != v, "separator must witness a proper degeneration")
-    return res
+    return origin_in_relint(support(v))
 
 
 def is_nilpotent(v: RepVector, fixed: WeightSet) -> tuple[bool, IntVec | None]:
-    """Does some cocharacter vanishing on `fixed` send v to 0 in the limit?"""
+    """Does some cocharacter vanishing on `fixed` send v to 0 in the limit?
+    The LP's witness is checked here: 0 on `fixed`, >= 1 on supp v."""
     if v.is_zero():
         return True, (0,) * v.rank
     lam = find_functional(fixed.sorted_points(), support(v).sorted_points(), uniform=True)
     if lam is None:
         return False, None
+    require(
+        all(pairing(lam, chi) == 0 for chi in fixed.points)
+        and all(pairing(lam, chi) >= 1 for chi in v.components),
+        "the nilpotency witness must vanish on fixed and be >= 1 on supp v",
+    )
     return True, lam
 
 
@@ -431,7 +431,8 @@ def solve_multiplicative(rank: int, ratios: dict[IntVec, Fraction]) -> tuple[Fra
     linear system with one right-hand side per prime (one Smith normal
     form), and a GF(2) system for the signs.  Ratios with a factor above
     DEFAULT_FACTOR_BOUND that trial division cannot prove prime raise
-    UnfactoredError instead of risking a wrong answer.
+    UnfactoredError instead of risking a wrong answer.  The point is raw:
+    `_transfers` checks each transfer built from it with `act`.
     """
     if any(q == 0 for q in ratios.values()):
         raise ValueError("ratios must be nonzero")
@@ -456,12 +457,7 @@ def solve_multiplicative(rank: int, ratios: dict[IntVec, Fraction]) -> tuple[Fra
             if x[i]:
                 val *= Fraction(p) ** x[i]
         out.append(val)
-    a = tuple(out)
-    require(
-        all(chi_eval(a, chi) == ratios[chi] for chi in chis),
-        "the torus point must have the requested character values",
-    )
-    return a
+    return tuple(out)
 
 
 def _transfers(rep: TorusRep, v: RepVector, target: RepVector):

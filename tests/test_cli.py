@@ -556,28 +556,40 @@ def test_a_failed_gln_recheck_exits_4_under_python_O(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, patch, summary",
+    "command, file, patch, summary",
     [
         (
             ["jordan-chevalley"],
+            "matrix_file",
             "decompose = gln.jordan_chevalley\n"
-            "gln.jordan_chevalley = lambda x: (lambda s, n, p: (s, s, p))(*decompose(x))\n",
-            "CertificateError: x must be s + n with s and n commuting",
+            "transpose = lambda x: tuple(zip(*x))\n"
+            "gln.jordan_chevalley = lambda x: (lambda s, n, p: (transpose(x), n, p))(*decompose(x))\n",
+            "CertificateError: s and n must commute",
         ),
         (
             ["jkv", "gln"],
+            "matrix_file",
             "import dataclasses\n"
             "certify = gln.jkv_gln\n"
             "gln.jkv_gln = lambda x: dataclasses.replace(certify(x), ok=False)\n",
             "CertificateError: the decomposition must pass its own certificate",
         ),
+        (
+            ["nilpotent", "torus"],
+            "rank2_file",
+            "from jkvkit import torus\n"
+            "find = torus.find_functional\n"
+            "torus.find_functional = lambda *a, **k: tuple(-c for c in find(*a, **k))\n",
+            "CertificateError: the nilpotency witness must vanish on fixed and be >= 1 on supp v",
+        ),
     ],
-    ids=["jordan-chevalley", "jkv-gln"],
+    ids=["jordan-chevalley", "jkv-gln", "nilpotent-torus"],
 )
-def test_a_failed_cli_recheck_exits_4_under_python_O(matrix_file, command, patch, summary):
-    # The patched parts do not sum to x (or do not certify); under -O an
-    # assert would have printed them as the answer with exit 0.
-    argv = command + ["--file", matrix_file]
+def test_a_failed_cli_recheck_exits_4_under_python_O(request, command, file, patch, summary):
+    # The patched s (x's transpose, for the fixture's x = 2I + n) does not
+    # commute with n, the parts do not certify, or the LP's lam is negated;
+    # under -O an assert would have printed them as the answer with exit 0.
+    argv = command + ["--file", request.getfixturevalue(file)]
     script = (
         "import sys\n"
         "from jkvkit import cli, gln\n"

@@ -533,6 +533,7 @@ def test_is_semisimple_matrix_examples():
     assert is_semisimple_matrix(m([[1, 0], [0, 2]]))
     assert not is_semisimple_matrix(m([[0, 1], [0, 0]]))
     assert is_semisimple_matrix(m([[0, 1], [-1, 0]]))  # irrational spectrum, still semisimple
+    assert is_semisimple_matrix(())  # the empty matrix: minimal polynomial 1
 
 
 def test_jordan_chevalley_examples():
